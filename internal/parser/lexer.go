@@ -145,8 +145,7 @@ func lex(input string) ([]token, error) {
 			if j < 0 {
 				return nil, fmt.Errorf("offset %d: unterminated <IRI>", i)
 			}
-			raw := input[i+1 : i+j]
-			raw = strings.NewReplacer("%3E", ">", "%0A", "\n").Replace(raw)
+			raw := string(rdf.UnescapeIRI(input[i+1 : i+j]))
 			toks = append(toks, token{tokIRI, raw, i})
 			i += j + 1
 		default:

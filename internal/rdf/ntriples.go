@@ -84,9 +84,7 @@ func readTerm(s string) (IRI, string, error) {
 		if end < 0 {
 			return "", "", fmt.Errorf("unterminated IRI in %q", s)
 		}
-		raw := s[1:end]
-		raw = strings.NewReplacer("%3E", ">", "%0A", "\n").Replace(raw)
-		return IRI(raw), s[end+1:], nil
+		return UnescapeIRI(s[1:end]), s[end+1:], nil
 	}
 	end := strings.IndexAny(s, " \t")
 	if end < 0 {
