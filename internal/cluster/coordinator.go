@@ -538,15 +538,17 @@ func (e *StatusError) Error() string {
 }
 
 // retryable classifies an error as transient (worth a retry) or
-// permanent.  Transport errors, torn streams, per-attempt timeouts
-// and 5xx statuses are transient; 4xx statuses mean the request
-// itself is wrong and retrying cannot help.
+// permanent.  Transport errors, torn frames, per-attempt timeouts and
+// 5xx statuses are transient; a 4xx status means the request itself is
+// wrong, and a whole response that is not a frame means the peer
+// speaks something else — retrying helps neither.
 func retryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
 		return se.Code >= 500
 	}
-	return true
+	var bad errBadFrame
+	return !errors.As(err, &bad)
 }
 
 // --- insert routing ---
