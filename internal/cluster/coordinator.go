@@ -283,26 +283,24 @@ func (c *Coordinator) probeShard(sh *shard) {
 
 // --- scatter-gather query path ---
 
-// Gather pulls the matches of every pattern from every shard and
-// merges them into a fresh local store — the query-relevant subgraph.
+// Gather pulls the matches of every pattern from every shard — one
+// request per shard, answered from one snapshot of that shard — and
+// merges them into a fresh local store, the query-relevant subgraph.
 // It returns the store, the per-shard status block, and whether the
-// gather is partial (at least one shard contributed nothing it should
-// have).  The context carries the query deadline; Gather never
-// outlives it: when the deadline falls, outstanding shards are
-// recorded as failed and whatever arrived is returned.
+// gather is partial (at least one shard contributed nothing).  The
+// context carries the query deadline; Gather never outlives it: when
+// the deadline falls, outstanding shards are recorded as failed and
+// whatever arrived is returned.
 func (c *Coordinator) Gather(ctx context.Context, patterns []sparql.TriplePattern) (rdf.Store, []ShardStatus, bool) {
 	c.queries.Add(1)
 	qspan := obs.SpanFromContext(ctx)
-	g := rdf.NewGraph()
+	body, n := scanRequestBody(patterns)
+	gsp := qspan.StartChild("gather", fmt.Sprintf("%d patterns", n))
 	shardErr := make([]error, len(c.shards))
-	for _, tp := range patterns {
-		gsp := qspan.StartChild("gather", tp.String())
-		streams := make([][]rdf.Triple, len(c.shards))
+	frames := make([]*scanFrame, len(c.shards))
+	if n > 0 {
 		var wg sync.WaitGroup
 		for i, sh := range c.shards {
-			if shardErr[i] != nil {
-				continue // already failed this query; don't burn the budget
-			}
 			if !sh.healthy.Load() {
 				shardErr[i] = errors.New("ejected by health prober")
 				continue
@@ -310,25 +308,15 @@ func (c *Coordinator) Gather(ctx context.Context, patterns []sparql.TriplePatter
 			wg.Add(1)
 			go func(i int, sh *shard) {
 				defer wg.Done()
-				ts, err := c.scanShard(ctx, sh, tp, gsp)
-				if err != nil {
-					shardErr[i] = err
-					return
-				}
-				streams[i] = ts
+				frames[i], shardErr[i] = c.scanShard(ctx, sh, body, n, gsp)
 			}(i, sh)
 		}
 		wg.Wait()
-		merged := 0
-		MergeSorted(streams, func(t rdf.Triple) bool {
-			g.AddTriple(t)
-			merged++
-			return true
-		})
-		gsp.SetAttr("triples", merged)
-		gsp.End()
 	}
-	g.Compact()
+	g := loadFrames(frames)
+	gsp.SetAttr("patterns", n)
+	gsp.SetAttr("triples", g.Len())
+	gsp.End()
 
 	partial := false
 	statuses := make([]ShardStatus, len(c.shards))
@@ -340,7 +328,7 @@ func (c *Coordinator) Gather(ctx context.Context, patterns []sparql.TriplePatter
 		}
 	}
 	// Exactly-once partial accounting: one query is one tick,
-	// regardless of how many shards or patterns failed inside it.
+	// regardless of how many shards failed inside it.
 	if partial {
 		c.partials.Add(1)
 		qspan.MarkPartial()
@@ -348,9 +336,27 @@ func (c *Coordinator) Gather(ctx context.Context, patterns []sparql.TriplePatter
 	return g, statuses, partial
 }
 
-// scanShard fetches one pattern from one shard: bounded retries with
-// jittered backoff around hedged attempts.
-func (c *Coordinator) scanShard(ctx context.Context, sh *shard, tp sparql.TriplePattern, parent *obs.Span) ([]rdf.Triple, error) {
+// scanRequestBody renders the patterns as a POST /scan body, one line
+// each, and counts the lines.  Patterns that differ only in variable
+// names ask for the same triples and are sent once.
+func scanRequestBody(patterns []sparql.TriplePattern) (string, int) {
+	var b strings.Builder
+	seen := make(map[string]struct{}, len(patterns))
+	for _, tp := range patterns {
+		line := ScanQuery(tp).Encode()
+		if _, dup := seen[line]; dup {
+			continue
+		}
+		seen[line] = struct{}{}
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String(), len(seen)
+}
+
+// scanShard fetches the request's patterns from one shard: bounded
+// retries with jittered backoff around hedged attempts.
+func (c *Coordinator) scanShard(ctx context.Context, sh *shard, body string, patterns int, parent *obs.Span) (*scanFrame, error) {
 	maxAttempts := c.opts.Backoff.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -365,9 +371,9 @@ func (c *Coordinator) scanShard(ctx context.Context, sh *shard, tp sparql.Triple
 				return nil, lastErr
 			}
 		}
-		ts, err := c.scanHedged(ctx, sh, tp, parent, attempt)
+		f, err := c.scanHedged(ctx, sh, body, patterns, parent, attempt)
 		if err == nil {
-			return ts, nil
+			return f, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil || !retryable(err) {
@@ -384,16 +390,19 @@ func (c *Coordinator) scanShard(ctx context.Context, sh *shard, tp sparql.Triple
 // returned (the retry loop takes it from there).
 //
 // Each launched request gets its own "rpc.scan" span under parent,
-// carrying the shard index, the retry attempt, and whether it was the
-// hedge lane; the select loop (never the request goroutines) ends the
-// spans, marking the winner and, when a success preempts the other
-// lane, marking the loser cancelled — its duration then reads "time
-// until the winner made it redundant".
-func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, tp sparql.TriplePattern, parent *obs.Span, attempt int) ([]rdf.Triple, error) {
+// carrying the shard index, the retry attempt, how many patterns it
+// asks for and whether it is the hedge lane; the select loop (never
+// the request goroutines) ends the spans, recording what came back
+// (bytes read, and for a whole frame its triples and dictionary size),
+// marking the winner and, when a success preempts the other lane,
+// marking the loser cancelled — its duration then reads "time until
+// the winner made it redundant".
+func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, body string, patterns int, parent *obs.Span, attempt int) (*scanFrame, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		ts    []rdf.Triple
+		frame *scanFrame
+		bytes int
 		err   error
 		hedge bool
 	}
@@ -402,14 +411,15 @@ func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, tp sparql.Tripl
 		sp := parent.StartChild("rpc.scan", sh.base)
 		sp.SetAttr("shard", sh.index)
 		sp.SetAttr("attempt", attempt)
+		sp.SetAttr("patterns", patterns)
 		if hedge {
 			sp.SetAttr("hedge", true)
 		}
 		c.attempts.Add(1)
 		go func() {
 			defer c.attempts.Done()
-			ts, err := c.scanOnce(actx, sh, tp, sp)
-			ch <- result{ts: ts, err: err, hedge: hedge}
+			f, n, err := c.scanOnce(actx, sh, body, sp)
+			ch <- result{frame: f, bytes: n, err: err, hedge: hedge}
 		}()
 		return sp
 	}
@@ -435,12 +445,15 @@ func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, tp sparql.Tripl
 			outstanding--
 			sp := spans[r.hedge]
 			delete(spans, r.hedge)
+			sp.SetAttr("bytes", r.bytes)
 			if r.err == nil {
 				if r.hedge {
 					sh.hedgeWins.Add(1)
 				} else if hedged {
 					sh.hedgesWasted.Add(1)
 				}
+				sp.SetAttr("triples", len(r.frame.triples))
+				sp.SetAttr("dict", len(r.frame.iris))
 				sp.SetAttr("outcome", "winner")
 				sp.End()
 				for _, loser := range spans {
@@ -448,7 +461,7 @@ func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, tp sparql.Tripl
 					loser.SetStatus("cancelled")
 					loser.End()
 				}
-				return r.ts, nil
+				return r.frame, nil
 			}
 			sp.SetAttr("outcome", "error")
 			sp.SetAttr("error", r.err.Error())
@@ -480,23 +493,24 @@ func (c *Coordinator) hedgeDelay(sh *shard) time.Duration {
 	return c.opts.HedgeDelay
 }
 
-// scanOnce issues a single scan request under the per-attempt
-// timeout and parses the sorted stream.  The span contributes only
-// trace-propagation headers (its IDs are immutable, so reading them
-// here cannot race with the select loop ending the span); the shard
-// adopts the trace and retains its segment for coordinator stitching.
-func (c *Coordinator) scanOnce(ctx context.Context, sh *shard, tp sparql.TriplePattern, sp *obs.Span) ([]rdf.Triple, error) {
+// scanOnce issues a single scan request under the per-attempt timeout
+// and decodes the frame, returning the response bytes it read either
+// way.  The span contributes only trace-propagation headers (its IDs
+// are immutable, so reading them here cannot race with the select loop
+// ending the span); the shard adopts the trace and retains its segment
+// for coordinator stitching.
+func (c *Coordinator) scanOnce(ctx context.Context, sh *shard, body string, sp *obs.Span) (*scanFrame, int, error) {
 	sh.scans.Add(1)
 	if c.opts.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.ScanTimeout)
 		defer cancel()
 	}
-	u := sh.base + "/scan?" + ScanQuery(tp).Encode()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.base+"/scan", strings.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	req.Header.Set("Content-Type", "text/plain")
 	if tid := sp.TraceID(); tid != "" {
 		req.Header.Set(obs.HeaderTraceID, tid)
 		req.Header.Set(obs.HeaderParentSpan, sp.ID())
@@ -508,7 +522,7 @@ func (c *Coordinator) scanOnce(ctx context.Context, sh *shard, tp sparql.TripleP
 	resp, err := c.client.Do(req)
 	if err != nil {
 		sh.scanErrors.Add(1)
-		return nil, err
+		return nil, 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
@@ -516,15 +530,16 @@ func (c *Coordinator) scanOnce(ctx context.Context, sh *shard, tp sparql.TripleP
 	}()
 	if resp.StatusCode != http.StatusOK {
 		sh.scanErrors.Add(1)
-		return nil, &StatusError{Code: resp.StatusCode, Endpoint: "scan"}
+		return nil, 0, &StatusError{Code: resp.StatusCode, Endpoint: "scan"}
 	}
-	ts, err := ParseScanBody(resp.Body)
+	f, n, err := readScanFrame(resp.Body)
+	sh.scanBytes.Add(int64(n))
 	if err != nil {
 		sh.scanErrors.Add(1)
-		return nil, err
+		return nil, n, err
 	}
 	sh.latency.Observe(time.Since(start))
-	return ts, nil
+	return &f, n, nil
 }
 
 // StatusError is a non-200 response from a shard.

@@ -62,3 +62,25 @@ func (h *mergeHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return x
 }
+
+// loadFrames merges the shards' frames into one local store.
+func loadFrames(frames []*scanFrame) rdf.Store {
+	g := rdf.NewGraph()
+	streams := make([][]rdf.Triple, 0, len(frames))
+	for _, f := range frames {
+		if f == nil {
+			continue
+		}
+		ts := make([]rdf.Triple, len(f.triples))
+		for i, t := range f.triples {
+			ts[i] = rdf.Triple{S: f.iris[t.S], P: f.iris[t.P], O: f.iris[t.O]}
+		}
+		streams = append(streams, ts)
+	}
+	MergeSorted(streams, func(t rdf.Triple) bool {
+		g.AddTriple(t)
+		return true
+	})
+	g.Compact()
+	return g
+}

@@ -23,6 +23,7 @@ type shard struct {
 
 	scans        atomic.Int64 // scan attempts sent (primaries + hedges)
 	scanErrors   atomic.Int64 // attempts that failed (any cause)
+	scanBytes    atomic.Int64 // response-body bytes read, failed attempts included
 	retries      atomic.Int64 // re-sends after a failed attempt
 	hedges       atomic.Int64 // hedge requests launched
 	hedgeWins    atomic.Int64 // hedges that produced the winning response
@@ -53,6 +54,7 @@ func (sh *shard) stats() obs.ShardStats {
 		State:        sh.state(),
 		Scans:        sh.scans.Load(),
 		ScanErrors:   sh.scanErrors.Load(),
+		ScanBytes:    sh.scanBytes.Load(),
 		Retries:      sh.retries.Load(),
 		Hedges:       sh.hedges.Load(),
 		HedgeWins:    sh.hedgeWins.Load(),

@@ -75,11 +75,8 @@ func TestGatherTraceStitching(t *testing.T) {
 	srv1, _ := tracedShard(t, parts[1], func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/scan" && s1Calls.Add(1) == 1 {
-				select {
-				case <-r.Context().Done():
-					return
-				case <-time.After(2 * time.Second):
-				}
+				stall(r, 2*time.Second)
+				return
 			}
 			h.ServeHTTP(w, r)
 		})

@@ -254,6 +254,7 @@ type ShardStats struct {
 	State        string            `json:"state"` // "healthy" | "ejected"
 	Scans        int64             `json:"scans"`
 	ScanErrors   int64             `json:"scan_errors"`
+	ScanBytes    int64             `json:"scan_bytes"`
 	Retries      int64             `json:"retries"`
 	Hedges       int64             `json:"hedges"`
 	HedgeWins    int64             `json:"hedge_wins"`

@@ -108,6 +108,7 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot) {
 		}
 		shardCounter("ns_shard_scans_total", "Scan RPCs attempted against the shard.", func(s ShardStats) int64 { return s.Scans })
 		shardCounter("ns_shard_scan_errors_total", "Scan RPCs that failed.", func(s ShardStats) int64 { return s.ScanErrors })
+		shardCounter("ns_shard_scan_bytes_total", "Scan response bytes read from the shard, failed attempts included.", func(s ShardStats) int64 { return s.ScanBytes })
 		shardCounter("ns_shard_retries_total", "Scan retries after a retryable failure.", func(s ShardStats) int64 { return s.Retries })
 		shardCounter("ns_shard_hedges_total", "Hedge requests launched.", func(s ShardStats) int64 { return s.Hedges })
 		shardCounter("ns_shard_hedge_wins_total", "Hedges that beat the primary.", func(s ShardStats) int64 { return s.HedgeWins })
