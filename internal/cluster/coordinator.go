@@ -532,7 +532,7 @@ func (c *Coordinator) scanOnce(ctx context.Context, sh *shard, body string, sp *
 		sh.scanErrors.Add(1)
 		return nil, 0, &StatusError{Code: resp.StatusCode, Endpoint: "scan"}
 	}
-	f, n, err := readScanFrame(resp.Body)
+	f, n, err := readScanFrame(resp.Body, resp.ContentLength)
 	sh.scanBytes.Add(int64(n))
 	if err != nil {
 		sh.scanErrors.Add(1)

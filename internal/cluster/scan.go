@@ -43,6 +43,7 @@ package cluster
 // the real handler on fake stores.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -183,6 +184,11 @@ func collectMatches(src StoreSource, patterns []scanPattern) (ids []rdf.ID, iris
 		id, ok := dict.Lookup(*iri)
 		return &id, ok
 	}
+	// Resolve the constants and count first (the counts are exact and
+	// O(log n)), so the matches land in one allocation.
+	type idPattern struct{ s, p, o *rdf.ID }
+	resolved := make([]idPattern, 0, len(patterns))
+	total := 0
 	for _, pat := range patterns {
 		s, okS := lookup(pat.s)
 		p, okP := lookup(pat.p)
@@ -190,7 +196,12 @@ func collectMatches(src StoreSource, patterns []scanPattern) (ids []rdf.ID, iris
 		if !okS || !okP || !okO {
 			continue // a constant the store never saw matches nothing
 		}
-		g.MatchIDs(s, p, o, func(t rdf.IDTriple) bool {
+		resolved = append(resolved, idPattern{s, p, o})
+		total += g.CountMatchIDs(s, p, o)
+	}
+	ts = make([]rdf.IDTriple, 0, total)
+	for _, pat := range resolved {
+		g.MatchIDs(pat.s, pat.p, pat.o, func(t rdf.IDTriple) bool {
 			ts = append(ts, t)
 			return true
 		})
@@ -419,16 +430,22 @@ func decodeScanFrame(b []byte) (scanFrame, error) {
 }
 
 // readScanFrame reads a response body to its end and decodes it,
-// returning the bytes read either way.  A read error mid-body
+// returning the bytes read either way.  sizeHint is the length the
+// peer announced, if it did: it sizes the buffer, up to a bound, so a
+// well-behaved response is read into one allocation and a lying one
+// cannot reserve more than the bound.  A read error mid-body
 // (connection reset, kill -9'd peer) is a torn response, not a
 // protocol error.
-func readScanFrame(r io.Reader) (scanFrame, int, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return scanFrame{}, len(b), ErrTornScan{Reason: fmt.Sprintf("read failed after %d bytes: %v", len(b), err)}
+func readScanFrame(r io.Reader, sizeHint int64) (scanFrame, int, error) {
+	var buf bytes.Buffer
+	if sizeHint > 0 {
+		buf.Grow(int(min(sizeHint, 1<<20)) + bytes.MinRead)
 	}
-	f, err := decodeScanFrame(b)
-	return f, len(b), err
+	if _, err := buf.ReadFrom(r); err != nil {
+		return scanFrame{}, buf.Len(), ErrTornScan{Reason: fmt.Sprintf("read failed after %d bytes: %v", buf.Len(), err)}
+	}
+	f, err := decodeScanFrame(buf.Bytes())
+	return f, buf.Len(), err
 }
 
 // ParseScanBody reads one scan response and returns its run as
@@ -436,7 +453,7 @@ func readScanFrame(r io.Reader) (scanFrame, int, error) {
 // which the coordinator's retry loop treats as transient; any other
 // error is permanent.
 func ParseScanBody(r io.Reader) ([]rdf.Triple, error) {
-	f, _, err := readScanFrame(r)
+	f, _, err := readScanFrame(r, 0)
 	if err != nil {
 		return nil, err
 	}

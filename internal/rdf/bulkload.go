@@ -4,19 +4,23 @@ import "fmt"
 
 // NewGraphFromSnapshot adopts a dictionary table and an SPO-sorted,
 // duplicate-free triple array as a graph's base — the bulk-load path
-// of the durable backend's snapshot loader.  iris is the dictionary in
-// ID order (index i becomes ID i); spo becomes the SPO base array
-// directly, and the POS/OSP permutations are rebuilt by sorting
-// copies.  The inputs are validated rather than trusted: a snapshot
-// file that decodes but violates the index invariants (duplicate
-// dictionary entries, IDs out of range, unsorted or duplicate triples)
-// must fail recovery loudly, not corrupt binary search.
+// of the durable backend's snapshot loader and of the cluster
+// coordinator's gather.  iris is the dictionary in ID order (index i
+// becomes ID i) and spo becomes the SPO base array; the graph adopts
+// both slices, so the caller must not use them afterwards.  The other
+// two permutations are derived from spo without a comparison sort (see
+// stableByKey).  The inputs are validated
+// rather than trusted: a snapshot file that decodes but violates the
+// index invariants (duplicate dictionary entries, IDs out of range,
+// unsorted or duplicate triples) must fail recovery loudly, not
+// corrupt binary search.
 func NewGraphFromSnapshot(iris []IRI, spo []IDTriple) (*Graph, error) {
-	g := NewGraph()
+	g := &Graph{dict: &Dict{byIRI: make(map[IRI]ID, len(iris)), byID: iris}, ov: newOverlay()}
 	for i, iri := range iris {
-		if id := g.dict.Intern(iri); id != ID(i) {
+		if id, dup := g.dict.byIRI[iri]; dup {
 			return nil, fmt.Errorf("rdf: snapshot dictionary has duplicate entry %q (index %d collides with ID %d)", iri, i, id)
 		}
+		g.dict.byIRI[iri] = ID(i)
 	}
 	n := ID(len(iris))
 	for i, t := range spo {
@@ -27,13 +31,32 @@ func NewGraphFromSnapshot(iris []IRI, spo []IDTriple) (*Graph, error) {
 			return nil, fmt.Errorf("rdf: snapshot triples not strictly SPO-sorted at index %d", i)
 		}
 	}
+	// A stable reordering by one component keeps the order the input
+	// had among triples that agree on it: (S,P,O) order stably keyed by
+	// O is (O,S,P) order, and that stably keyed by P is (P,O,S) order.
 	g.base[permSPO] = spo
-	for _, k := range []perm{permPOS, permOSP} {
-		arr := make([]IDTriple, len(spo))
-		copy(arr, spo)
-		k.sortTriples(arr)
-		g.base[k] = arr
-	}
+	g.base[permOSP] = stableByKey(spo, len(iris), func(t IDTriple) ID { return t.O })
+	g.base[permPOS] = stableByKey(g.base[permOSP], len(iris), func(t IDTriple) ID { return t.P })
 	g.n = len(spo)
 	return g, nil
+}
+
+// stableByKey returns a copy of src ordered by ascending key, equal
+// keys in their src order: one counting sort over the dense ID space
+// [0, ids), O(len(src) + ids) with no comparisons.
+func stableByKey(src []IDTriple, ids int, key func(IDTriple) ID) []IDTriple {
+	next := make([]int, ids+1) // next[k+1] counts key k, then next[k] is where key k goes
+	for _, t := range src {
+		next[key(t)+1]++
+	}
+	for k := 1; k <= ids; k++ {
+		next[k] += next[k-1]
+	}
+	dst := make([]IDTriple, len(src))
+	for _, t := range src {
+		k := key(t)
+		dst[next[k]] = t
+		next[k]++
+	}
+	return dst
 }

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,9 +49,19 @@ func (k perm) less(x, y IDTriple) bool {
 	return xab < yab || (xab == yab && xc < yc)
 }
 
+// compare is less as a three-way comparison.
+func (k perm) compare(x, y IDTriple) int {
+	xab, xc := k.key(x)
+	yab, yc := k.key(y)
+	if c := cmp.Compare(xab, yab); c != 0 {
+		return c
+	}
+	return cmp.Compare(xc, yc)
+}
+
 // sortTriples sorts ts in k's order in place.
 func (k perm) sortTriples(ts []IDTriple) {
-	sort.Slice(ts, func(i, j int) bool { return k.less(ts[i], ts[j]) })
+	slices.SortFunc(ts, k.compare)
 }
 
 // rangeOf returns the half-open [lo, hi) range of arr (sorted in k's

@@ -297,3 +297,69 @@ func TestEpochBumpsOnMutation(t *testing.T) {
 		t.Fatalf("epoch bumped on compaction (contents unchanged)")
 	}
 }
+
+// TestSnapshotLoadMatchesModel holds the bulk-load path to the model
+// on every access path: random graphs are flattened to a dictionary
+// (with entries no triple mentions) and an SPO array, reloaded, and
+// checked — including that the two derived permutation arrays are in
+// their own strict order.
+func TestSnapshotLoadMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 40; round++ {
+		src, m := NewGraph(), modelGraph{}
+		src.Add("unmentioned", "p0", "o0")
+		for i, n := 0, rng.Intn(120); i < n; i++ {
+			tr := randomTriple(rng)
+			src.AddTriple(tr)
+			m.add(tr)
+		}
+		src.Remove("unmentioned", "p0", "o0")
+		var spo []IDTriple
+		src.MatchIDs(nil, nil, nil, func(t IDTriple) bool { spo = append(spo, t); return true })
+		iris := make([]IRI, src.Dict().Len())
+		for i := range iris {
+			iris[i] = src.Dict().IRI(ID(i))
+		}
+		g, err := NewGraphFromSnapshot(iris, spo)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		checkAgainstModel(t, g, m)
+		for k := permSPO; k <= permOSP; k++ {
+			if len(g.base[k]) != len(m) {
+				t.Fatalf("round %d: permutation %d holds %d triples, want %d", round, k, len(g.base[k]), len(m))
+			}
+			for i := 1; i < len(g.base[k]); i++ {
+				if !k.less(g.base[k][i-1], g.base[k][i]) {
+					t.Fatalf("round %d: permutation %d not strictly sorted at %d", round, k, i)
+				}
+			}
+		}
+		// The loaded graph is an ordinary graph: it takes mutations.
+		extra := randomTriple(rng)
+		if g.AddTriple(extra) != m.add(extra) {
+			t.Fatalf("round %d: Add after load disagrees with the model", round)
+		}
+		checkAgainstModel(t, g, m)
+	}
+}
+
+// TestSnapshotLoadRejectsBrokenInvariants: each violated invariant is
+// an error, not a corrupt index.
+func TestSnapshotLoadRejectsBrokenInvariants(t *testing.T) {
+	iris := []IRI{"a", "b", "c"}
+	cases := map[string]struct {
+		iris []IRI
+		spo  []IDTriple
+	}{
+		"duplicate dictionary entry": {[]IRI{"a", "b", "a"}, nil},
+		"ID beyond dictionary":       {iris, []IDTriple{{0, 1, 3}}},
+		"unsorted":                   {iris, []IDTriple{{1, 0, 0}, {0, 0, 0}}},
+		"duplicate triple":           {iris, []IDTriple{{0, 1, 2}, {0, 1, 2}}},
+	}
+	for name, tc := range cases {
+		if _, err := NewGraphFromSnapshot(tc.iris, tc.spo); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
