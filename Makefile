@@ -1,11 +1,11 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet test bench experiments fuzz cover clean ci fmt-check race staticcheck governor-race bench-smoke obs-smoke crash-smoke cluster-smoke load-smoke trace-smoke
+.PHONY: all build vet test bench experiments fuzz cover clean ci fmt-check race staticcheck governor-race bench-module fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke load-smoke trace-smoke
 
 all: build vet test
 
 # Exactly what .github/workflows/ci.yml runs.
-ci: fmt-check vet staticcheck build test bench-smoke obs-smoke crash-smoke cluster-smoke trace-smoke load-smoke race governor-race
+ci: fmt-check vet staticcheck build test bench-module fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke trace-smoke load-smoke race governor-race
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -21,6 +21,17 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" >&2; \
 	fi
+
+# bench/ is a module of its own: `go build ./... && go test ./...`
+# neither builds nor tests it, and it compiles against the engine
+# entry points listed at the top of bench/layers.go.
+bench-module:
+	go vet -C bench . && go test -C bench .
+
+# Mirrors the CI fuzz-smoke step: ten seconds on the /scan frame
+# decoder from the committed seed corpus.
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzDecodeScanFrame -fuzztime 10s ./internal/cluster/
 
 # The GOMAXPROCS matrix of the race-matrix CI job: serialized
 # schedules and real pools both have to be race-clean.  -count=1
@@ -292,10 +303,11 @@ bench:
 experiments:
 	go run ./cmd/nsbench
 
-# Short fuzz pass over both parsers.
+# Short fuzz pass over both parsers and the /scan frame decoder.
 fuzz:
 	go test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/parser/
 	go test -fuzz=FuzzParseSPARQL -fuzztime=30s ./internal/parser/
+	go test -run '^$$' -fuzz=FuzzDecodeScanFrame -fuzztime=30s ./internal/cluster/
 
 cover:
 	go test -cover ./...

@@ -21,15 +21,17 @@
 //	GET  /healthz      liveness (always 200 while the process runs)
 //	GET  /readyz       readiness: 503 once graceful shutdown began
 //	GET  /metrics      process metrics plus the "cluster" block:
-//	     per-shard scan/retry/hedge/ejection counters and latency
-//	     histograms, and query/partial/failed totals.  JSON by
+//	     per-shard scan/retry/hedge/ejection counters, scan_bytes
+//	     (response bytes read off the wire) and latency histograms,
+//	     and query/partial/failed totals.  JSON by
 //	     default; Prometheus text exposition with Accept: text/plain
 //	     or ?format=prometheus.
 //	GET  /debug/traces[?id=<trace>&limit=N]
 //	     recent trace summaries, or one stitched distributed trace by
 //	     ID: the coordinator's own spans (parse, plan, exec with
-//	     per-operator children, per-shard rpc.scan attempts with
-//	     retry/hedge outcomes) merged with the span segments fetched
+//	     per-operator children, one gather span with one rpc.scan
+//	     child per shard attempt carrying its retry/hedge outcome and
+//	     patterns/triples/dict/bytes) merged with the span segments fetched
 //	     from every shard's /debug/traces for that trace ID.
 //
 // # Tracing
@@ -44,11 +46,14 @@
 //
 // # Fault model
 //
-// Each query's triple patterns are scattered to every healthy shard
-// over the /scan wire protocol (sorted N-Triples streams with an eof
-// marker) and k-way-merged into a per-query subgraph that the
-// ordinary single-node engine evaluates — exact on every fragment of
-// the language, including OPT and NS (see internal/cluster).  Scans
+// Each query's triple patterns are sent to every healthy shard in one
+// POST /scan; each shard answers with one binary frame (a sorted
+// dictionary, the sorted union of the patterns' matches as dictionary
+// indices from one snapshot of the shard, a count + CRC-32 trailer),
+// and the frames are k-way-merged straight into the sorted indexes of
+// a per-query subgraph that the ordinary single-node engine evaluates
+// — exact on every fragment of the language, including OPT and NS (see
+// internal/cluster).  Scans
 // are retried with jittered exponential backoff, hedged after the
 // shard's observed latency quantile, and bounded by both -scan-timeout
 // per attempt and the query deadline overall.  A background prober

@@ -246,8 +246,8 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Scatter-gather: pull every triple pattern's matches from the
-	// shards into a per-query local store (exact for every operator —
+	// Scatter-gather: pull the triple patterns' matches from the
+	// shards, one request each, into a per-query local store (exact for every operator —
 	// see internal/cluster), then run the single-node engine on it
 	// under the remaining budget.
 	patterns := sparql.TriplePatterns(parsed.Pattern)
@@ -472,8 +472,8 @@ func (s *coordServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the process registry plus the cluster block:
-// per-shard scan/retry/hedge/ejection counters and latency histograms.
-// JSON by default; Prometheus text exposition when the request
+// per-shard scan/retry/hedge/ejection counters, scan bytes and latency
+// histograms.  JSON by default; Prometheus text exposition when the request
 // negotiates it (Accept: text/plain or ?format=prometheus).
 func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()

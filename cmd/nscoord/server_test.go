@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -217,6 +218,23 @@ func TestCoordMetricsAndReadyz(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(body), `"cluster"`) || !strings.Contains(string(body), `"scans"`) {
 		t.Fatalf("metrics missing cluster block: %s", body)
+	}
+	// Bytes on the wire are visible per shard, in both views.
+	var snap obs.MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if sh := snap.Cluster.Shards[0]; sh.Scans != 1 || sh.ScanBytes <= 0 {
+		t.Fatalf("one query, one shard: scans=%d scan_bytes=%d", sh.Scans, sh.ScanBytes)
+	}
+	resp, err = http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), `ns_shard_scan_bytes_total{shard="0"`) {
+		t.Fatalf("Prometheus view lacks ns_shard_scan_bytes_total:\n%s", text)
 	}
 
 	if resp, _ = http.Get(srv.URL + "/readyz"); resp.StatusCode != http.StatusOK {

@@ -13,9 +13,14 @@
 //	     CONSTRUCT → N-Triples (text/plain)
 //	POST /insert       body: N-Triples lines; inserts into the graph
 //	GET  /stats        {"triples": N, "iris": M}
-//	GET  /scan?s=&p=&o=  one triple pattern's matches as sorted N-Triples
-//	                   lines plus a "# eof <count>" marker — the cluster
-//	                   scatter-gather wire protocol (internal/cluster)
+//	POST /scan         body: one "s=&p=&o=" line per triple pattern (absent
+//	                   key = wildcard); answers with one binary frame — a
+//	                   sorted dictionary of the response's IRIs, the sorted
+//	                   duplicate-free union of the patterns' matches as
+//	                   dictionary indices, read under one read lock, and a
+//	                   count + CRC-32 trailer — the cluster scatter-gather
+//	                   wire protocol (internal/cluster/scan.go)
+//	GET  /scan?s=&p=&o=  the one-pattern spelling of the same request
 //	GET  /healthz      {"status": "ok", "version": ..., "go": ..., "triples": N,
 //	                   "backend": "memstore"|"durable"[, "shard": "i/N"]
 //	                   [, "wal_generation": G,

@@ -165,8 +165,9 @@ func newServerWith(g rdf.Store, cfg config) *server {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	// The scan endpoint serves the cluster wire protocol (one triple
-	// pattern's sorted matches) under the same read lock as /query.
+	// The scan endpoint serves the cluster wire protocol (all of a
+	// request's triple patterns matched under one acquisition of the
+	// read lock /query takes, answered as one binary frame).
 	scan := cluster.ScanHandler(func() (rdf.Store, func()) {
 		s.mu.RLock()
 		return s.graph, s.mu.RUnlock

@@ -295,7 +295,7 @@ func (c *Coordinator) Gather(ctx context.Context, patterns []sparql.TriplePatter
 	c.queries.Add(1)
 	qspan := obs.SpanFromContext(ctx)
 	body, n := scanRequestBody(patterns)
-	gsp := qspan.StartChild("gather", fmt.Sprintf("%d patterns", n))
+	gsp := qspan.StartChild("gather", "")
 	shardErr := make([]error, len(c.shards))
 	frames := make([]*scanFrame, len(c.shards))
 	if n > 0 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -170,7 +171,7 @@ func stall(r *http.Request, d time.Duration) {
 // faultInjector wraps a shard handler, failing the first `failures`
 // scan requests in mode-specific ways before letting traffic through.
 type faultInjector struct {
-	mode     string // "5xx", "timeout", "reset", "midbody"
+	mode     string // "5xx", "timeout", "reset", or a way to damage the frame
 	failures int32
 	inner    http.Handler
 }
@@ -192,18 +193,33 @@ func (f *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		conn, _, _ := hj.Hijack()
 		conn.Close()
-	case "midbody":
-		// The first half of the real answer, under the real length.
+	case "midbody", "trailer", "miscount", "bitflip", "badmagic":
+		// Damage the real answer.
 		rec := httptest.NewRecorder()
 		f.inner.ServeHTTP(rec, r)
 		whole := rec.Body.Bytes()
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(whole)))
-		w.Write(whole[:len(whole)/2])
-		if fl, ok := w.(http.Flusher); ok {
-			fl.Flush()
+		switch f.mode {
+		case "midbody": // half the frame under the whole length, then a torn connection
+			w.Header().Set("Content-Length", strconv.Itoa(len(whole)))
+			w.Write(whole[:len(whole)/2])
+			if fl, ok := w.(http.Flusher); ok {
+				fl.Flush()
+			}
+			panic(http.ErrAbortHandler)
+		case "trailer": // a clean response that stops inside the trailer
+			whole = whole[:len(whole)-3]
+		case "miscount": // the trailer announces one triple more, CRC recomputed
+			n := binary.LittleEndian.Uint32(whole[len(whole)-8:])
+			binary.LittleEndian.PutUint32(whole[len(whole)-8:], n+1)
+			reseal(whole)
+		case "bitflip":
+			whole[len(whole)/2] ^= 0x10
+		case "badmagic":
+			copy(whole, "NSF9")
+			reseal(whole)
 		}
-		panic(http.ErrAbortHandler) // tear the connection mid-body
+		w.Write(whole)
 	}
 }
 
@@ -213,7 +229,7 @@ func (f *faultInjector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // that shard (and only that shard) in the error block.
 func TestGatherDegradation(t *testing.T) {
 	const shards = 3
-	transient := []string{"5xx", "timeout", "reset", "midbody"}
+	transient := []string{"5xx", "timeout", "reset", "midbody", "trailer", "miscount", "bitflip"}
 	for _, mode := range transient {
 		t.Run("transient/"+mode, func(t *testing.T) {
 			full, parts := seedGraphs(shards, 300, 5)
@@ -232,8 +248,13 @@ func TestGatherDegradation(t *testing.T) {
 			if got, want := evalRows(t, sub, pattern), evalRows(t, full, pattern); !got.Equal(want) {
 				t.Fatalf("answer after retried %s fault differs from single-node", mode)
 			}
-			if st := c.Stats(); st.Shards[0].Retries < 1 {
-				t.Fatalf("shard 0 stats show no retry after %s fault: %+v", mode, st.Shards[0])
+			// Retried, and never half-ingested: the damaged attempt
+			// contributed nothing, the whole one everything.
+			if st := c.Stats(); st.Shards[0].Retries != 1 || st.Shards[0].ScanErrors != 1 {
+				t.Fatalf("shard 0 stats after one %s fault: %+v", mode, st.Shards[0])
+			}
+			if want := matchUnion(full, tps); sub.Len() != len(want) {
+				t.Fatalf("gathered %d triples after a retried %s fault, want %d", sub.Len(), mode, len(want))
 			}
 		})
 	}
@@ -267,6 +288,26 @@ func TestGatherDegradation(t *testing.T) {
 		// Exactly-once accounting: one degraded query = one tick.
 		if st := c.Stats(); st.PartialResponses != 1 || st.Queries != 1 {
 			t.Fatalf("partial accounting: queries=%d partials=%d, want 1/1", st.Queries, st.PartialResponses)
+		}
+	})
+
+	t.Run("permanent-bad-magic-no-retry", func(t *testing.T) {
+		_, parts := seedGraphs(2, 100, 5)
+		inj := &faultInjector{mode: "badmagic", failures: 1 << 30}
+		urls := []string{
+			shardServer(t, parts[0], func(h http.Handler) http.Handler { inj.inner = h; return inj }).URL,
+			shardServer(t, parts[1], nil).URL,
+		}
+		c := mustCoordinator(t, fastOpts(urls))
+		sub, statuses, partial := c.Gather(context.Background(), []sparql.TriplePattern{allPattern()})
+		if !partial || !strings.Contains(statuses[0].Error, "bad scan frame") || statuses[1].Error != "" {
+			t.Fatalf("foreign frame not reported: partial=%v %+v", partial, statuses)
+		}
+		if st := c.Stats(); st.Shards[0].Retries != 0 {
+			t.Fatalf("a frame of another version was retried %d times", st.Shards[0].Retries)
+		}
+		if sub.Len() != parts[1].Len() {
+			t.Fatalf("gathered %d triples, want shard 1's %d alone", sub.Len(), parts[1].Len())
 		}
 	})
 

@@ -113,7 +113,7 @@ func mergeFrames(frames []*scanFrame) scanFrame {
 		}
 	}
 	spo := make([]rdf.IDTriple, 0, total)
-	mergeK(runs, func(a, b rdf.IDTriple) bool { return compareSPO(a, b) < 0 }, func(t rdf.IDTriple, _ int) bool {
+	mergeK(runs, func(a, b rdf.IDTriple) bool { return rdf.CompareSPO(a, b) < 0 }, func(t rdf.IDTriple, _ int) bool {
 		if n := len(spo); n == 0 || spo[n-1] != t {
 			spo = append(spo, t)
 		}

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 func tr(s, p, o string) rdf.Triple {
@@ -96,6 +98,100 @@ func TestMergeSortedRandomized(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("round %d position %d: got %v, want %v", round, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestMergeKSources checks the generic merge hands out every element
+// of every stream exactly once, in order, tagged with its stream, and
+// stops when told to.
+func TestMergeKSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	less := func(a, b int) bool { return a < b }
+	for round := 0; round < 100; round++ {
+		streams := make([][]int, rng.Intn(6))
+		total := 0
+		for i := range streams {
+			for j, n := 0, rng.Intn(8); j < n; j++ {
+				streams[i] = append(streams[i], rng.Intn(10))
+			}
+			sort.Ints(streams[i])
+			total += len(streams[i])
+		}
+		next := make([]int, len(streams)) // how far each stream has been handed out
+		last, seen := -1, 0
+		mergeK(streams, less, func(v, src int) bool {
+			if v < last {
+				t.Fatalf("round %d: %d after %d", round, v, last)
+			}
+			if streams[src][next[src]] != v {
+				t.Fatalf("round %d: stream %d handed out %d, its next element is %d", round, src, v, streams[src][next[src]])
+			}
+			next[src]++
+			last = v
+			seen++
+			return true
+		})
+		if seen != total {
+			t.Fatalf("round %d: %d elements emitted, streams hold %d", round, seen, total)
+		}
+		if total > 1 {
+			calls := 0
+			mergeK(streams, less, func(int, int) bool { calls++; return false })
+			if calls != 1 {
+				t.Fatalf("round %d: emit called %d times after it returned false", round, calls)
+			}
+		}
+	}
+}
+
+// TestMergeFramesEqualsFrameOfUnion is the coordinator's load path as
+// a property: partition a random graph into overlapping parts, frame
+// each part for the same random patterns, merge the frames — the
+// result is, dictionary and run, the frame of the whole graph.
+func TestMergeFramesEqualsFrameOfUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		whole := randomGraph(rng, rng.Intn(80))
+		parts := make([]*rdf.Graph, 1+rng.Intn(4))
+		for i := range parts {
+			parts[i] = rdf.NewGraph()
+		}
+		whole.ForEach(func(t3 rdf.Triple) bool {
+			parts[rng.Intn(len(parts))].AddTriple(t3)
+			if rng.Intn(4) == 0 { // and a copy elsewhere: a replayed insert
+				parts[rng.Intn(len(parts))].AddTriple(t3)
+			}
+			return true
+		})
+		tps := make([]sparql.TriplePattern, 1+rng.Intn(4))
+		for i := range tps {
+			tps[i] = randomPattern(rng)
+		}
+		// mergeFrames rewrites its input, so each use decodes afresh.
+		partFrames := func() []*scanFrame {
+			frames := make([]*scanFrame, len(parts))
+			for i, part := range parts {
+				f, err := decodeScanFrame(frameFor(part, tps...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames[i] = &f
+			}
+			return frames
+		}
+		got := mergeFrames(partFrames())
+		want, err := decodeScanFrame(frameFor(whole, tps...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.iris, want.iris) || !slices.Equal(got.triples, want.triples) {
+			t.Fatalf("round %d, %d parts, %v:\n got %v %v\nwant %v %v", round, len(parts), tps, got.iris, got.triples, want.iris, want.triples)
+		}
+		// And it loads: the store answers the patterns as the whole graph does.
+		g := loadFrames(partFrames())
+		if want := matchUnion(whole, tps); g.Len() != len(want) || !slices.Equal(g.Triples(), want) {
+			t.Fatalf("round %d: loaded store holds %v, want %v", round, g.Triples(), want)
 		}
 	}
 }

@@ -44,7 +44,6 @@ package cluster
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -219,18 +218,6 @@ func collectMatches(src StoreSource, patterns []scanPattern) (ids []rdf.ID, iris
 	return ids, iris, ts
 }
 
-// compareSPO is the (S, P, O) order on ID triples.
-func compareSPO(a, b rdf.IDTriple) int {
-	switch {
-	case a.S != b.S:
-		return cmp.Compare(a.S, b.S)
-	case a.P != b.P:
-		return cmp.Compare(a.P, b.P)
-	default:
-		return cmp.Compare(a.O, b.O)
-	}
-}
-
 // buildFrame turns collectMatches' output into a frame: ids[i] ↦
 // iris[i] is re-ranked by IRI order, ts is rewritten from store IDs to
 // those ranks, sorted and deduplicated.  Only the distinct IRIs are
@@ -254,13 +241,15 @@ func buildFrame(ids []rdf.ID, iris []rdf.IRI, ts []rdf.IDTriple) scanFrame {
 	for i, t := range ts {
 		ts[i] = rdf.IDTriple{S: rankOf(t.S), P: rankOf(t.P), O: rankOf(t.O)}
 	}
-	slices.SortFunc(ts, compareSPO)
+	slices.SortFunc(ts, rdf.CompareSPO)
 	return scanFrame{iris: sorted, triples: slices.Compact(ts)}
 }
 
 // encode renders the frame in the wire layout described at the top of
 // this file.
 func (f scanFrame) encode() []byte {
+	// An estimate (a delta-coded triple is mostly three or four bytes);
+	// append grows the buffer if a frame outruns it.
 	size := frameMin + 2*binary.MaxVarintLen32 + 4*len(f.triples)
 	for _, iri := range f.iris {
 		size += len(iri) + 2
@@ -275,18 +264,17 @@ func (f scanFrame) encode() []byte {
 	b = binary.AppendUvarint(b, uint64(len(f.triples)))
 	var prev rdf.IDTriple
 	for i, t := range f.triples {
-		b = binary.AppendUvarint(b, uint64(t.S-prev.S))
-		switch {
-		case i == 0 || t.S != prev.S:
-			b = binary.AppendUvarint(b, uint64(t.P))
-			b = binary.AppendUvarint(b, uint64(t.O))
-		case t.P != prev.P:
-			b = binary.AppendUvarint(b, uint64(t.P-prev.P))
-			b = binary.AppendUvarint(b, uint64(t.O))
-		default:
-			b = binary.AppendUvarint(b, uint64(t.P-prev.P))
-			b = binary.AppendUvarint(b, uint64(t.O-prev.O))
+		// P is coded against its predecessor's while S stands still, O
+		// while S and P do; otherwise in full (against zero).
+		pBase, oBase := prev.P, prev.O
+		if i == 0 || t.S != prev.S {
+			pBase, oBase = 0, 0
+		} else if t.P != prev.P {
+			oBase = 0
 		}
+		b = binary.AppendUvarint(b, uint64(t.S-prev.S))
+		b = binary.AppendUvarint(b, uint64(t.P-pBase))
+		b = binary.AppendUvarint(b, uint64(t.O-oBase))
 		prev = t
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.triples)))
@@ -399,21 +387,23 @@ func decodeScanFrame(b []byte) (scanFrame, error) {
 	triples := make([]rdf.IDTriple, n)
 	var prev rdf.IDTriple
 	for i := range triples {
-		t := prev
+		// The mirror of encode: a position is coded against the previous
+		// triple's while everything before it stands still.
+		var t rdf.IDTriple
 		var okS, okP, okO bool
 		t.S, okS = index(prev.S)
-		switch {
-		case i == 0 || t.S != prev.S:
+		moved := i == 0 || t.S != prev.S
+		if moved {
 			t.P, okP = index(0)
-			t.O, okO = index(0)
-		default:
+		} else {
 			t.P, okP = index(prev.P)
-			if t.P != prev.P {
-				t.O, okO = index(0)
-			} else {
-				t.O, okO = index(prev.O)
-				okO = okO && t.O != prev.O
-			}
+		}
+		moved = moved || t.P != prev.P
+		if moved {
+			t.O, okO = index(0)
+		} else {
+			t.O, okO = index(prev.O)
+			okO = okO && t.O != prev.O // a zero delta throughout repeats the triple
 		}
 		if !okS || !okP || !okO {
 			return scanFrame{}, errBadFrame(fmt.Sprintf("triple %d is truncated, out of the dictionary or not ascending", i))

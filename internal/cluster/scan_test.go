@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -102,18 +103,6 @@ func allPattern() sparql.TriplePattern {
 	return sparql.TriplePattern{S: sparql.V("s"), P: sparql.V("p"), O: sparql.V("o")}
 }
 
-func sameTriples(a, b []rdf.Triple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestScanRoundTripProperty is the frame's defining property over
 // random graphs and random pattern sets: what a client decodes is
 // exactly the sorted duplicate-free union of the patterns' Match sets,
@@ -138,7 +127,7 @@ func TestScanRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d POST %v: %v", round, tps, err)
 			}
-			if want := matchUnion(g, tps); !sameTriples(got, want) {
+			if want := matchUnion(g, tps); !slices.Equal(got, want) {
 				t.Fatalf("round %d POST %v:\n got %v\nwant %v", round, tps, got, want)
 			}
 			if len(tps) == 0 {
@@ -153,7 +142,7 @@ func TestScanRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d GET %v: %v", round, tps[0], err)
 			}
-			if want := matchUnion(g, tps[:1]); !sameTriples(got, want) {
+			if want := matchUnion(g, tps[:1]); !slices.Equal(got, want) {
 				t.Fatalf("round %d GET %v:\n got %v\nwant %v", round, tps[0], got, want)
 			}
 		}
@@ -439,7 +428,7 @@ func FuzzDecodeScanFrame(f *testing.F) {
 			if n := rdf.ID(len(fr.iris)); t3.S >= n || t3.P >= n || t3.O >= n {
 				t.Fatalf("triple %d beyond the dictionary", i)
 			}
-			if i > 0 && compareSPO(fr.triples[i-1], t3) >= 0 {
+			if i > 0 && rdf.CompareSPO(fr.triples[i-1], t3) >= 0 {
 				t.Fatalf("run not strictly sorted at %d", i)
 			}
 		}

@@ -70,7 +70,7 @@ func TestWritePrometheusClusterAndDurable(t *testing.T) {
 	snap.Cluster = &ClusterStats{
 		Queries: 3,
 		Shards: []ShardStats{
-			{Shard: 0, Addr: "http://s0", State: "healthy", Scans: 9},
+			{Shard: 0, Addr: "http://s0", State: "healthy", Scans: 9, ScanBytes: 4096},
 			{Shard: 1, Addr: "http://s1", State: "ejected", Scans: 2},
 		},
 	}
@@ -85,6 +85,7 @@ func TestWritePrometheusClusterAndDurable(t *testing.T) {
 		`ns_shard_state{shard="0",addr="http://s0"} 1`,
 		`ns_shard_state{shard="1",addr="http://s1"} 0`,
 		`ns_shard_scans_total{shard="0",addr="http://s0"} 9`,
+		`ns_shard_scan_bytes_total{shard="0",addr="http://s0"} 4096`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

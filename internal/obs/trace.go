@@ -193,7 +193,7 @@ func (t *Tracer) finish(lt *liveTrace, dur time.Duration) {
 
 // Get returns the completed trace with the given ID.  A process can
 // hold several completed traces for one distributed trace ID (a shard
-// serves one /scan per pattern per attempt); Get merges them into a
+// serves one /scan per attempt of a query); Get merges them into a
 // single snapshot: spans concatenated, start = earliest, duration =
 // longest, flags OR-ed.
 func (t *Tracer) Get(id string) (TraceSnapshot, bool) {

@@ -131,7 +131,7 @@ func TestRemoteAdoptedAlwaysKept(t *testing.T) {
 }
 
 // TestGetMergesSegments: one shard serves several requests of the same
-// distributed trace (one /scan per pattern); Get folds them together.
+// distributed trace (one /scan per attempt); Get folds them together.
 func TestGetMergesSegments(t *testing.T) {
 	tr := NewTracer(TracerOptions{SampleRate: 1, Seed: 1})
 	for i := 0; i < 3; i++ {

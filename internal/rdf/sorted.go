@@ -59,6 +59,11 @@ func (k perm) compare(x, y IDTriple) int {
 	return cmp.Compare(xc, yc)
 }
 
+// CompareSPO is the (S, P, O) order on ID triples — the order of the
+// SPO base array, of ForEach and of a snapshot's triple run — as a
+// three-way comparison for callers that sort or merge such runs.
+func CompareSPO(x, y IDTriple) int { return permSPO.compare(x, y) }
+
 // sortTriples sorts ts in k's order in place.
 func (k perm) sortTriples(ts []IDTriple) {
 	slices.SortFunc(ts, k.compare)
