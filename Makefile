@@ -28,10 +28,11 @@ staticcheck:
 bench-module:
 	go vet -C bench . && go test -C bench .
 
-# Mirrors the CI fuzz-smoke step: ten seconds on the /scan frame
-# decoder from the committed seed corpus.
+# Mirrors the CI fuzz-smoke steps: ten seconds each on the /scan frame
+# decoder and the /query result writer, from the committed seed corpora.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDecodeScanFrame -fuzztime 10s ./internal/cluster/
+	go test -run '^$$' -fuzz FuzzResultsJSON -fuzztime 10s ./internal/exec/
 
 # The GOMAXPROCS matrix of the race-matrix CI job: serialized
 # schedules and real pools both have to be race-clean.  -count=1
@@ -40,13 +41,16 @@ race:
 	for procs in 1 4; do \
 		GOMAXPROCS=$$procs go test -race -count=1 -timeout 10m \
 			./internal/rdf/... ./internal/sparql/ ./internal/plan/ ./internal/exec/ ./internal/views/ \
-			./internal/cluster/ ./internal/workload/ ./internal/obs/ \
+			./internal/cluster/ ./internal/workload/ ./internal/obs/ ./cmd/nsserve/ ./cmd/nscoord/ \
 			|| exit 1; \
 	done
 
-# Mirrors the CI bench-smoke step: nsbench -json must emit well-formed
-# JSON lines.  Gated on jq like staticcheck is on its binary.
+# Mirrors the CI bench-smoke step: the handler-level served-query
+# benchmark must still run (one iteration), and nsbench -json must emit
+# well-formed JSON lines.  The jq half is gated on jq like staticcheck
+# is on its binary.
 bench-smoke:
+	go test -run '^$$' -bench BenchmarkServeQuery -benchtime 1x ./cmd/nsserve/
 	@if command -v jq >/dev/null 2>&1; then \
 		go run ./cmd/nsbench -json -run E17 \
 		| jq -es 'length > 0 and all(.[]; has("experiment") and has("name") and has("ns_per_op") and has("allocs_per_op") and has("bytes_per_op"))' > /dev/null \
@@ -303,11 +307,13 @@ bench:
 experiments:
 	go run ./cmd/nsbench
 
-# Short fuzz pass over both parsers and the /scan frame decoder.
+# Short fuzz pass over both parsers, the /scan frame decoder and the
+# /query result writer.
 fuzz:
 	go test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/parser/
 	go test -fuzz=FuzzParseSPARQL -fuzztime=30s ./internal/parser/
 	go test -run '^$$' -fuzz=FuzzDecodeScanFrame -fuzztime=30s ./internal/cluster/
+	go test -run '^$$' -fuzz=FuzzResultsJSON -fuzztime=30s ./internal/exec/
 
 cover:
 	go test -cover ./...

@@ -14,7 +14,10 @@
 //	     "partial": bool and, when partial, a per-shard "shards" error
 //	     block.  ASK → {"boolean": ..., "partial": ...}.  CONSTRUCT →
 //	     N-Triples (text/plain) with an X-Partial: true header when
-//	     degraded.  502 when no shard is reachable at all.
+//	     degraded.  502 when no shard is reachable at all.  Bodies
+//	     come from the writer nsserve uses (exec.ResultWriter): the
+//	     same order and bytes as a single node holding the triples,
+//	     with a Content-Length.
 //	POST /insert       N-Triples body, partitioned by subject hash and
 //	     forwarded to the owning shards; response {"added": N,
 //	     "partial": bool[, "shards": [...]]}

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -149,10 +148,9 @@ func (sr *statusRecorder) WriteHeader(code int) {
 }
 
 // queryDeadline mirrors nsserve's: -query-timeout, lowered (never
-// raised) by an explicit timeout= parameter.
-func (s *coordServer) queryDeadline(r *http.Request) (time.Duration, error) {
+// raised) by an explicit timeout= parameter (raw).
+func (s *coordServer) queryDeadline(raw string) (time.Duration, error) {
 	d := s.cfg.queryTimeout
-	raw := r.URL.Query().Get("timeout")
 	if raw == "" {
 		return d, nil
 	}
@@ -171,25 +169,6 @@ func (s *coordServer) queryDeadline(r *http.Request) (time.Duration, error) {
 		d = td
 	}
 	return d, nil
-}
-
-// jsonTerm / queryDoc is the SPARQL 1.1 JSON results document extended
-// with the cluster degradation block: "partial" is always present, and
-// "shards" appears when at least one shard failed this query.
-type jsonTerm struct {
-	Type  string `json:"type"`
-	Value string `json:"value"`
-}
-
-type queryDoc struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	} `json:"results"`
-	Partial bool                  `json:"partial"`
-	Shards  []cluster.ShardStatus `json:"shards,omitempty"`
 }
 
 func writeJSONError(w http.ResponseWriter, status int, msg string, shards []cluster.ShardStatus) {
@@ -219,13 +198,14 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	span := obs.SpanFromContext(r.Context())
-	qText := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	qText := params.Get("q")
 	if qText == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
 	prsp := span.StartChild("parse", "")
-	parsed, err := parser.ParseAny(r.URL.Query().Get("syntax"), qText)
+	parsed, err := parser.ParseAny(params.Get("syntax"), qText)
 	if err != nil {
 		prsp.SetStatus("error")
 		prsp.SetAttr("error", err.Error())
@@ -234,7 +214,7 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prsp.End()
-	deadline, err := s.queryDeadline(r)
+	deadline, err := s.queryDeadline(params.Get("timeout"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -286,86 +266,84 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Every query is profiled, like nsserve: the counters feed the
 	// replan metric, the per-operator trace spans, and the slow-query
-	// log's hot-span list.
+	// log's hot-span list.  One snapshot, taken when the engine
+	// returns, serves all three.
 	prof := obs.NewNode("query", obs.QueryIDFromContext(ctx))
-	defer func() {
-		snap := prof.Snapshot()
-		s.metrics.AddPlannerReplans(snap.Sum(func(n *obs.Profile) int64 { return n.Replans }))
-		if d := s.cfg.slowQuery; d > 0 {
-			if elapsed := time.Since(start); elapsed >= d {
-				s.logSlowQuery(r, qText, compiled, snap, elapsed)
-			}
-		}
-	}()
 	esp := span.StartChild("exec", "")
-	res, err := exec.EvalCompiled(g, compiled, bud, plan.Options{NoStaged: s.cfg.noStaged, Prof: prof, Trace: esp})
+	ans, err := exec.Run(g, compiled, bud, plan.Options{NoStaged: s.cfg.noStaged, Prof: prof, Trace: esp})
 	if err != nil {
 		esp.SetStatus("error")
 		esp.SetAttr("error", err.Error())
 	}
 	esp.End()
-	esp.AttachProfile(prof.Snapshot())
+	snap := prof.Snapshot()
+	esp.AttachProfile(snap)
+	var encode *obs.Profile // the encode stage as a profile node, for the hot-span list
+	defer func() {
+		s.metrics.AddPlannerReplans(snap.Sum(func(n *obs.Profile) int64 { return n.Replans }))
+		if d := s.cfg.slowQuery; d > 0 {
+			if elapsed := time.Since(start); elapsed >= d {
+				s.logSlowQuery(r, qText, compiled, snap, encode, elapsed)
+			}
+		}
+	}()
 	if err != nil {
 		s.writeEngineError(w, err)
 		return
 	}
+
+	// The same writer nsserve uses, so a cluster and a single node
+	// holding the same triples answer with the same bytes up to the
+	// degradation block.
+	body := exec.NewResultWriter()
+	defer body.Release()
+	nsp := span.StartChild("encode", "")
+	encStart := time.Now()
+	var st exec.EncodeStats
+	contentType := "application/sparql-results+json"
 	switch {
-	case res.Bool != nil:
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		doc := map[string]any{"boolean": *res.Bool, "partial": partial}
+	case ans.Bool != nil:
+		doc := map[string]any{"boolean": *ans.Bool, "partial": partial}
 		if partial {
 			doc["shards"] = failed
 		}
-		_ = json.NewEncoder(w).Encode(doc)
-	case res.Graph != nil:
+		err = json.NewEncoder(body).Encode(doc)
+		st.Bytes = len(body.Bytes())
+	case compiled.Construct != nil:
+		contentType = "text/plain; charset=utf-8"
+		st, err = body.WriteTriples(ans.Rows, ans.Template, bud)
+	default:
+		// "partial" is always present; "shards" names the failing
+		// shards when there are any.
+		extra := []exec.Field{{Name: "partial", Value: partial}}
+		if partial {
+			extra = append(extra, exec.Field{Name: "shards", Value: failed})
+		}
+		st, err = body.WriteBindings(ans.Rows, extra...)
+	}
+	encode = st.Record(nsp, s.metrics, time.Since(encStart), err)
+	if err != nil {
+		s.writeEngineError(w, err)
+		return
+	}
+	h := w.Header()
+	if partial && compiled.Construct != nil {
 		// CONSTRUCT has no JSON envelope; the degradation flag rides in
 		// a header instead.
-		if partial {
-			w.Header().Set("X-Partial", "true")
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rdf.WriteGraph(w, res.Graph)
-	default:
-		doc := rowsToDoc(res.Rows)
-		doc.Partial = partial
-		if partial {
-			doc.Shards = failed
-		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		_ = json.NewEncoder(w).Encode(doc)
+		h.Set("X-Partial", "true")
 	}
-}
-
-// rowsToDoc renders a mapping set in the SPARQL 1.1 JSON layout with a
-// deterministic head and sorted bindings.
-func rowsToDoc(res *sparql.MappingSet) queryDoc {
-	doc := queryDoc{}
-	seen := make(map[sparql.Var]bool)
-	for _, mu := range res.Mappings() {
-		for v := range mu {
-			if !seen[v] {
-				seen[v] = true
-				doc.Head.Vars = append(doc.Head.Vars, string(v))
-			}
-		}
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body.Bytes())))
+	if _, err := w.Write(body.Bytes()); err != nil {
+		s.cfg.logger.Warn("response write failed", "err", err)
 	}
-	sort.Strings(doc.Head.Vars)
-	doc.Results.Bindings = make([]map[string]jsonTerm, 0, res.Len())
-	for _, mu := range res.Sorted() {
-		b := make(map[string]jsonTerm, len(mu))
-		for v, iri := range mu {
-			b[string(v)] = jsonTerm{Type: "uri", Value: string(iri)}
-		}
-		doc.Results.Bindings = append(doc.Results.Bindings, b)
-	}
-	return doc
 }
 
 // logSlowQuery mirrors nsserve's structured slow-query line: query
 // text, trace ID (fetch the stitched distributed tree from
-// /debug/traces), the planner's Explain JSON, and the hottest
-// operators of the profile.
-func (s *coordServer) logSlowQuery(r *http.Request, qText string, compiled exec.Compiled, snap *obs.Profile, elapsed time.Duration) {
+// /debug/traces), the planner's Explain JSON, and the hottest stages
+// (the profile's operators and the result encoding).
+func (s *coordServer) logSlowQuery(r *http.Request, qText string, compiled exec.Compiled, snap, encode *obs.Profile, elapsed time.Duration) {
 	args := []any{"query", qText, "duration", elapsed}
 	if tid := obs.SpanFromContext(r.Context()).TraceID(); tid != "" {
 		args = append(args, "trace_id", tid)
@@ -375,28 +353,8 @@ func (s *coordServer) logSlowQuery(r *http.Request, qText string, compiled exec.
 			args = append(args, "plan", string(js))
 		}
 	}
-	args = append(args, "hot_spans", hottestSpans(snap, 3))
+	args = append(args, "hot_spans", snap.Hottest(3, encode))
 	s.cfg.logger.Warn("slow query", args...)
-}
-
-// hottestSpans returns the k profile nodes with the most attributed
-// wall time, rendered one per string.
-func hottestSpans(p *obs.Profile, k int) []string {
-	var nodes []*obs.Profile
-	p.Walk(func(n *obs.Profile) { nodes = append(nodes, n) })
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].WallNS > nodes[j].WallNS })
-	if len(nodes) > k {
-		nodes = nodes[:k]
-	}
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		label := n.Op
-		if n.Detail != "" {
-			label += " " + n.Detail
-		}
-		out = append(out, fmt.Sprintf("%s wall=%s rows_out=%d", label, time.Duration(n.WallNS), n.RowsOut))
-	}
-	return out
 }
 
 // writeEngineError maps engine failures on the gathered store the same

@@ -121,7 +121,7 @@ func TestCoordTraceStitched(t *testing.T) {
 			qids++
 		}
 	}
-	for _, want := range []string{"query", "parse", "plan", "exec", "gather", "rpc.scan"} {
+	for _, want := range []string{"query", "parse", "plan", "exec", "encode", "gather", "rpc.scan"} {
 		if names[want] == 0 {
 			t.Fatalf("stitched trace lacks %q spans: %v", want, names)
 		}
@@ -133,6 +133,9 @@ func TestCoordTraceStitched(t *testing.T) {
 		t.Fatalf("want >= 2 rpc.scan spans (one per shard), got %d", names["rpc.scan"])
 	}
 	for _, sp := range snap.Spans {
+		if sp.Name == "encode" && (sp.Attrs["rows"] != 1.0 || sp.Attrs["distinct_iris"] != 3.0 || sp.Attrs["bytes"] == nil) {
+			t.Fatalf("encode span attrs: %v", sp.Attrs)
+		}
 		if sp.Name != "rpc.scan" || sp.Attrs["outcome"] != "winner" {
 			continue
 		}
@@ -192,6 +195,8 @@ func TestCoordMetricsPrometheus(t *testing.T) {
 		`ns_shard_state{shard="0"`,
 		"ns_traces_started_total",
 		`ns_requests_total{code="200"} 1`,
+		"ns_query_encode_duration_seconds_count 1",
+		"# TYPE ns_response_bytes_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -213,5 +218,8 @@ func TestCoordMetricsPrometheus(t *testing.T) {
 	}
 	if snap.Traces.Started == 0 {
 		t.Fatal("traces.started not counted")
+	}
+	if snap.QueryEncode.Count != 1 || snap.ResponseBytes == 0 {
+		t.Fatalf("query_encode %+v, response_bytes_total %d after one query", snap.QueryEncode, snap.ResponseBytes)
 	}
 }

@@ -8,9 +8,16 @@
 // Endpoints:
 //
 //	GET  /query?q=<query>[&syntax=paper|sparql][&timeout=<dur|ms>]
-//	     SELECT/pattern → application/sparql-results+json
+//	     SELECT/pattern → application/sparql-results+json; head.vars
+//	                   is the sorted list of variables some solution
+//	                   binds ([] for an empty answer)
 //	     ASK (sparql syntax) → {"boolean": true|false}
-//	     CONSTRUCT → N-Triples (text/plain)
+//	     CONSTRUCT → sorted, duplicate-free N-Triples (text/plain)
+//	     Bindings and triples come in a deterministic order — by
+//	     variable, then IRI bytes, a prefix first — that a cluster
+//	     reproduces; every answer has a Content-Length, and is encoded
+//	     from ID rows under the store's read lock but sent after it is
+//	     released (exec.ResultWriter, DESIGN.md §6)
 //	POST /insert       body: N-Triples lines; inserts into the graph
 //	GET  /stats        {"triples": N, "iris": M}
 //	POST /scan         body: one "s=&p=&o=" line per triple pattern (absent
@@ -30,6 +37,7 @@
 //	GET  /metrics      process metrics as JSON: request counts by status,
 //	                   per-endpoint latency histograms, in-flight gauge,
 //	                   governor-trip / pool-saturation / panic counters,
+//	                   the query_encode histogram and response_bytes_total,
 //	                   triple-store index stats, plan-cache hit/miss
 //	                   counters, trace/sampler counters and (durable
 //	                   backend) WAL/snapshot/recovery counters with an

@@ -12,7 +12,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -308,25 +307,6 @@ func (s *server) limitConcurrency(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// jsonTerm is a term in the SPARQL 1.1 JSON results format.
-type jsonTerm struct {
-	Type  string `json:"type"`
-	Value string `json:"value"`
-}
-
-// jsonResults is the SPARQL 1.1 JSON results document, extended with an
-// optional execution profile (profile=1).
-type jsonResults struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	} `json:"results"`
-	Profile *obs.Profile  `json:"profile,omitempty"`
-	Plan    *plan.Explain `json:"plan,omitempty"`
-}
-
 // jsonError is the error document for governed failures.  Partial is
 // always false: the engine discards partial answers rather than
 // serving a silently incomplete result.
@@ -373,11 +353,10 @@ func (s *server) writeEngineError(w http.ResponseWriter, r *http.Request, err er
 
 // queryDeadline resolves the effective deadline of a request: the
 // server's -query-timeout, lowered (never raised) by an explicit
-// timeout= parameter, which accepts a Go duration ("500ms") or a bare
-// millisecond count ("500").
-func (s *server) queryDeadline(r *http.Request) (time.Duration, error) {
+// timeout= parameter (raw), which accepts a Go duration ("500ms") or a
+// bare millisecond count ("500").
+func (s *server) queryDeadline(raw string) (time.Duration, error) {
 	d := s.cfg.queryTimeout
-	raw := r.URL.Query().Get("timeout")
 	if raw == "" {
 		return d, nil
 	}
@@ -398,24 +377,78 @@ func (s *server) queryDeadline(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
+// sparqlJSON is the media type of SELECT and ASK answers.
+const sparqlJSON = "application/sparql-results+json"
+
+// queryOutcome is what evalQuery leaves for handleQuery to finish once
+// the store lock is released: whether body holds a response to send,
+// and the request's one profile snapshot for the metrics and the
+// slow-query log (nil when the query never reached the engine).
+type queryOutcome struct {
+	ok          bool
+	contentType string
+	plan        *cachedPlan
+	profile     *obs.Profile
+	encode      *obs.Profile // the encode stage as a profile node, for the hot-span list
+}
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	qText := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	qText := params.Get("q")
 	if qText == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	syntax := r.URL.Query().Get("syntax")
-	wantProfile := r.URL.Query().Get("profile") == "1"
+	deadline, err := s.queryDeadline(params.Get("timeout"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	start := time.Now()
+	body := exec.NewResultWriter()
+	defer body.Release()
+	out := s.evalQuery(w, r, params.Get("syntax"), qText, params.Get("profile") == "1", deadline, body)
+	if out.ok {
+		// The whole document is in body and the store lock is released:
+		// a client that reads slowly, or not at all, holds up nobody.
+		h := w.Header()
+		h.Set("Content-Type", out.contentType)
+		h.Set("Content-Length", strconv.Itoa(len(body.Bytes())))
+		if _, err := w.Write(body.Bytes()); err != nil {
+			s.reqLogger(r).Warn("response write failed", "err", err)
+		}
+	}
+	if out.profile == nil {
+		return
+	}
+	if out.profile.Sum(func(n *obs.Profile) int64 { return n.PoolInline }) > 0 {
+		s.metrics.PoolSaturation()
+	}
+	s.metrics.AddPlannerReplans(out.profile.Sum(func(n *obs.Profile) int64 { return n.Replans }))
+	if d := s.cfg.slowQuery; d > 0 {
+		if elapsed := time.Since(start); elapsed >= d {
+			s.logSlowQuery(r, qText, out, elapsed)
+		}
+	}
+}
+
+// evalQuery plans, runs and encodes one query under the store's read
+// lock and returns with the lock released.  A successful answer is
+// left in body for the caller to send; a failure has already been
+// written to w (error documents are a few hundred bytes and sit in
+// net/http's buffer until the handler returns, so they cannot hold the
+// lock either).
+func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText string, wantProfile bool, deadline time.Duration, body *exec.ResultWriter) (out queryOutcome) {
 	span := obs.SpanFromContext(r.Context())
 
 	// Parse and prepare under the read lock: preparation reads the
 	// graph's index counts, and the cache key's epoch must describe the
-	// same contents the query will run against.
+	// same contents the query will run against.  Encoding stays under
+	// it too: the rows are IDs until the dictionary resolves them.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	psp := span.StartChild("plan", "")
@@ -425,25 +458,22 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		psp.SetStatus("error")
 		psp.End()
 		http.Error(w, errMsg, http.StatusBadRequest)
-		return
+		return out
 	}
 	if hit {
 		psp.SetAttr("cache", "hit")
 	} else {
 		psp.SetAttr("cache", "miss")
 	}
-	if ex := cp.compiled.Prepared.Explain(); ex != nil {
-		psp.SetAttr("planner", ex.Planner)
-		psp.SetAttr("probes", ex.Probes)
-		psp.SetAttr("estimate", ex.Estimate)
+	explain := cp.compiled.Prepared.Explain()
+	if explain != nil {
+		psp.SetAttr("planner", explain.Planner)
+		psp.SetAttr("probes", explain.Probes)
+		psp.SetAttr("estimate", explain.Estimate)
 	}
 	psp.End()
+	out.plan = cp
 
-	deadline, err := s.queryDeadline(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	ctx := r.Context()
 	if deadline > 0 {
 		var cancel context.CancelFunc
@@ -462,94 +492,67 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// metric needs the pool counters even when the client did not ask
 	// for the profile block.
 	prof := obs.NewNode("query", reqQID(r))
-	defer func() {
-		snap := prof.Snapshot()
-		if snap.Sum(func(n *obs.Profile) int64 { return n.PoolInline }) > 0 {
-			s.metrics.PoolSaturation()
-		}
-		s.metrics.AddPlannerReplans(snap.Sum(func(n *obs.Profile) int64 { return n.Replans }))
-		if d := s.cfg.slowQuery; d > 0 {
-			if elapsed := time.Since(start); elapsed >= d {
-				s.logSlowQuery(r, qText, cp, snap, elapsed)
-			}
-		}
-	}()
 	esp := span.StartChild("exec", "")
-	opts := plan.Options{
+	ans, err := exec.Run(s.graph, cp.compiled, bud, plan.Options{
 		Parallel:            s.cfg.parallel,
 		MinParallelEstimate: s.cfg.minParallelEstimate,
 		MinPartition:        s.cfg.minPartition,
 		NoStaged:            s.cfg.noStaged,
 		Prof:                prof,
 		Trace:               esp,
-	}
-
-	res, err := exec.EvalCompiled(s.graph, cp.compiled, bud, opts)
+	})
 	if err != nil {
 		esp.SetStatus("error")
 		esp.SetAttr("error", err.Error())
 	}
-	// Bridge the profile tree into the trace as per-operator child
-	// spans, whatever the outcome — a failed query's partial profile is
-	// exactly what the trace is for.
 	esp.End()
-	esp.AttachProfile(prof.Snapshot())
+	// The request's one snapshot, bridged into the trace as
+	// per-operator child spans whatever the outcome — a failed query's
+	// partial profile is exactly what the trace is for.
+	out.profile = prof.Snapshot()
+	esp.AttachProfile(out.profile)
 	if err != nil {
 		s.writeEngineError(w, r, err)
-		return
+		return out
 	}
+
+	nsp := span.StartChild("encode", "")
+	encStart := time.Now()
+	var st exec.EncodeStats
 	switch {
-	case res.Bool != nil:
-		doc := map[string]any{"boolean": *res.Bool}
+	case ans.Bool != nil:
+		doc := map[string]any{"boolean": *ans.Bool}
 		if wantProfile {
-			doc["profile"] = prof.Snapshot()
-			doc["plan"] = cp.compiled.Prepared.Explain()
+			doc["profile"] = out.profile
+			doc["plan"] = explain
 		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		s.encode(w, r, doc)
-	case res.Graph != nil:
+		out.contentType = sparqlJSON
+		err = json.NewEncoder(body).Encode(doc)
+		st.Bytes = len(body.Bytes())
+	case cp.compiled.Construct != nil:
 		// CONSTRUCT output is N-Triples text; there is no JSON envelope
 		// to carry a profile block.  Use nsq -stats for profiled
 		// CONSTRUCT runs.
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rdf.WriteGraph(w, res.Graph)
+		out.contentType = "text/plain; charset=utf-8"
+		st, err = body.WriteTriples(ans.Rows, ans.Template, bud)
 	default:
-		doc := rowsToJSON(res.Rows)
+		var extra []exec.Field
 		if wantProfile {
-			doc.Profile = prof.Snapshot()
-			doc.Plan = cp.compiled.Prepared.Explain()
-		}
-		w.Header().Set("Content-Type", "application/sparql-results+json")
-		s.encode(w, r, doc)
-	}
-}
-
-// rowsToJSON renders a mapping set as the SPARQL 1.1 JSON results
-// document (shared by the single-node and cluster query paths).
-func rowsToJSON(res *sparql.MappingSet) jsonResults {
-	doc := jsonResults{}
-	seen := make(map[sparql.Var]bool)
-	for _, mu := range res.Mappings() {
-		for v := range mu {
-			if !seen[v] {
-				seen[v] = true
-				doc.Head.Vars = append(doc.Head.Vars, string(v))
+			extra = append(extra, exec.Field{Name: "profile", Value: out.profile})
+			if explain != nil {
+				extra = append(extra, exec.Field{Name: "plan", Value: explain})
 			}
 		}
+		out.contentType = sparqlJSON
+		st, err = body.WriteBindings(ans.Rows, extra...)
 	}
-	// Deterministic head: the schema assigns slots in sorted
-	// variable order, so sorting here matches it and is stable
-	// across runs (map iteration order is not).
-	sort.Strings(doc.Head.Vars)
-	doc.Results.Bindings = make([]map[string]jsonTerm, 0, res.Len())
-	for _, mu := range res.Sorted() {
-		b := make(map[string]jsonTerm, len(mu))
-		for v, iri := range mu {
-			b[string(v)] = jsonTerm{Type: "uri", Value: string(iri)}
-		}
-		doc.Results.Bindings = append(doc.Results.Bindings, b)
+	out.encode = st.Record(nsp, s.metrics, time.Since(encStart), err)
+	if err != nil {
+		s.writeEngineError(w, r, err)
+		return out
 	}
-	return doc
+	out.ok = true
+	return out
 }
 
 // lookupPlan resolves a query to an executable plan through the plan
@@ -579,41 +582,21 @@ func (s *server) lookupPlan(syntax, qText string) (cp *cachedPlan, hit bool, err
 
 // logSlowQuery emits the structured slow-query line: the query text,
 // the trace ID to fetch the full span tree with, the planner's Explain
-// JSON, and the hottest operators of the profile — enough to diagnose
-// most slow queries from the log alone, with /debug/traces as the
-// drill-down.
-func (s *server) logSlowQuery(r *http.Request, qText string, cp *cachedPlan, snap *obs.Profile, elapsed time.Duration) {
+// JSON, and the hottest stages — the profile's operators and the
+// result encoding — enough to diagnose most slow queries from the log
+// alone, with /debug/traces as the drill-down.
+func (s *server) logSlowQuery(r *http.Request, qText string, out queryOutcome, elapsed time.Duration) {
 	args := []any{"query", qText, "duration", elapsed}
 	if tid := obs.SpanFromContext(r.Context()).TraceID(); tid != "" {
 		args = append(args, "trace_id", tid)
 	}
-	if ex := cp.compiled.Prepared.Explain(); ex != nil {
+	if ex := out.plan.compiled.Prepared.Explain(); ex != nil {
 		if js, err := json.Marshal(ex); err == nil {
 			args = append(args, "plan", string(js))
 		}
 	}
-	args = append(args, "hot_spans", hottestSpans(snap, 3))
+	args = append(args, "hot_spans", out.profile.Hottest(3, out.encode))
 	s.reqLogger(r).Warn("slow query", args...)
-}
-
-// hottestSpans returns the k profile nodes with the most attributed
-// wall time, rendered one per string.
-func hottestSpans(p *obs.Profile, k int) []string {
-	var nodes []*obs.Profile
-	p.Walk(func(n *obs.Profile) { nodes = append(nodes, n) })
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].WallNS > nodes[j].WallNS })
-	if len(nodes) > k {
-		nodes = nodes[:k]
-	}
-	out := make([]string, 0, len(nodes))
-	for _, n := range nodes {
-		label := n.Op
-		if n.Detail != "" {
-			label += " " + n.Detail
-		}
-		out = append(out, fmt.Sprintf("%s wall=%s rows_out=%d", label, time.Duration(n.WallNS), n.RowsOut))
-	}
-	return out
 }
 
 // refreshStoreStats updates the lock-free /metrics mirror of the
@@ -631,8 +614,9 @@ func (s *server) refreshStoreStats() {
 	})
 }
 
-// encode writes v as JSON, logging (rather than silently dropping) an
-// encode failure — typically a client that hung up mid-response.
+// encode writes a small document (/metrics) as JSON, logging (rather
+// than silently dropping) an encode failure — typically a client that
+// hung up mid-response.
 func (s *server) encode(w http.ResponseWriter, r *http.Request, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.reqLogger(r).Warn("response encode failed", "err", err)

@@ -16,8 +16,9 @@ import (
 
 // TestQueryTraceEndToEnd: a traced query echoes NS-Trace-Id and its
 // trace on /debug/traces carries the whole pipeline — request root,
-// plan span with the cache verdict, exec span, and the bridged
-// per-operator profile spans.
+// plan span with the cache verdict, exec span, the bridged
+// per-operator profile spans, and the encode span beside plan and
+// exec with what it wrote.
 func TestQueryTraceEndToEnd(t *testing.T) {
 	ts := governedTestServer(t, chainGraph(20), func(c *config) {
 		c.traceSample = 1
@@ -27,7 +28,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	traceID := resp.Header.Get("NS-Trace-Id")
+	traceID, sent := resp.Header.Get("NS-Trace-Id"), resp.ContentLength
 	if traceID == "" {
 		t.Fatal("no NS-Trace-Id on the response")
 	}
@@ -41,7 +42,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 		t.Fatalf("decoding trace: %v\n%s", err, body)
 	}
 	names := map[string]int{}
-	var planSpan, rootSpan *obs.SpanSnapshot
+	var planSpan, rootSpan, execSpan, encodeSpan *obs.SpanSnapshot
 	for i := range snap.Spans {
 		names[snap.Spans[i].Name]++
 		switch snap.Spans[i].Name {
@@ -49,12 +50,23 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 			planSpan = &snap.Spans[i]
 		case "query":
 			rootSpan = &snap.Spans[i]
+		case "exec":
+			execSpan = &snap.Spans[i]
+		case "encode":
+			encodeSpan = &snap.Spans[i]
 		}
 	}
-	for _, want := range []string{"query", "plan", "exec"} {
+	for _, want := range []string{"query", "plan", "exec", "encode"} {
 		if names[want] == 0 {
 			t.Fatalf("trace lacks a %q span: %v\n%s", want, names, body)
 		}
+	}
+	if encodeSpan.Parent != rootSpan.ID || execSpan.Parent != rootSpan.ID || planSpan.Parent != rootSpan.ID {
+		t.Fatalf("plan, exec and encode are not siblings under the root:\n%s", body)
+	}
+	// 19 two-hop paths over x0..x20, three variables each.
+	if a := encodeSpan.Attrs; a["rows"] != 19.0 || a["distinct_iris"] != 21.0 || a["bytes"] != float64(sent) {
+		t.Fatalf("encode span attrs %+v for a %d-byte response", a, sent)
 	}
 	opSpans := 0
 	for name, n := range names {
@@ -178,7 +190,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
 	out := buf.String()
-	for _, want := range []string{"slow query", "trace_id=", "plan=", "hot_spans="} {
+	for _, want := range []string{"slow query", "trace_id=", "plan=", "hot_spans=", "encode wall="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("slow-query log missing %q:\n%s", want, out)
 		}
@@ -214,6 +226,9 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		`ns_requests_total{code="200"}`,
 		"# TYPE ns_request_duration_seconds histogram",
 		"ns_traces_started_total",
+		"# TYPE ns_query_encode_duration_seconds histogram",
+		"ns_query_encode_duration_seconds_count 1",
+		"# TYPE ns_response_bytes_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -223,5 +238,8 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 	snap := fetchMetrics(t, ts)
 	if snap.Requests["200"] == 0 {
 		t.Fatal("JSON metrics no longer served")
+	}
+	if snap.QueryEncode.Count != 1 || snap.ResponseBytes == 0 {
+		t.Fatalf("query_encode %+v, response_bytes_total %d after one query", snap.QueryEncode, snap.ResponseBytes)
 	}
 }

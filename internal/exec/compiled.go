@@ -2,10 +2,10 @@ package exec
 
 // Compiled queries: the shape both servers (nsserve and the cluster
 // coordinator nscoord) execute.  A Compiled bundles a prepared plan
-// with the query kind — SELECT, ASK or CONSTRUCT — and EvalCompiled
-// dispatches to the matching engine entry point, so the two servers
-// share one execution path and cannot drift apart on governor or
-// profiling behaviour.
+// with the query kind — SELECT, ASK or CONSTRUCT — and Run dispatches
+// to the matching engine entry point, so the two servers share one
+// execution path and cannot drift apart on governor or profiling
+// behaviour.
 
 import (
 	"repro/internal/plan"
@@ -41,6 +41,41 @@ func CompileOpts(g rdf.Store, pattern sparql.Pattern, construct *sparql.Construc
 	return Compiled{Prepared: plan.PrepareOpts(g, pattern, po), Construct: construct, Ask: ask}
 }
 
+// Answer is the outcome of Run in ID form.  Bool is set for ASK;
+// otherwise Rows is the answer of the query's graph pattern, and for
+// CONSTRUCT Template is what to instantiate on it.
+type Answer struct {
+	Bool     *bool
+	Rows     sparql.Rows
+	Template []sparql.TriplePattern
+}
+
+// Run executes c against g under the budget and planner options and
+// returns the answer without materialising it: ASK through the
+// early-terminating search, everything else through plan.Run.  g must
+// be the store c was prepared against (or one with identical contents
+// — the plan embeds index cardinalities, not data), and Rows may be
+// read only while g may be.  Servers hand the Answer to a
+// ResultWriter; EvalCompiled materialises it.
+func Run(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Answer, error) {
+	if c.Ask {
+		ok, err := AskPreparedOpts(g, c.Prepared, b, o)
+		if err != nil {
+			return Answer{}, err
+		}
+		return Answer{Bool: &ok}, nil
+	}
+	rows, err := plan.Run(g, c.Prepared, b, o)
+	if err != nil {
+		return Answer{}, err
+	}
+	a := Answer{Rows: rows}
+	if c.Construct != nil {
+		a.Template = c.Construct.Template
+	}
+	return a, nil
+}
+
 // Result is the outcome of EvalCompiled; exactly one field is set,
 // matching the Compiled's kind.
 type Result struct {
@@ -52,31 +87,22 @@ type Result struct {
 	Graph rdf.Store
 }
 
-// EvalCompiled executes c against g under the budget and planner
-// options: ASK through the early-terminating search, CONSTRUCT
-// through the template instantiation path, everything else through
-// the row evaluator.  g must be the store c was prepared against (or
-// one with identical contents — the plan embeds index cardinalities,
-// not data).
+// EvalCompiled is Run followed by materialisation into the string
+// facade: a MappingSet for SELECT, an rdf.Graph for CONSTRUCT (one
+// budget step per row, as plan.EvalConstructPreparedOpts charges).
 func EvalCompiled(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Result, error) {
+	a, err := Run(g, c, b, o)
 	switch {
-	case c.Ask:
-		ok, err := AskPreparedOpts(g, c.Prepared, b, o)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Bool: &ok}, nil
+	case err != nil:
+		return Result{}, err
+	case a.Bool != nil:
+		return Result{Bool: a.Bool}, nil
 	case c.Construct != nil:
-		out, err := plan.EvalConstructPreparedOpts(g, c.Prepared, c.Construct.Template, b, o)
+		out, err := a.Rows.Graph(a.Template, b)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Graph: out}, nil
-	default:
-		ms, err := plan.EvalPreparedOpts(g, c.Prepared, b, o)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Rows: ms}, nil
 	}
+	return Result{Rows: a.Rows.MappingSet()}, nil
 }

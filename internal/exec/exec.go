@@ -88,11 +88,11 @@ func AskPreparedOpts(g rdf.Store, pr plan.Prepared, b *sparql.Budget, o plan.Opt
 	opt := pr.Pattern()
 	sc, ok := sparql.SchemaFor(opt)
 	if !ok || materializes(opt) {
-		ms, err := plan.EvalPreparedOpts(g, pr, b, o)
+		rows, err := plan.Run(g, pr, b, o)
 		if err != nil {
 			return false, err
 		}
-		return ms.Len() > 0, nil
+		return rows.Len() > 0, nil
 	}
 	done := instrumentSearch(o.Prof, b, "ask")
 	found := false

@@ -130,6 +130,11 @@ type Metrics struct {
 	poolSaturations atomic.Int64
 	plannerReplans  atomic.Int64
 	panics          atomic.Int64
+
+	// The result-encoding layer of /query: time spent turning an
+	// answer into a response body, and the bytes of every body sent.
+	queryEncode   Histogram
+	responseBytes atomic.Int64
 }
 
 // NewMetrics returns an empty registry with every known status and
@@ -203,6 +208,15 @@ func (m *Metrics) PoolSaturation() {
 func (m *Metrics) AddPlannerReplans(n int64) {
 	if m != nil && n > 0 {
 		m.plannerReplans.Add(n)
+	}
+}
+
+// ObserveEncode records one /query answer encoded into a response
+// body: how long the encoding took and how many bytes it produced.
+func (m *Metrics) ObserveEncode(d time.Duration, bytes int) {
+	if m != nil {
+		m.queryEncode.Observe(d)
+		m.responseBytes.Add(int64(bytes))
 	}
 }
 
@@ -297,6 +311,8 @@ type MetricsSnapshot struct {
 	PoolSaturations int64                        `json:"pool_saturations"`
 	PlannerReplans  int64                        `json:"planner_replans"`
 	Panics          int64                        `json:"panics"`
+	ResponseBytes   int64                        `json:"response_bytes_total"`
+	QueryEncode     HistogramSnapshot            `json:"query_encode"`
 	Store           *StoreStats                  `json:"store,omitempty"`
 	Durable         *DurableStats                `json:"durable,omitempty"`
 	PlanCache       *PlanCacheStats              `json:"plan_cache,omitempty"`
@@ -325,6 +341,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.PoolSaturations = m.poolSaturations.Load()
 	s.PlannerReplans = m.plannerReplans.Load()
 	s.Panics = m.panics.Load()
+	s.ResponseBytes = m.responseBytes.Load()
+	s.QueryEncode = m.queryEncode.Snapshot()
 	return s
 }
 

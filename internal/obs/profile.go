@@ -366,6 +366,32 @@ func (p *Profile) Find(op string) *Profile {
 	return found
 }
 
+// Hottest renders the k nodes with the most attributed wall time among
+// p's tree and the extra nodes (nil ones skipped) — stages a server
+// times outside the engine, such as result encoding — one per string:
+// the slow-query log's hot-span list.
+func (p *Profile) Hottest(k int, extra ...*Profile) []string {
+	var nodes []*Profile
+	collect := func(n *Profile) { nodes = append(nodes, n) }
+	p.Walk(collect)
+	for _, e := range extra {
+		e.Walk(collect)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].WallNS > nodes[j].WallNS })
+	if len(nodes) > k {
+		nodes = nodes[:k]
+	}
+	out := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		label := n.Op
+		if n.Detail != "" {
+			label += " " + n.Detail
+		}
+		out = append(out, fmt.Sprintf("%s wall=%s rows_out=%d", label, time.Duration(n.WallNS), n.RowsOut))
+	}
+	return out
+}
+
 // Tree renders the profile as an indented text tree, one operator per
 // line — the `nsq -stats` output format.
 func (p *Profile) Tree() string {

@@ -48,6 +48,9 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot) {
 	p.counter("ns_pool_saturations_total", "Queries that found the parallel worker pool saturated.", float64(s.PoolSaturations))
 	p.counter("ns_planner_replans_total", "Mid-query re-optimizations by the adaptive executor.", float64(s.PlannerReplans))
 	p.counter("ns_panics_total", "Handler panics converted to 500s.", float64(s.Panics))
+	p.counter("ns_response_bytes_total", "Bytes of /query response bodies encoded.", float64(s.ResponseBytes))
+	p.header("ns_query_encode_duration_seconds", "histogram", "Time spent encoding a /query answer into its response body.")
+	p.histogram("ns_query_encode_duration_seconds", "", s.QueryEncode)
 
 	p.header("ns_request_duration_seconds", "histogram", "Request latency by endpoint.")
 	endpoints := make([]string, 0, len(s.Latency))

@@ -205,10 +205,13 @@ func EvalOpts(g rdf.Store, p sparql.Pattern, b *sparql.Budget, o Options) (*spar
 	return EvalPreparedOpts(g, Prepare(g, p), b, o)
 }
 
-// EvalPreparedOpts runs a Prepared plan, skipping the optimization and
-// estimation passes — the evaluation half of EvalOpts, split out so
-// servers can cache plans across requests.
-func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
+// Run executes a Prepared plan and returns the answer in ID form — the
+// engine's single exit.  Row-engine answers share g's dictionary (read
+// them only while g may be read); a pattern wider than
+// sparql.MaxSchemaVars runs on the string algebra and comes back laid
+// out the same way (sparql.RowsOf).  Servers encode the rows directly
+// (exec.ResultWriter); the Eval* entry points below materialise them.
+func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, error) {
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
 	opt := pr.pattern
@@ -250,29 +253,35 @@ func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*s
 		o.Prof.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
 		o.Prof.AddRowsOut(int64(resultRows))
 	}
-	if err != nil {
-		recordRoot(0)
-		return nil, err
-	}
-	if ok {
-		if err := b.AddRows(rs.Len()); err != nil {
-			recordRoot(0)
-			return nil, err
+	var rows sparql.Rows
+	if err == nil && ok {
+		rows = rs.Rows(g.Dict())
+	} else if err == nil {
+		var ms *sparql.MappingSet
+		if ms, err = evalOptBudget(g, opt, b); err == nil { // wider than MaxSchemaVars
+			rows = sparql.RowsOf(ms)
 		}
-		recordRoot(rs.Len())
-		return rs.MappingSet(g.Dict()), nil
 	}
-	ms, err := evalOptBudget(g, opt, b) // wider than MaxSchemaVars
+	if err == nil {
+		err = b.AddRows(rows.Len())
+	}
 	if err != nil {
 		recordRoot(0)
+		return sparql.Rows{}, err
+	}
+	recordRoot(rows.Len())
+	return rows, nil
+}
+
+// EvalPreparedOpts runs a Prepared plan and materialises the answer as
+// string mappings — the evaluation half of EvalOpts, split out so
+// callers can cache plans.
+func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
+	rows, err := Run(g, pr, b, o)
+	if err != nil {
 		return nil, err
 	}
-	if err := b.AddRows(ms.Len()); err != nil {
-		recordRoot(0)
-		return nil, err
-	}
-	recordRoot(ms.Len())
-	return ms, nil
+	return rows.MappingSet(), nil
 }
 
 // EvalString optimizes the pattern and evaluates it with the
@@ -316,20 +325,13 @@ func EvalConstructOpts(g rdf.Store, q sparql.ConstructQuery, b *sparql.Budget, o
 // EvalConstructPreparedOpts is EvalConstructOpts on an already-prepared
 // WHERE plan (the template needs no preparation).
 func EvalConstructPreparedOpts(g rdf.Store, pr Prepared, template []sparql.TriplePattern, b *sparql.Budget, o Options) (rdf.Store, error) {
-	ms, err := EvalPreparedOpts(g, pr, b, o)
+	rows, err := Run(g, pr, b, o)
 	if err != nil {
 		return nil, err
 	}
-	out := rdf.NewGraph()
-	for _, mu := range ms.Mappings() {
-		if err := b.Step(); err != nil {
-			return nil, err
-		}
-		for _, t := range template {
-			if tr, ok := mu.Apply(t); ok {
-				out.AddTriple(tr)
-			}
-		}
+	out, err := rows.Graph(template, b)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -36,6 +36,18 @@ func (i IRI) NTriples() string {
 	return "<" + iriEscaper.Replace(string(i)) + ">"
 }
 
+// AppendNTriples appends what NTriples returns to dst; an IRI with
+// nothing to escape — nearly every one — is copied without allocating.
+func (i IRI) AppendNTriples(dst []byte) []byte {
+	dst = append(dst, '<')
+	if strings.IndexByte(string(i), '>') < 0 && strings.IndexByte(string(i), '\n') < 0 {
+		dst = append(dst, i...)
+	} else {
+		dst = append(dst, iriEscaper.Replace(string(i))...)
+	}
+	return append(dst, '>')
+}
+
 // UnescapeIRI is the inverse of the escaping NTriples applies: raw is
 // the text between the angle brackets.  Text without a '%' — nearly
 // every IRI — is returned as is, without allocating.

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rdf"
@@ -134,24 +135,29 @@ func (mu Mapping) Apply(t TriplePattern) (rdf.Triple, bool) {
 	return rdf.Triple{S: s, P: p, O: o}, true
 }
 
-// key returns a canonical string for µ suitable for use as a set key.
+// key returns a canonical string for µ suitable for use as a set key:
+// "var"="iri"; per binding in sorted variable order, both quoted as
+// strconv.Quote does.  RowSet.MappingSet builds the same string in
+// slot order.
 func (mu Mapping) key() string {
-	vs := mu.Domain()
-	var b strings.Builder
-	for _, v := range vs {
-		fmt.Fprintf(&b, "%q=%q;", string(v), string(mu[v]))
+	var b []byte
+	for _, v := range mu.Domain() {
+		b = strconv.AppendQuote(b, string(v))
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, string(mu[v]))
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // domainKey returns a canonical string for dom(µ).
 func (mu Mapping) domainKey() string {
-	vs := mu.Domain()
-	var b strings.Builder
-	for _, v := range vs {
-		fmt.Fprintf(&b, "%q;", string(v))
+	var b []byte
+	for _, v := range mu.Domain() {
+		b = strconv.AppendQuote(b, string(v))
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders µ in the paper's notation, e.g.

@@ -9,6 +9,7 @@ import (
 // (insertion order) and hash-based deduplication.
 type MappingSet struct {
 	items []Mapping
+	keys  []string // keys[i] is items[i].key(), the string index holds
 	index map[string]struct{}
 }
 
@@ -23,13 +24,7 @@ func NewMappingSet(mus ...Mapping) *MappingSet {
 
 // Add inserts µ; it reports whether µ was new.
 func (s *MappingSet) Add(mu Mapping) bool {
-	k := mu.key()
-	if _, ok := s.index[k]; ok {
-		return false
-	}
-	s.index[k] = struct{}{}
-	s.items = append(s.items, mu)
-	return true
+	return s.addKeyed(mu, mu.key())
 }
 
 // addKeyed inserts µ with a precomputed canonical key; callers must
@@ -41,6 +36,7 @@ func (s *MappingSet) addKeyed(mu Mapping, key string) bool {
 	}
 	s.index[key] = struct{}{}
 	s.items = append(s.items, mu)
+	s.keys = append(s.keys, key)
 	return true
 }
 
@@ -58,23 +54,16 @@ func (s *MappingSet) Len() int { return len(s.items) }
 func (s *MappingSet) Mappings() []Mapping { return s.items }
 
 // Sorted returns the members sorted by canonical key, for deterministic
-// output.
+// output.  The keys are the ones insertion computed.
 func (s *MappingSet) Sorted() []Mapping {
-	// Compute each canonical key once up front: key() sorts the domain
-	// and formats every binding, so re-deriving it inside the comparator
-	// would cost O(n log n) string builds instead of O(n).
-	type keyed struct {
-		mu  Mapping
-		key string
+	order := make([]int, len(s.items))
+	for i := range order {
+		order[i] = i
 	}
-	ks := make([]keyed, len(s.items))
-	for i, mu := range s.items {
-		ks[i] = keyed{mu: mu, key: mu.key()}
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]Mapping, len(ks))
-	for i, k := range ks {
-		out[i] = k.mu
+	sort.Slice(order, func(i, j int) bool { return s.keys[order[i]] < s.keys[order[j]] })
+	out := make([]Mapping, len(order))
+	for i, j := range order {
+		out[i] = s.items[j]
 	}
 	return out
 }
