@@ -46,11 +46,12 @@ race:
 	done
 
 # Mirrors the CI bench-smoke step: the handler-level served-query
-# benchmark must still run (one iteration), and nsbench -json must emit
+# benchmark must still run (one iteration at one and at two
+# processors: serial, and with a worker pool), and nsbench -json must emit
 # well-formed JSON lines.  The jq half is gated on jq like staticcheck
 # is on its binary.
 bench-smoke:
-	go test -run '^$$' -bench BenchmarkServeQuery -benchtime 1x ./cmd/nsserve/
+	go test -run '^$$' -bench BenchmarkServeQuery -cpu 1,2 -benchtime 1x ./cmd/nsserve/
 	@if command -v jq >/dev/null 2>&1; then \
 		go run ./cmd/nsbench -json -run E17 \
 		| jq -es 'length > 0 and all(.[]; has("experiment") and has("name") and has("ns_per_op") and has("allocs_per_op") and has("bytes_per_op"))' > /dev/null \

@@ -232,18 +232,25 @@ func TestServedAllocations(t *testing.T) {
 
 // BenchmarkServeQuery drives the whole /query handler — parse and plan
 // cache, engine, result writer — over the two served workloads, one
-// pass over the workload's queries per iteration.
+// pass over the workload's queries per iteration, each on a graph the
+// size the benchmark serves it on (bench/workloads.go: single_mix 2000
+// people, analytic_ns 4000).  Run it with -cpu 1,2: the second row is
+// the worker pool's.
 func BenchmarkServeQuery(b *testing.B) {
-	social := workload.NewSocial(workload.SocialOpts{People: 2000, Seed: 9})
-	s := quietServer(social.G, func(c *config) { c.traceBuffer = -1 })
-	mix, analytic := socialQueries(social, 200)
 	for _, wl := range []struct {
 		name    string
-		queries []string
-	}{{"mix", mix}, {"analytic", analytic[:24]}} {
+		people  int
+		queries func(mix, analytic []string) []string
+	}{
+		{"mix", 2000, func(mix, _ []string) []string { return mix }},
+		{"analytic", 4000, func(_, analytic []string) []string { return analytic[:24] }},
+	} {
 		b.Run(wl.name, func(b *testing.B) {
+			social := workload.NewSocial(workload.SocialOpts{People: wl.people, Seed: 9})
+			s := quietServer(social.G, func(c *config) { c.traceBuffer = -1 })
+			queries := wl.queries(socialQueries(social, 200))
 			var respBytes int
-			for _, q := range wl.queries { // warm the plan cache
+			for _, q := range queries { // warm the plan cache
 				if rec := serve(s, q); rec.Code != http.StatusOK {
 					b.Fatalf("%s: %d %s", q, rec.Code, rec.Body)
 				}
@@ -252,13 +259,13 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				respBytes = 0
-				for _, q := range wl.queries {
+				for _, q := range queries {
 					respBytes += serve(s, q).Body.Len()
 				}
 			}
-			n := float64(b.N * len(wl.queries))
+			n := float64(b.N * len(queries))
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/req")
-			b.ReportMetric(float64(respBytes)/float64(len(wl.queries)), "respB/op")
+			b.ReportMetric(float64(respBytes)/float64(len(queries)), "respB/op")
 		})
 	}
 }

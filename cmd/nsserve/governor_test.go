@@ -161,9 +161,17 @@ func TestConcurrentQueryLimit(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
+		// A cheap poll below may hold the slot at the instant this
+		// arrives; then it is the one refused, and tries again.
+		for {
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				return
+			}
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				return
+			}
 		}
 	}()
 

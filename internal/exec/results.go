@@ -67,6 +67,9 @@ func (st EncodeStats) Record(span *obs.Span, m *obs.Metrics, took time.Duration,
 //     sequence, element by element — a smaller slot first, then a
 //     smaller rank — and a row that is a proper prefix of another
 //     sorts before it.  The members of one binding are in slot order.
+//     The first pair decides most comparisons, and it is a small
+//     integer: rows are bucketed on it by counting (sortRows) and
+//     compared only within a bucket.
 //   - triples: by (S, P, O) rank, duplicates dropped — the order of
 //     rdf.WriteGraph.
 //
@@ -89,6 +92,8 @@ type ResultWriter struct {
 	arena   []byte   // escaped IRIs in rank order; off delimits them
 	off     []uint32
 	order   []int32  // row indices in output order
+	tmp     []int32  // sortRows' scatter target
+	count   []uint32 // sortRows' bucket counters
 	used    []uint64 // OR of all row masks: the head's variables
 	keys    []byte   // per slot: "var":{"type":"uri","value":
 	keyOff  []uint32
@@ -209,7 +214,7 @@ func (w *ResultWriter) WriteBindings(rows sparql.Rows, extra ...Field) (EncodeSt
 		}
 	}
 	w.rankTouched(func(dst []byte, iri rdf.IRI) []byte { return appendJSONString(dst, string(iri)) })
-	slices.SortFunc(w.order, w.compareRows)
+	w.sortRows()
 
 	out := append(w.body, `{"head":{"vars":[`...)
 	w.keys, w.keyOff = w.keys[:0], append(w.keyOff[:0], 0)
@@ -262,6 +267,85 @@ func (w *ResultWriter) WriteBindings(rows sparql.Rows, extra ...Field) (EncodeSt
 	}
 	w.body = append(out, '}', '\n')
 	return EncodeStats{Rows: n, Bytes: len(w.body) - start, DistinctIRIs: len(w.touched)}, nil
+}
+
+// countingMinRows is the answer size below which sortRows compares
+// straight away: bucketing costs a few passes over the rows and one
+// over the counters.
+const countingMinRows = 64
+
+// sortRows puts w.order — the rows in answer order on entry — in
+// output order.  No two rows of an answer are equal, so compareRows is
+// a strict total order and any correct sort gives the same
+// permutation: here, two stable counting passes bucket the rows by the
+// first element of their key, first by its slot (nearly always the
+// same one) and then, within a slot, by its rank, and comparison sorts
+// run only inside the buckets of rows that agree on both.
+func (w *ResultWriter) sortRows() {
+	rows := w.order
+	if len(rows) < countingMinRows {
+		slices.SortFunc(rows, w.compareRows)
+		return
+	}
+	width, words := len(w.rows.Vars), w.rows.Words
+	firstSlot := func(r int32) uint32 { // 0: binds nothing, else 1 + slot
+		for wi, m := range w.rows.Masks[int(r)*words : (int(r)+1)*words] {
+			if m != 0 {
+				return uint32(wi*64+bits.TrailingZeros64(m)) + 1
+			}
+		}
+		return 0
+	}
+	w.bucket(rows, width+1, firstSlot)
+	for lo := 0; lo < len(rows); {
+		slot, hi := firstSlot(rows[lo]), lo+1
+		for hi < len(rows) && firstSlot(rows[hi]) == slot {
+			hi++
+		}
+		group := rows[lo:hi]
+		lo = hi
+		// A counting pass costs the group plus the ranks; comparing
+		// costs the group times its logarithm.
+		if slot == 0 || len(group) < countingMinRows || len(w.touched) > 8*len(group) {
+			slices.SortFunc(group, w.compareRows)
+			continue
+		}
+		firstRank := func(r int32) uint32 { return w.rank[w.rows.IDs[int(r)*width+int(slot)-1]] }
+		w.bucket(group, len(w.touched)+1, firstRank)
+		for a := 0; a < len(group); {
+			rank, b := firstRank(group[a]), a+1
+			for b < len(group) && firstRank(group[b]) == rank {
+				b++
+			}
+			if b-a > 1 {
+				slices.SortFunc(group[a:b], w.compareRows)
+			}
+			a = b
+		}
+	}
+}
+
+// bucket sorts rows by key, which is below nkeys, stably and without
+// comparing: count, prefix-sum, scatter.
+func (w *ResultWriter) bucket(rows []int32, nkeys int, key func(int32) uint32) {
+	w.count = append(w.count[:0], make([]uint32, nkeys)...)
+	for _, r := range rows {
+		w.count[key(r)]++
+	}
+	var sum uint32
+	for k, c := range w.count {
+		w.count[k], sum = sum, sum+c
+	}
+	if cap(w.tmp) < len(rows) {
+		w.tmp = make([]int32, len(rows))
+	}
+	tmp := w.tmp[:len(rows)]
+	for _, r := range rows {
+		k := key(r)
+		tmp[w.count[k]] = r
+		w.count[k]++
+	}
+	copy(rows, tmp)
 }
 
 // compareRows orders two rows of the bound answer by their (slot,

@@ -119,8 +119,10 @@ func (n *Node) AddRowsOut(v int64) {
 	n.rowsOut.Add(v)
 }
 
-// AddDedupHits accumulates rows rejected by the output set's
-// open-addressed deduplication (a candidate that was already present).
+// AddDedupHits accumulates the rows the output set's membership table
+// rejected (a candidate that was already present) — table rejections
+// only: an operator that appends rows the algebra proves distinct has
+// no table and reports none.
 func (n *Node) AddDedupHits(v int64) {
 	if n == nil {
 		return

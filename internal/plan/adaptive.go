@@ -11,14 +11,36 @@
 // mid-chain blow-up (or an unexpectedly empty prefix) is exactly the
 // case a static order gets wrong.
 //
-// The driver is engine-agnostic: it is parameterized by chainOps, the
-// executor primitives of one engine.  evalAdaptiveChain instantiates
-// it with the serial row operators; the staged parallel executor
-// (staged.go) instantiates it with the parallel pool's morsel
-// operators, making the same drift checkpoints, re-plans, bind-join
-// gate and empty-prefix short-circuit available to both engines.
+// The driver runs on the primitives of one sparql.StagedExec (evaluate
+// an operand, merge-join the first pair, hash-join, bind-join).  With
+// one worker they are the serial row operators.
+// With more, the chain runs staged — morsel-style fan-out with the
+// same mid-query re-planning — where the static parallel engine
+// (sparql.EvalRowsParOpts) would commit the whole DP-ordered chain to
+// a plan-time tree no observation can change:
+//
+//   - each join step is one *stage*: the accumulated prefix and the
+//     next operand fan out across the pool in morsels (partitioned
+//     hash join, or the parallel bind join when the observed prefix
+//     is small enough that per-row index probes beat scanning the
+//     operand's full extension — sparql.BindJoinScanPar, gated by the
+//     same bindJoinCost(obs) < hashJoinCost(obs, est) comparison the
+//     serial path uses);
+//   - between stages the driver observes the materialized prefix
+//     cardinality at a drift checkpoint (the [est/factor, est·factor]
+//     confidence band) and re-plans the remaining operands against
+//     observed counts before the next fan-out;
+//   - an empty prefix short-circuits the whole tail: no dead morsels
+//     are dispatched for operands that can no longer contribute.
+//
 // Replans are visible as `replans=N` on the query profile node and
-// aggregate into the server's planner_replans counter.
+// aggregate into the server's planner_replans counter; stages as
+// `stages=N` and bind probes as `bind_probes=N` on the profile's
+// staged "and" node, and each stage records a trace span (position,
+// strategy, rows).  Options.NoStaged (nsserve/nscoord -no-staged)
+// forces the static tree for ablation; -no-replan disarms the driver
+// entirely, which also routes parallel queries to the static tree (the
+// E30 "static-parallel" baseline).
 package plan
 
 import (
@@ -37,59 +59,29 @@ func (pr Prepared) adaptiveArmed() bool {
 	return !pr.popts.Greedy && !pr.popts.NoReplan && len(pr.chain) >= 3 && pr.estr != nil
 }
 
-// chainOps abstracts the executor primitives the chain driver drives:
-// the serial row engine and the staged parallel engine plug in here.
-// staged marks the parallel instantiation, which counts each join step
-// as one morsel fan-out stage and records a span per stage.
-type chainOps struct {
-	evalOperand   func(p sparql.Pattern, parent *obs.Node) (*sparql.RowSet, error)
-	tryMergeFirst func(l, r sparql.Pattern, node *obs.Node) (*sparql.RowSet, bool, error)
-	join          func(acc, r *sparql.RowSet, node *obs.Node) (*sparql.RowSet, error)
-	bindJoin      func(acc *sparql.RowSet, t sparql.TriplePattern, node *obs.Node) (*sparql.RowSet, error)
-	staged        bool
-}
-
-// serialChainOps builds the chain driver's primitives over the serial
-// row engine.
-func serialChainOps(g rdf.Store, sc *sparql.VarSchema, b *sparql.Budget, hints *sparql.EvalHints) chainOps {
-	return chainOps{
-		evalOperand: func(p sparql.Pattern, parent *obs.Node) (*sparql.RowSet, error) {
-			return sparql.EvalPatternRows(g, p, sc, b, parent, hints)
-		},
-		tryMergeFirst: func(l, r sparql.Pattern, node *obs.Node) (*sparql.RowSet, bool, error) {
-			return sparql.TryMergeScanJoin(g, l, r, sc, b, node, false)
-		},
-		join: func(acc, r *sparql.RowSet, node *obs.Node) (*sparql.RowSet, error) {
-			node.AddRowsIn(int64(acc.Len() + r.Len()))
-			return acc.JoinB(r, b)
-		},
-		bindJoin: func(acc *sparql.RowSet, t sparql.TriplePattern, node *obs.Node) (*sparql.RowSet, error) {
-			return sparql.BindJoinScan(g, acc, t, b, node)
-		},
-	}
-}
-
-// evalAdaptiveChain runs the prepared AND chain with drift-triggered
-// re-planning on the serial engine.  ok = false means the chain's
-// schema exceeds the row engine's width and nothing was evaluated (the
-// caller falls back to the string algebra, like the other row-engine
-// entry points).
-func evalAdaptiveChain(g rdf.Store, pr Prepared, b *sparql.Budget, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
-	sc, ok := sparql.SchemaFor(pr.pattern)
+// evalChain runs the prepared AND chain with drift-triggered
+// re-planning: on the calling goroutine alone (profile detail
+// "adaptive") with one worker, morsel-style across the pool (detail
+// "staged") with more.  ok = false means the chain's schema exceeds
+// the row engine's width and nothing was evaluated (the caller falls
+// back to the string algebra, like the other row-engine entry points).
+func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition int, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
+	x, ok := sparql.NewStagedExec(g, pr.pattern, b, sparql.ParOptions{
+		Workers:      workers,
+		MinPartition: minPartition,
+		Hints:        pr.hints,
+	})
 	if !ok {
 		return nil, false, nil
 	}
-	return runInstrumentedChain(pr, serialChainOps(g, sc, b, pr.hints), "adaptive", b, prof, span)
-}
-
-// runInstrumentedChain wraps runChain with the driver's profile node
-// ("and" with the executor name as detail) and root counters, shared
-// by the serial and staged instantiations.
-func runInstrumentedChain(pr Prepared, ops chainOps, detail string, b *sparql.Budget, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
+	staged, detail := workers > 1, "adaptive"
+	if staged {
+		detail = "staged"
+	}
 	node := prof.Child("and", detail)
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
-	rs, err := runChain(pr, ops, node, span)
+	rs, err := runChain(pr, x, staged, node, span)
 	if node != nil {
 		node.AddWall(time.Since(start))
 		steps1, rows1, bytes1 := b.Counters()
@@ -104,11 +96,13 @@ func runInstrumentedChain(pr Prepared, ops chainOps, detail string, b *sparql.Bu
 	return rs, true, nil
 }
 
-// runChain is the engine-agnostic chain driver: evaluate operands in
-// the planner's order, checkpoint observed cardinality against the
-// prefix estimates, re-plan the tail on drift, and pick bind vs hash
-// join per step against the observed accumulator size.
-func runChain(pr Prepared, ops chainOps, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
+// runChain is the chain driver: evaluate operands in the planner's
+// order, checkpoint observed cardinality against the prefix estimates,
+// re-plan the tail on drift, and pick bind vs hash join per step
+// against the observed accumulator size.  The prefix and the operand a
+// step consumed hand their arrays back to the evaluation's free list
+// as soon as the step has its output.
+func runChain(pr Prepared, x *sparql.StagedExec, staged bool, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
 	factor := pr.popts.replanFactor()
 	chain := append([]sparql.Pattern(nil), pr.chain...)
 	targets := append([]float64(nil), pr.chainEsts...)
@@ -124,16 +118,16 @@ func runChain(pr Prepared, ops chainOps, node *obs.Node, span *obs.Span) (*sparq
 	// first operand alone.
 	first := sparql.And{L: chain[0], R: chain[1]}
 	if pr.hints.JoinStrategyFor(first) != sparql.StrategyHash {
-		if rs, handled, merr := ops.tryMergeFirst(chain[0], chain[1], node); handled {
+		if rs, handled, merr := x.TryMergeFirst(chain[0], chain[1], node); handled {
 			if merr != nil {
 				return nil, merr
 			}
 			acc, i = rs, 2
-			recordStage(ops, node, span, 1, "merge", acc)
+			recordStage(staged, node, span, 1, "merge", acc)
 		}
 	}
 	if acc == nil {
-		acc, err = ops.evalOperand(chain[0], node)
+		acc, err = x.EvalOperand(chain[0], node)
 		if err != nil {
 			return nil, err
 		}
@@ -172,25 +166,38 @@ func runChain(pr Prepared, ops chainOps, node *obs.Node, span *obs.Span) (*sparq
 		// make, because it depends on the prefix's actual row count.
 		if t, isTriple := chain[i].(sparql.TriplePattern); isTriple &&
 			bindJoinCost(obsCard) < hashJoinCost(obsCard, est) {
-			acc, err = ops.bindJoin(acc, t, node)
+			out, err := x.BindJoin(acc, t, node)
 			if err != nil {
 				return nil, err
 			}
-			recordStage(ops, node, span, i, "bind", acc)
+			acc = step(out, acc)
+			recordStage(staged, node, span, i, "bind", acc)
 		} else {
-			r, err := ops.evalOperand(chain[i], node)
+			r, err := x.EvalOperand(chain[i], node)
 			if err != nil {
 				return nil, err
 			}
-			acc, err = ops.join(acc, r, node)
+			out, err := x.Join(acc, r, node)
 			if err != nil {
 				return nil, err
 			}
-			recordStage(ops, node, span, i, "hash", acc)
+			acc = step(out, acc, r)
+			recordStage(staged, node, span, i, "hash", acc)
 		}
 		_, accDV = joinCardInto(float64(acc.Len()), accDV, leafDV(sparql.Vars(chain[i]), est))
 	}
 	return acc, nil
+}
+
+// step ends one join step: the inputs the output is not (a join with
+// an empty side returns that side) are released.
+func step(out *sparql.RowSet, inputs ...*sparql.RowSet) *sparql.RowSet {
+	for _, in := range inputs {
+		if in != out {
+			in.Release()
+		}
+	}
+	return out
 }
 
 // recordStage accounts one completed morsel fan-out stage of the
@@ -198,8 +205,8 @@ func runChain(pr Prepared, ops chainOps, node *obs.Node, span *obs.Span) (*sparq
 // span carrying the stage's position, join strategy and output
 // cardinality.  Serial instantiations record nothing (their join steps
 // are not fan-outs).
-func recordStage(ops chainOps, node *obs.Node, span *obs.Span, position int, strategy string, acc *sparql.RowSet) {
-	if !ops.staged {
+func recordStage(staged bool, node *obs.Node, span *obs.Span, position int, strategy string, acc *sparql.RowSet) {
+	if !staged {
 		return
 	}
 	node.AddStages(1)

@@ -226,7 +226,7 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 			// stage on the pool, observing materialized prefix
 			// cardinalities and re-planning the tail between stages
 			// (staged.go).
-			rs, ok, err = evalStagedChain(g, pr, b, o, o.Prof, o.Trace)
+			rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Prof, o.Trace)
 		} else {
 			// Static tree: the whole plan fans out at once (no
 			// sequential drift checkpoint exists once the chain is
@@ -240,7 +240,7 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 			})
 		}
 	} else if pr.adaptiveArmed() {
-		rs, ok, err = evalAdaptiveChain(g, pr, b, o.Prof, o.Trace)
+		rs, ok, err = evalChain(g, pr, b, 1, 0, o.Prof, o.Trace)
 	} else {
 		rs, ok, err = sparql.EvalRowsHints(g, opt, b, o.Prof, pr.hints)
 	}

@@ -1,8 +1,6 @@
 package sparql
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/rdf"
 )
@@ -30,64 +28,45 @@ func BindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, parent *
 // BindJoinScanPar is BindJoinScan with the accumulator's rows split
 // into morsels dispatched across a bounded worker pool: each worker
 // probes the sorted indexes for a contiguous chunk of accumulator rows
-// into a private RowSet, and the per-morsel results merge through the
-// open-addressed dedup (mergeParts).  workers counts the calling
-// goroutine; minPart is the accumulator size below which the join
-// stays serial (0 = DefaultMinPartition).  The budget is shared and
-// atomic, so a governor trip or injected fault stops every morsel
-// within a stride and the pool drains before the error returns.
+// into a private RowSet, and the per-morsel results are merged in
+// morsel order (mergeParts).  workers counts the calling goroutine;
+// minPart is the accumulator size below which the join stays serial
+// (0 = DefaultMinPartition).  The budget is shared and atomic, so a
+// governor trip or injected fault stops every morsel within a stride
+// and the pool drains before the error returns.
 func BindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, workers, minPart int, parent *obs.Node) (*RowSet, error) {
 	o := ParOptions{Workers: workers, MinPartition: minPart}
 	return bindJoinScanPar(g, acc, t, b, newPool(o.workers()-1), o.minPartition(), parent)
 }
 
 func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *pool, minPart int, parent *obs.Node) (*RowSet, error) {
-	var out *RowSet
 	node := parent.Child("bindjoin", t.String())
-	start := time.Now()
-	steps0, rows0, bytes0 := b.Counters()
-	defer func() {
-		if node != nil {
-			node.AddWall(time.Since(start))
-			steps1, rows1, bytes1 := b.Counters()
-			node.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
-			if out != nil {
-				node.AddRowsOut(int64(out.Len()))
+	return evalInstrumented(node, b, func() (*RowSet, error) {
+		ts, ok := resolveTriple(t, acc.Schema, g.Dict())
+		if !ok {
+			// A constant of t is not in the dictionary: ⟦t⟧_G = ∅.
+			return acc.like(0), nil
+		}
+		node.AddRowsIn(int64(acc.Len()))
+		if acc.Len() < minPart {
+			po = nil
+		}
+		// ⟦t⟧_G has one domain and no two equal rows (see scan), so when
+		// the accumulator has one domain too the join appends (see
+		// joinParB).
+		distinct := acc.uniform()
+		parts, err := parChunks(po, acc.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
+			part := acc.like(hi - lo)
+			if err := bindProbeRange(g, acc, &ts, lo, hi, part, distinct, b, node); err != nil {
+				return nil, err
 			}
-		}
-	}()
-	ts, ok := resolveTriple(t, acc.Schema, g.Dict())
-	if !ok {
-		// A constant of t is not in the dictionary: ⟦t⟧_G = ∅.
-		out = NewRowSet(acc.Schema)
-		return out, nil
-	}
-	node.AddRowsIn(int64(acc.Len()))
-	if po == nil || acc.Len() < minPart {
-		o := NewRowSet(acc.Schema)
-		if err := bindProbeRange(g, acc, &ts, 0, acc.Len(), o, b, node); err != nil {
+			return part, nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		out = o
-		return out, nil
-	}
-	parts, err := parChunks(po, acc.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		part := NewRowSet(acc.Schema)
-		if err := bindProbeRange(g, acc, &ts, lo, hi, part, b, node); err != nil {
-			return nil, err
-		}
-		return part, nil
+		return mergeParts(parts, distinct, po, b, node)
 	})
-	if err != nil {
-		return nil, err
-	}
-	node.AddPartitions(int64(len(parts)))
-	merged, err := mergeParts(parts, b)
-	if err != nil {
-		return nil, err
-	}
-	out = merged
-	return out, nil
 }
 
 // bindProbeRange probes the sorted indexes for accumulator rows
@@ -95,8 +74,9 @@ func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *p
 // the bind join, shared by the serial and parallel paths.  out is
 // private to the caller; the budget and profile node are shared and
 // atomic.
-func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *RowSet, b *Budget, node *obs.Node) error {
-	scratch := make([]rdf.ID, acc.Schema.Len())
+func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *RowSet, distinct bool, b *Budget, node *obs.Node) error {
+	l := b.lease()
+	defer l.release()
 	for i := lo; i < hi; i++ {
 		row, rowMask := acc.RowIDs(i), acc.Mask(i)
 		var vals [3]rdf.ID
@@ -110,23 +90,22 @@ func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *
 				probe[j] = &vals[j]
 			}
 		}
-		if err := b.Step(); err != nil {
+		if err := l.step(); err != nil {
 			return err
 		}
 		node.AddRangeScans(1)
 		node.AddBindProbes(1)
 		var err error
 		g.MatchIDs(probe[0], probe[1], probe[2], func(tr rdf.IDTriple) bool {
-			if err = b.Step(); err != nil {
+			if err = l.step(); err != nil {
 				return false
 			}
-			copy(scratch, row)
-			if mask, ok := ts.bindTriple(scratch, tr, rowMask); ok {
-				if err = out.addCharged(scratch, mask, b); err != nil {
-					return false
-				}
+			dst := out.next()
+			copy(dst, row)
+			if mask, ok := ts.bindTriple(dst, tr, rowMask); ok {
+				err = out.emit(mask, distinct, b)
 			}
-			return true
+			return err == nil
 		})
 		if err != nil {
 			return err

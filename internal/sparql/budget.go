@@ -18,14 +18,21 @@ import (
 // maximum result rows, and a coarse memory estimate) threaded through
 // every evaluation path.
 //
-// The hot loops of the engine call Step once per unit of work (a
-// triple-index probe, a join candidate pair, a subsumption check).
-// Step is designed to be nearly free: a nil *Budget short-circuits
-// immediately, and a live one only bumps an atomic counter and
-// compares it against a precomputed checkpoint.  The expensive part —
-// polling ctx.Err() — runs once per stride (default 1024 steps), so
-// the engine notices cancellation within a bounded, small amount of
-// work while the per-step overhead stays in the noise.
+// The engine charges one step per unit of work (a triple-index probe,
+// a join candidate pair, a subsumption check).  Step is designed to be
+// nearly free: a nil *Budget short-circuits immediately, and a live one
+// only bumps an atomic counter and compares it against a precomputed
+// checkpoint.  The expensive part — polling ctx.Err() — runs once per
+// stride (default 1024 steps), so the engine notices cancellation
+// within a bounded, small amount of work while the per-step overhead
+// stays in the noise.
+//
+// An atomic add per step is still one contended cache line per step
+// once two workers share the Budget, so the operators' hot loops do
+// not call Step: each takes a stepLease (below) — a goroutine-private
+// allotment of up to leaseSteps steps bought with one atomic operation
+// and counted down in a register — and returns what it did not use
+// when the loop ends.
 //
 // # Memory-ordering contract
 //
@@ -41,9 +48,24 @@ import (
 //     Configuring a Budget concurrently with Step is a data race.
 //   - The counters (steps, rows, bytes) and the checkpoint are atomics.
 //     Charging is an atomic add; readers (Steps, the checkpoint
-//     comparison) see monotonic snapshots.  Counts are exact — no
-//     charge is lost — but which worker crosses a limit first is
+//     comparison) see snapshots.  Counts are exact — no charge is
+//     lost — but which worker crosses a limit first is
 //     scheduling-dependent.
+//   - A lease moves steps from the shared counter to one goroutine
+//     ahead of the work: the counter is then the steps taken plus the
+//     steps outstanding in live leases, so while workers run it may
+//     lead the work done by at most leaseSteps per live lease, and it
+//     steps back when a lease returns its remainder.  A lease is never
+//     granted up to or past the checkpoint: the step that reaches
+//     checkAt is always a real Step, taken by whichever goroutine gets
+//     there, so a step limit, an injected fault and the context poll
+//     fire at exactly the counter value they would fire at without
+//     leases.  One goroutine holds at most one lease at a time (loops
+//     that hold one call nothing that steps), so a serial evaluation's
+//     counter is exact at every checkpoint and, every lease returned,
+//     at the end of every operator.  A holder looks at the sticky error
+//     when it refills, so it notices another worker's failure within
+//     leaseSteps steps.
 //   - The sticky error is published once with a compare-and-swap and
 //     read by every Step before doing any work, so after one worker
 //     trips the governor, every other worker observes the failure on
@@ -211,8 +233,9 @@ func (b *Budget) InjectFault(afterSteps int64, err error) {
 	b.recalc()
 }
 
-// Steps reports the search steps consumed so far.  Under concurrent
-// evaluation this is a monotonic snapshot.
+// Steps reports the search steps consumed so far, steps held in live
+// leases included (see the memory-ordering contract): exact once the
+// evaluation has returned, a snapshot while it runs.
 func (b *Budget) Steps() int64 {
 	if b == nil {
 		return 0
@@ -222,8 +245,8 @@ func (b *Budget) Steps() int64 {
 
 // Counters reports the resources consumed so far — search steps,
 // result rows and estimated bytes.  Under concurrent evaluation each
-// value is a monotonic snapshot; the profiler diffs two Counters calls
-// to attribute consumption to an operator's wall-clock window.
+// value is a snapshot; the profiler diffs two Counters calls to
+// attribute consumption to an operator's wall-clock window.
 func (b *Budget) Counters() (steps, rows, bytes int64) {
 	if b == nil {
 		return 0, 0, 0
@@ -269,8 +292,10 @@ func (b *Budget) recalcFrom(steps int64) {
 	b.checkAt.Store(n)
 }
 
-// Step charges one unit of search work.  It is the hot-path entry:
-// nil receiver and non-checkpoint steps return after one atomic add.
+// Step charges one unit of search work: nil receiver and
+// non-checkpoint steps return after one atomic add.  Callers outside
+// the operators' row loops (the searcher, the string evaluator, one
+// charge per operator node) use it directly.
 func (b *Budget) Step() error {
 	if b == nil {
 		return nil
@@ -319,6 +344,85 @@ func (b *Budget) check(steps int64) error {
 	return nil
 }
 
+// leaseSteps bounds one lease: large enough that two workers touch the
+// shared counter a few dozen times less often, small enough that the
+// counter never leads the work by more than a sliver of a stride.
+const leaseSteps = 64
+
+// stepLease is a goroutine's private allotment of budget steps; see the
+// memory-ordering contract.  The zero lease of a nil Budget is valid
+// and unlimited.  Hold it in a local, step it once per unit of work,
+// and release it before returning or calling anything that steps.
+type stepLease struct {
+	b    *Budget
+	left int64
+}
+
+func (b *Budget) lease() stepLease { return stepLease{b: b} }
+
+// step charges one unit of work to the lease, refilling it from the
+// budget when it is spent.
+func (l *stepLease) step() error {
+	if l.left > 0 {
+		l.left--
+		return nil
+	}
+	return l.refill()
+}
+
+// stepN charges n units of work a bulk operation is about to do —
+// exactly like n calls of step, so a limit inside the n still fires on
+// its own step, in a few operations per allotment.
+func (l *stepLease) stepN(n int) error {
+	for n > 0 {
+		if l.left == 0 {
+			if err := l.refill(); err != nil {
+				return err
+			}
+			n--
+			continue
+		}
+		k := min(int64(n), l.left)
+		l.left -= k
+		n -= int(k)
+	}
+	return nil
+}
+
+// refill takes the next allotment — as many steps as fit below the
+// checkpoint, leaseSteps at most — and spends its first step; when the
+// next step is the checkpoint itself it takes that one step the slow
+// way.
+func (l *stepLease) refill() error {
+	b := l.b
+	if b == nil {
+		l.left = 1 << 62
+		return nil
+	}
+	if f := b.failed.Load(); f != nil {
+		return f.err
+	}
+	for {
+		cur := b.steps.Load()
+		n := min(b.checkAt.Load()-cur-1, leaseSteps)
+		if n <= 0 {
+			return b.Step()
+		}
+		if b.steps.CompareAndSwap(cur, cur+n) {
+			l.left = n - 1
+			return nil
+		}
+	}
+}
+
+// release returns the unspent steps to the budget.
+func (l *stepLease) release() {
+	if l.b != nil && l.left > 0 {
+		l.b.steps.Add(-l.left)
+	}
+	l.left = 0
+}
+
 // AddRows charges n result rows against the row limit.
 func (b *Budget) AddRows(n int) error {
 	if b == nil {
@@ -336,15 +440,18 @@ func (b *Budget) AddRows(n int) error {
 
 // chargeRow charges the estimated footprint of one materialized row of
 // the given slot width against the memory limit.
-func (b *Budget) chargeRow(width int) error {
+func (b *Budget) chargeRow(width int) error { return b.chargeRows(width, 1) }
+
+// chargeRows charges n rows at once (bulk copies).
+func (b *Budget) chargeRows(width, n int) error {
 	if b == nil || b.maxBytes == 0 {
 		return nil
 	}
 	if f := b.failed.Load(); f != nil {
 		return f.err
 	}
-	n := b.bytes.Add(8*int64(width) + 8) // IDs + mask word
-	if n > b.maxBytes {
+	total := b.bytes.Add(int64(n) * (8*int64(width) + 8)) // IDs + mask word
+	if total > b.maxBytes {
 		return b.fail(ErrBudgetExceeded{Kind: BudgetMemory, Limit: b.maxBytes})
 	}
 	return nil

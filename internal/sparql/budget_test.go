@@ -310,3 +310,170 @@ func TestBudgetCounters(t *testing.T) {
 		t.Errorf("bytes=%d, want 40 (width 4 → 8*(4+1))", bytes)
 	}
 }
+
+// TestLeaseMaxStepsExact: stepping through leases, the limit fires on
+// exactly the (maxSteps+1)-th step — whatever the stride, and whether
+// the limit falls inside a lease, on its edge or many leases in — and
+// the failing step is the last one the counter sees.
+func TestLeaseMaxStepsExact(t *testing.T) {
+	for _, stride := range []int64{1, 8, DefaultStride} {
+		for _, limit := range []int64{1, leaseSteps - 1, leaseSteps, leaseSteps + 1, 100, 1023, 1024, 1025, 5000} {
+			b := NewBudget(nil).WithStride(stride).WithMaxSteps(limit)
+			l := b.lease()
+			for i := int64(1); i <= limit; i++ {
+				if err := l.step(); err != nil {
+					t.Fatalf("stride %d, limit %d: step %d failed: %v", stride, limit, i, err)
+				}
+			}
+			var be ErrBudgetExceeded
+			if err := l.step(); !errors.As(err, &be) || be.Kind != BudgetSteps {
+				t.Fatalf("stride %d, limit %d: step %d: got %v, want ErrBudgetExceeded{BudgetSteps}", stride, limit, limit+1, err)
+			}
+			l.release()
+			if b.Steps() != limit+1 {
+				t.Fatalf("stride %d, limit %d: counter at %d after the failing step", stride, limit, b.Steps())
+			}
+		}
+	}
+}
+
+// TestLeaseInjectFaultExact: an injected fault fires on exactly the
+// armed step of a leased loop, as TestBudgetInjectFaultExact has it for
+// Step.
+func TestLeaseInjectFaultExact(t *testing.T) {
+	sentinel := errors.New("injected")
+	for _, at := range []int64{0, 1, 2, leaseSteps, leaseSteps + 1, 500, 1023, 1024, 1025, 5000} {
+		b := NewBudget(nil)
+		b.InjectFault(at, sentinel)
+		l := b.lease()
+		taken := int64(0)
+		var err error
+		for err == nil {
+			err = l.step()
+			taken++
+		}
+		l.release()
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("faultAt=%d: err = %v", at, err)
+		}
+		if want := max(at, 1); taken != want || b.Steps() != want {
+			t.Fatalf("faultAt=%d: fired on step %d with the counter at %d", at, taken, b.Steps())
+		}
+	}
+}
+
+// TestLeaseCancellationLatency: a leased loop notices a canceled
+// context within one stride, like a loop of Steps.
+func TestLeaseCancellationLatency(t *testing.T) {
+	for _, stride := range []int64{8, 256, DefaultStride} {
+		ctx, cancel := context.WithCancel(context.Background())
+		b := NewBudget(ctx).WithStride(stride)
+		cancel()
+		l := b.lease()
+		var err error
+		n := int64(0)
+		for err == nil && n < 10*stride {
+			err = l.step()
+			n++
+		}
+		l.release()
+		if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("stride %d: err = %v after %d steps", stride, err, n)
+		}
+		if n > stride {
+			t.Fatalf("stride %d: cancellation noticed after %d steps", stride, n)
+		}
+	}
+}
+
+// TestLeaseReturnsUnspentSteps: the counter leads the work only while
+// a lease is live; released, it is the steps taken, and the next lease
+// starts from there.
+func TestLeaseReturnsUnspentSteps(t *testing.T) {
+	b := NewBudget(nil)
+	l := b.lease()
+	for i := 0; i < 10; i++ {
+		if err := l.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Steps(); got != leaseSteps {
+		t.Fatalf("live lease: counter at %d, want one allotment (%d)", got, leaseSteps)
+	}
+	l.release()
+	l.release() // idempotent
+	if got := b.Steps(); got != 10 {
+		t.Fatalf("released lease: counter at %d, want 10", got)
+	}
+	l2 := b.lease()
+	for i := 0; i < 3*leaseSteps; i++ {
+		if err := l2.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2.release()
+	if got := b.Steps(); got != 10+3*leaseSteps {
+		t.Fatalf("second lease: counter at %d, want %d", got, 10+3*leaseSteps)
+	}
+	// A nil budget leases without limit and counts nothing.
+	var nilB *Budget
+	ln := nilB.lease()
+	for i := 0; i < 1000; i++ {
+		if err := ln.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln.release()
+}
+
+// TestLeaseSeesStickyError: a lease holder observes another worker's
+// failure when it refills — within leaseSteps steps.
+func TestLeaseSeesStickyError(t *testing.T) {
+	b := NewBudget(nil)
+	l := b.lease()
+	if err := l.step(); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := errors.New("elsewhere")
+	b.fail(sentinel)
+	n := 0
+	var err error
+	for err == nil && n <= leaseSteps {
+		err = l.step()
+		n++
+	}
+	l.release()
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("failure not observed after %d steps: %v", n, err)
+	}
+}
+
+// TestLeaseStepNIsNSteps: a bulk charge through a lease leaves the
+// counter where n single steps would, and a limit inside the bulk
+// fires on its own step.
+func TestLeaseStepNIsNSteps(t *testing.T) {
+	for _, n := range []int{0, 1, leaseSteps - 1, leaseSteps, 3*leaseSteps + 7, 5000} {
+		b := NewBudget(nil)
+		l := b.lease()
+		if err := l.step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.stepN(n); err != nil {
+			t.Fatalf("stepN(%d): %v", n, err)
+		}
+		l.release()
+		if got := b.Steps(); got != int64(n)+1 {
+			t.Fatalf("stepN(%d): counter at %d", n, got)
+		}
+	}
+	b := NewBudget(nil).WithMaxSteps(1000)
+	l := b.lease()
+	var be ErrBudgetExceeded
+	if err := l.stepN(5000); !errors.As(err, &be) || be.Kind != BudgetSteps {
+		t.Fatalf("stepN over the limit: %v", err)
+	}
+	l.release()
+	if b.Steps() != 1001 {
+		t.Fatalf("stepN over the limit stopped with the counter at %d, want 1001", b.Steps())
+	}
+}

@@ -1,9 +1,53 @@
 package sparql
 
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/rdf"
+)
+
 // Test-only exports: the differential tests need to force the sharded
-// NS implementation on inputs far below DefaultMinPartition.
+// NS implementation on inputs far below DefaultMinPartition, and the
+// distinctness suite needs to see every operator's output.
 
 // MaximalParMin is MaximalParB with a tunable partition threshold.
 func (s *RowSet) MaximalParMin(bud *Budget, workers, minPart int) (*RowSet, error) {
 	return s.maximalParB(bud, newPool(workers-1), minPart, nil)
 }
+
+// SetRowCheck installs f as the hook the evaluators call with every
+// operator's output (on whichever goroutine produced it) and returns
+// the function that removes it.
+func SetRowCheck(f func(*RowSet)) (restore func()) {
+	checkRows = f
+	return func() { checkRows = nil }
+}
+
+// Duplicate looks for two equal rows the slow way — one formatted key
+// per row in a map, none of the set's own machinery — and describes
+// the first pair it finds.
+func (s *RowSet) Duplicate() (string, bool) {
+	seen := make(map[string]int, s.Len())
+	var key strings.Builder
+	for i := 0; i < s.Len(); i++ {
+		key.Reset()
+		ids := s.RowIDs(i)
+		fmt.Fprintf(&key, "%x", s.masks[i])
+		for m := s.masks[i]; m != 0; m &= m - 1 {
+			fmt.Fprintf(&key, " %d", ids[trailingZeros(m)])
+		}
+		if j, dup := seen[key.String()]; dup {
+			return fmt.Sprintf("rows %d and %d are both mask %x ids [%s ]", j, i, s.masks[i], key.String()), true
+		}
+		seen[key.String()] = i
+	}
+	return "", false
+}
+
+// TableBuilt reports whether the set has built its membership table.
+func (s *RowSet) TableBuilt() bool { return s.table != nil }
+
+// Push appends a row with no membership check, as the operators do
+// when they have proved it new.
+func (s *RowSet) Push(ids []rdf.ID, mask uint64) { s.push(ids, mask) }

@@ -113,20 +113,9 @@ func ScanLeadVar(t TriplePattern) (Var, bool) {
 }
 
 // EvalPatternRows evaluates one sub-pattern under an existing
-// query-wide schema, attaching its operator profile under parent — the
-// building block of the planner's adaptive chain executor, which
-// evaluates an AND chain operand by operand and joins the row sets
-// itself.  sc must cover var(p) (the planner builds it from the whole
-// query); h carries join-strategy hints for nested binary nodes.
+// query-wide schema on the serial engine, attaching its operator
+// profile under parent.  sc must cover var(p); h carries join-strategy
+// hints for nested binary nodes.
 func EvalPatternRows(g rdf.Store, p Pattern, sc *VarSchema, b *Budget, parent *obs.Node, h *EvalHints) (*RowSet, error) {
-	return evalRowsB(g, p, sc, b, parent, h)
-}
-
-// TryMergeScanJoin exposes the sort-merge fast path for l ⋈ r (outer =
-// false) or l ⟕ r (outer = true) to the planner's adaptive executor.
-// handled = false means the operands don't qualify structurally and
-// nothing was evaluated or recorded; the caller must run its standard
-// path.  See tryMergeScanJoin for the profile contract.
-func TryMergeScanJoin(g rdf.Store, lp, rp Pattern, sc *VarSchema, b *Budget, node *obs.Node, outer bool) (*RowSet, bool, error) {
-	return tryMergeScanJoin(g, lp, rp, sc, b, node, outer)
+	return newEvaluator(g, sc, b, ParOptions{Workers: 1, Hints: h}).eval(p, parent)
 }

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"math/bits"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -62,82 +61,6 @@ func scanLeadSlot(ts *tripleSlots) (int, bool) {
 	return ts.slot[lead], true
 }
 
-// mergeSide is one operand's scan, buffered flat: row i is
-// ids[i*w:(i+1)*w] with presence mask mask, and keys[i] is its leading
-// sort-key value.  keys is nondecreasing by the store's emission-order
-// contract.
-type mergeSide struct {
-	keys []rdf.ID
-	ids  []rdf.ID
-	mask uint64
-	n    int
-	w    int
-}
-
-func (m *mergeSide) row(i int) []rdf.ID { return m.ids[i*m.w : (i+1)*m.w : (i+1)*m.w] }
-
-// scanMergeSide runs one index scan and buffers it as a mergeSide,
-// charging the budget like evalTripleRowsB does: one step per matched
-// triple, one row charge per buffered row.
-func scanMergeSide(g rdf.Store, ts *tripleSlots, leadSlot int, sc *VarSchema, b *Budget) (*mergeSide, error) {
-	w := sc.Len()
-	side := &mergeSide{mask: ts.mask, w: w}
-	var sp, pp, op *rdf.ID
-	if ts.isConst[0] {
-		sp = &ts.constID[0]
-	}
-	if ts.isConst[1] {
-		pp = &ts.constID[1]
-	}
-	if ts.isConst[2] {
-		op = &ts.constID[2]
-	}
-	scratch := make([]rdf.ID, w)
-	var err error
-	g.MatchIDs(sp, pp, op, func(tr rdf.IDTriple) bool {
-		if err = b.Step(); err != nil {
-			return false
-		}
-		// No repeated variables (scanLeadSlot rejected those), so the
-		// bind cannot fail and every matched triple is one row.
-		ts.bindTriple(scratch, tr, 0)
-		if err = b.chargeRow(w); err != nil {
-			return false
-		}
-		side.ids = append(side.ids, scratch...)
-		side.keys = append(side.keys, scratch[leadSlot])
-		side.n++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return side, nil
-}
-
-// instrumentedScan wraps one side's scan with the per-operand profile
-// counters the standard path records through evalInstrumented, so the
-// profile tree stays congruent to the pattern tree whichever join
-// strategy ran: wall time, budget deltas, rows out (= |⟦t⟧_G|) and one
-// range scan.
-func instrumentedScan(g rdf.Store, ts *tripleSlots, leadSlot int, sc *VarSchema, b *Budget, node *obs.Node) (*mergeSide, error) {
-	if node == nil {
-		return scanMergeSide(g, ts, leadSlot, sc, b)
-	}
-	start := time.Now()
-	steps0, rows0, bytes0 := b.Counters()
-	side, err := scanMergeSide(g, ts, leadSlot, sc, b)
-	node.AddWall(time.Since(start))
-	steps1, rows1, bytes1 := b.Counters()
-	node.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
-	if err != nil {
-		return nil, err
-	}
-	node.AddRowsOut(int64(side.n))
-	node.AddRangeScans(1)
-	return side, nil
-}
-
 // tryMergeScanJoin attempts the merge fast path for l ⋈ r (outer =
 // false) or l ⟕ r (outer = true).  handled = false means the operands
 // don't qualify — not both triple patterns, different lead variables, a
@@ -146,7 +69,7 @@ func instrumentedScan(g rdf.Store, ts *tripleSlots, leadSlot int, sc *VarSchema,
 // node in that case.  When handled, the profile children for both
 // operands have been created (L before R) and the operator's counters
 // (rows in, merge runs) recorded, exactly like the standard path.
-func tryMergeScanJoin(g rdf.Store, lp, rp Pattern, sc *VarSchema, b *Budget, node *obs.Node, outer bool) (*RowSet, bool, error) {
+func (e *evaluator) tryMergeScanJoin(lp, rp Pattern, node *obs.Node, outer bool) (*RowSet, bool, error) {
 	if !MergeJoinEnabled {
 		return nil, false, nil
 	}
@@ -158,108 +81,111 @@ func tryMergeScanJoin(g rdf.Store, lp, rp Pattern, sc *VarSchema, b *Budget, nod
 	if !ok {
 		return nil, false, nil
 	}
-	lts, ok := resolveTriple(lt, sc, g.Dict())
+	lts, ok := resolveTriple(lt, e.sc, e.g.Dict())
 	if !ok {
 		return nil, false, nil
 	}
-	rts, ok := resolveTriple(rt, sc, g.Dict())
+	rts, ok := resolveTriple(rt, e.sc, e.g.Dict())
 	if !ok {
 		return nil, false, nil
 	}
-	lLead, ok := scanLeadSlot(&lts)
+	lead, ok := scanLeadSlot(&lts)
 	if !ok {
 		return nil, false, nil
 	}
-	rLead, ok := scanLeadSlot(&rts)
-	if !ok || lLead != rLead {
+	if rLead, ok := scanLeadSlot(&rts); !ok || rLead != lead {
 		return nil, false, nil
 	}
+	// The two scans run as the operands' own operators, so the profile
+	// tree stays congruent to the pattern tree whichever join strategy
+	// ran.  No repeated variables (scanLeadSlot rejected those): every
+	// matched triple is one row, in the store's emission order.
 	nl := childNode(node, lp)
-	ls, err := instrumentedScan(g, &lts, lLead, sc, b, nl)
+	ls, err := evalInstrumented(nl, e.b, func() (*RowSet, error) { return e.scan(&lts, nl) })
 	if err != nil {
 		return nil, true, err
 	}
 	nr := childNode(node, rp)
-	rs, err := instrumentedScan(g, &rts, rLead, sc, b, nr)
+	rs, err := evalInstrumented(nr, e.b, func() (*RowSet, error) { return e.scan(&rts, nr) })
 	if err != nil {
 		return nil, true, err
 	}
-	node.AddRowsIn(int64(ls.n + rs.n))
-	out := NewRowSet(sc)
-	runs, err := mergeJoinRuns(ls, rs, outer, b, out)
+	node.AddRowsIn(int64(ls.Len() + rs.Len()))
+	out := ls.like(max(ls.Len(), rs.Len()))
+	runs, err := mergeJoinRuns(ls, rs, lead, outer, e.b, out)
 	if err != nil {
 		return nil, true, err
 	}
 	node.AddMergeRuns(runs)
+	ls.Release()
+	rs.Release()
 	return out, true, nil
 }
 
-// mergeJoinRuns aligns the equal-key runs of two nondecreasing-key
-// sides and emits compatible pairs into out; with outer set, left rows
-// with no compatible partner are emitted alone (the Diff half of ⟕).
-// Returns the number of aligned runs (both sides non-empty at the key).
-func mergeJoinRuns(l, r *mergeSide, outer bool, b *Budget, out *RowSet) (int64, error) {
-	scratch := make([]rdf.ID, l.w)
+// mergeJoinRuns aligns the equal-key runs of two scans whose rows are
+// nondecreasing in slot lead (the store's emission-order contract) and
+// appends the compatible pairs to out; with outer set, left rows with
+// no compatible partner are appended alone (the Diff half of ⟕).  Both
+// sides have one domain, so no two output rows are equal (see
+// joinParB and leftJoinParB).  Returns the number of aligned runs
+// (both sides non-empty at the key).
+func mergeJoinRuns(l, r *RowSet, lead int, outer bool, b *Budget, out *RowSet) (int64, error) {
+	w := l.Schema.Len()
+	lkey := func(i int) rdf.ID { return l.ids[i*w+lead] }
+	rkey := func(j int) rdf.ID { return r.ids[j*w+lead] }
+	lmask, rmask := l.alwaysBoundMask(), r.alwaysBoundMask()
+	ln, rn := l.Len(), r.Len()
+	lease := b.lease()
+	defer lease.release()
 	var runs int64
 	i, j := 0, 0
-	for i < l.n {
-		if j >= r.n {
+	for i < ln {
+		if j >= rn || lkey(i) < rkey(j) {
 			if !outer {
-				break
+				if j >= rn {
+					break
+				}
+				i++
+				continue
 			}
-			for ; i < l.n; i++ {
-				if err := b.Step(); err != nil {
-					return runs, err
-				}
-				if err := out.addCharged(l.row(i), l.mask, b); err != nil {
-					return runs, err
-				}
+			if err := lease.step(); err != nil {
+				return runs, err
 			}
-			break
-		}
-		lk, rk := l.keys[i], r.keys[j]
-		if lk < rk {
-			if outer {
-				if err := b.Step(); err != nil {
-					return runs, err
-				}
-				if err := out.addCharged(l.row(i), l.mask, b); err != nil {
-					return runs, err
-				}
+			if err := out.pushCharged(l.RowIDs(i), lmask, b); err != nil {
+				return runs, err
 			}
 			i++
 			continue
 		}
-		if lk > rk {
+		k := rkey(j)
+		if lkey(i) > k {
 			j++
 			continue
 		}
 		i1 := i
-		for i1 < l.n && l.keys[i1] == lk {
+		for i1 < ln && lkey(i1) == k {
 			i1++
 		}
 		j1 := j
-		for j1 < r.n && r.keys[j1] == rk {
+		for j1 < rn && rkey(j1) == k {
 			j1++
 		}
 		runs++
 		for a := i; a < i1; a++ {
-			arow := l.row(a)
+			arow := l.RowIDs(a)
 			matched := false
 			for c := j; c < j1; c++ {
-				if err := b.Step(); err != nil {
+				if err := lease.step(); err != nil {
 					return runs, err
 				}
-				brow := r.row(c)
-				if rowsCompatible(arow, l.mask, brow, r.mask) {
-					matched = true
-					if err := out.addCharged(scratch, mergeRows(scratch, arow, l.mask, brow, r.mask), b); err != nil {
-						return runs, err
-					}
+				ok, err := out.joinPair(arow, lmask, r.RowIDs(c), rmask, true, b)
+				if err != nil {
+					return runs, err
 				}
+				matched = matched || ok
 			}
 			if outer && !matched {
-				if err := out.addCharged(arow, l.mask, b); err != nil {
+				if err := out.pushCharged(arow, lmask, b); err != nil {
 					return runs, err
 				}
 			}

@@ -8,10 +8,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// This file is the parallel execution layer of the row engine: a
-// bounded worker pool that evaluates independent sub-problems of one
-// query concurrently, governed by a single shared Budget (whose
-// counters are atomic — see budget.go).
+// This file is the row engine's tree evaluator and its worker pool: a
+// bounded pool that evaluates independent sub-problems of one query
+// concurrently, governed by a single shared Budget (whose counters are
+// atomic — see budget.go).  With one worker there is no pool and the
+// same evaluator, running the same operators inline, is the serial
+// engine.
 //
 // Three kinds of work fan out:
 //
@@ -21,11 +23,12 @@ import (
 //     evaluator computes both sides of a binary operator concurrently
 //     whenever a worker is free.
 //   - Partitioned joins.  Large Join/Diff/LeftJoin probes are
-//     hash-partitioned: the chain index of the build side is
-//     constructed once (before the fan-out, so workers only read it),
-//     contiguous chunks of the probe side stream against it on
-//     separate workers into per-partition RowSets, and the partitions
-//     merge through the existing open-addressed dedup.
+//     partitioned: the chain index of the build side is constructed
+//     once (before the fan-out, so workers only read it), contiguous
+//     chunks of the probe side stream against it on separate workers
+//     into per-partition RowSets, and the partitions are concatenated
+//     — they cover disjoint probe rows, so wherever the serial
+//     operator appends they cannot share a row (mergeParts).
 //   - NS sharding.  Maximal buckets rows by presence mask; buckets
 //     only read shared state and produce private "subsumed" lists, so
 //     they shard across workers with a final cross-shard sweep that
@@ -33,10 +36,11 @@ import (
 //
 // Concurrency safety rests on three facts: rdf.Graph and rdf.Dict are
 // safe for concurrent readers (the evaluation path only ever calls
-// Lookup/IRI/MatchIDs — nothing interns); every worker writes only to
-// RowSets it owns; and the shared Budget is atomic, with a sticky
-// error that every worker observes on its next Step, so cancellation
-// and faults drain the pool promptly.
+// Lookup/IRI/MatchIDs/CountMatchIDs — nothing interns); every worker
+// writes only to RowSets it owns (the free list they draw arrays from
+// is locked); and the shared Budget is atomic, with a sticky error
+// that every worker observes when it next refills its step lease, so
+// cancellation and faults drain the pool promptly.
 //
 // Determinism: the parallel engine returns exactly the same *set* of
 // rows as the serial engine (differentially tested per fragment).
@@ -138,14 +142,34 @@ func EvalRowsParOpts(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, 
 	if !ok {
 		return nil, false, nil
 	}
-	if o.workers() <= 1 {
-		rs, err := evalRowsB(g, p, sc, b, o.Prof, o.Hints)
-		if err != nil {
-			return nil, true, err
-		}
-		return rs, true, nil
+	rs, err := newEvaluator(g, sc, b, o).eval(p, o.Prof)
+	if err != nil {
+		return nil, true, err
 	}
-	e := &parEval{
+	return rs, true, nil
+}
+
+// evaluator is the bottom-up tree evaluator of the row engine, serial
+// and parallel: every sub-result uses the same query-wide schema, and
+// every operator runs under the one budget so a hostile sub-pattern
+// cannot outrun the governor.  With a pool, the two operands of a
+// binary operator are evaluated concurrently and the large operators
+// partition their input; with none (one worker) the same code runs
+// inline.  The evaluator owns the evaluation's free list: every RowSet
+// it creates draws its arrays from it, and every intermediate result
+// goes back once its consumer has returned.
+type evaluator struct {
+	g       rdf.Store
+	sc      *VarSchema
+	b       *Budget
+	po      *pool // nil: serial
+	minPart int
+	hints   *EvalHints // the planner's join strategies; nil = structural auto
+	free    freeList
+}
+
+func newEvaluator(g rdf.Store, sc *VarSchema, b *Budget, o ParOptions) *evaluator {
+	return &evaluator{
 		g:       g,
 		sc:      sc,
 		b:       b,
@@ -153,49 +177,40 @@ func EvalRowsParOpts(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, 
 		minPart: o.minPartition(),
 		hints:   o.Hints,
 	}
-	rs, err := e.eval(p, o.Prof)
-	if err != nil {
-		return nil, true, err
-	}
-	return rs, true, nil
 }
 
-// parEval is the parallel bottom-up evaluator; it mirrors evalRowsB
-// with concurrent operand evaluation and partitioned operators.
-type parEval struct {
-	g       rdf.Store
-	sc      *VarSchema
-	b       *Budget
-	po      *pool
-	minPart int
-	hints   *EvalHints
-}
-
-// eval attaches a profile node for p under parent and evaluates; the
-// instrumentation wrapper is shared with the serial engine.
-func (e *parEval) eval(p Pattern, parent *obs.Node) (*RowSet, error) {
+// eval attaches a profile node for p under parent (nil disables
+// instrumentation) and evaluates.
+func (e *evaluator) eval(p Pattern, parent *obs.Node) (*RowSet, error) {
 	return e.evalInto(p, childNode(parent, p))
 }
 
 // evalInto evaluates p into an already-created profile node — evalBoth
 // creates both operand nodes before fanning out so the profile tree's
 // child order is deterministic (L, R) regardless of scheduling.
-func (e *parEval) evalInto(p Pattern, node *obs.Node) (*RowSet, error) {
+func (e *evaluator) evalInto(p Pattern, node *obs.Node) (*RowSet, error) {
 	return evalInstrumented(node, e.b, func() (*RowSet, error) {
 		return e.evalOp(p, node)
 	})
 }
 
-func (e *parEval) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
+// evalOp dispatches one operator, recursing through eval so the
+// children attach under node.  Rows-in is the operand total fed to the
+// operator (its own output is recorded by the wrapper).
+func (e *evaluator) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 	if err := e.b.Step(); err != nil {
 		return nil, err
 	}
 	switch q := p.(type) {
 	case TriplePattern:
-		return evalTripleRowsB(e.g, q, e.sc, e.b, node)
+		ts, ok := resolveTriple(q, e.sc, e.g.Dict())
+		if !ok {
+			return newRowSet(e.sc, &e.free, 0), nil
+		}
+		return e.scan(&ts, node)
 	case And:
 		if e.hints.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := tryMergeScanJoin(e.g, q.L, q.R, e.sc, e.b, node, false); handled {
+			if rs, handled, err := e.tryMergeScanJoin(q.L, q.R, node, false); handled {
 				return rs, err
 			}
 		}
@@ -204,17 +219,19 @@ func (e *parEval) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 			return nil, err
 		}
 		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.joinParB(r, e.b, e.po, e.minPart, node)
+		out, err := l.joinParB(r, e.b, e.po, e.minPart, node)
+		return finish(node, out, err, l, r)
 	case Union:
 		l, r, err := e.evalBoth(q.L, q.R, node)
 		if err != nil {
 			return nil, err
 		}
 		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.UnionB(r, e.b)
+		out, err := l.UnionB(r, e.b)
+		return finish(node, out, err, l, r)
 	case Opt:
 		if e.hints.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := tryMergeScanJoin(e.g, q.L, q.R, e.sc, e.b, node, true); handled {
+			if rs, handled, err := e.tryMergeScanJoin(q.L, q.R, node, true); handled {
 				return rs, err
 			}
 		}
@@ -223,21 +240,24 @@ func (e *parEval) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 			return nil, err
 		}
 		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.leftJoinParB(r, e.b, e.po, e.minPart, node)
+		out, err := l.leftJoinParB(r, e.b, e.po, e.minPart, node)
+		return finish(node, out, err, l, r)
 	case Filter:
 		inner, err := e.eval(q.P, node)
 		if err != nil {
 			return nil, err
 		}
 		node.AddRowsIn(int64(inner.Len()))
-		return inner.FilterB(CompileCond(q.Cond, e.sc, e.g.Dict()), e.b)
+		out, err := inner.FilterB(CompileCond(q.Cond, e.sc, e.g.Dict()), e.b)
+		return finish(node, out, err, inner)
 	case Select:
 		inner, err := e.eval(q.P, node)
 		if err != nil {
 			return nil, err
 		}
 		node.AddRowsIn(int64(inner.Len()))
-		return inner.ProjectB(e.sc.SlotMask(q.Vars), e.b)
+		out, err := inner.ProjectB(e.sc.SlotMask(q.Vars), e.b)
+		return finish(node, out, err, inner)
 	case NS:
 		inner, err := e.eval(q.P, node)
 		if err != nil {
@@ -245,14 +265,36 @@ func (e *parEval) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 		}
 		node.AddRowsIn(int64(inner.Len()))
 		out, err := inner.maximalParB(e.b, e.po, e.minPart, node)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			recordNS(node, inner, out)
 		}
-		recordNS(node, inner, out)
-		return out, nil
+		return finish(node, out, err, inner)
 	default:
 		return nil, ErrUnsupportedPattern{Pattern: p}
 	}
+}
+
+// finish ends one operator: the rows its membership table rejected go
+// on the profile node, and the operands' arrays go back to the free
+// list.  An operator may have returned one of its operands as it is
+// (single-domain NS, Ω ∖ ∅, a SELECT that drops nothing, ⋈ with an
+// empty side): that set built nothing here and stays alive.
+func finish(node *obs.Node, out *RowSet, err error, operands ...*RowSet) (*RowSet, error) {
+	if err != nil {
+		return nil, err
+	}
+	built := true
+	for _, in := range operands {
+		if in == out {
+			built = false
+		} else {
+			in.Release()
+		}
+	}
+	if built {
+		node.AddDedupHits(out.DedupHits())
+	}
+	return out, nil
 }
 
 // evalBoth evaluates two sub-patterns, on two goroutines when a worker
@@ -260,7 +302,7 @@ func (e *parEval) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 // including on error — so an unwinding evaluation never leaves a
 // worker running behind the caller's back.  The pool counters land on
 // node (the binary operator that wanted the fan-out).
-func (e *parEval) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, error) {
+func (e *evaluator) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, error) {
 	nl := childNode(node, pl)
 	nr := childNode(node, pr)
 	if e.po.tryAcquire() {
@@ -285,7 +327,9 @@ func (e *parEval) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, er
 		}
 		return l, r, nil
 	}
-	node.AddPoolInline(1)
+	if e.po != nil {
+		node.AddPoolInline(1)
+	}
 	l, err := e.evalInto(pl, nl)
 	if err != nil {
 		return nil, nil, err
@@ -299,24 +343,24 @@ func (e *parEval) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, er
 
 // parChunks splits [0, n) into contiguous chunks of at least minChunk
 // elements, runs work on each — one chunk inline, the rest on pool
-// workers — and returns the per-chunk results in chunk order.  Every
-// spawned worker is joined before parChunks returns (clean drain); the
-// first error in chunk order wins, and with a shared sticky budget all
-// chunks report the same governor error anyway.  Pool counters land on
-// node: tokens acquired, plus one inline fallback when the operator
-// wanted more workers than the pool had free.
+// workers — and returns the per-chunk results in chunk order; with a
+// nil pool that is one chunk, inline.  Every spawned worker is joined
+// before parChunks returns (clean drain); the first error in chunk
+// order wins, and with a shared sticky budget all chunks report the
+// same governor error anyway.  Pool counters land on node: tokens
+// acquired, plus one inline fallback when the operator wanted more
+// workers than the pool had free.
 func parChunks[T any](po *pool, n, minChunk int, node *obs.Node, work func(lo, hi int) (T, error)) ([]T, error) {
-	if minChunk < 1 {
-		minChunk = 1
-	}
 	workers := 1
-	maxWorkers := n / minChunk
-	for workers < maxWorkers && po.tryAcquire() {
-		workers++
-	}
-	node.AddPoolAcquired(int64(workers - 1))
-	if workers < maxWorkers {
-		node.AddPoolInline(1)
+	if po != nil {
+		maxWorkers := n / max(minChunk, 1)
+		for workers < maxWorkers && po.tryAcquire() {
+			workers++
+		}
+		node.AddPoolAcquired(int64(workers - 1))
+		if workers < maxWorkers {
+			node.AddPoolInline(1)
+		}
 	}
 	if workers == 1 {
 		out, err := work(0, n)
@@ -347,140 +391,49 @@ func parChunks[T any](po *pool, n, minChunk int, node *obs.Node, work func(lo, h
 	return outs, nil
 }
 
-// mergeParts folds per-partition RowSets into one through the
-// open-addressed dedup, in partition order.  Each partition's own
-// dedup hits fold into the merged set's counter so the operator's
-// profile sees every rejected duplicate, wherever it happened.
-func mergeParts(parts []*RowSet, bud *Budget) (*RowSet, error) {
+// mergeParts folds the per-partition outputs of one operator into one
+// set, in partition order.  Partitions cover disjoint input rows, so
+// whenever the serial operator appends (distinct) they cannot share a
+// row and are concatenated; otherwise the later partitions go through
+// the first one's membership table.  Each partition's own rejections
+// fold into the merged set's counter so the operator's profile sees
+// every rejected duplicate, wherever it happened.  With a pool, the
+// partition count lands on node.
+func mergeParts(parts []*RowSet, distinct bool, po *pool, bud *Budget, node *obs.Node) (*RowSet, error) {
+	if po != nil {
+		node.AddPartitions(int64(len(parts)))
+	}
 	out := parts[0]
+	if len(parts) == 1 {
+		return out, nil
+	}
+	l := bud.lease()
+	defer l.release()
 	for _, p := range parts[1:] {
 		out.dedup += p.dedup
-		for i := 0; i < p.Len(); i++ {
-			if err := bud.Step(); err != nil {
-				return nil, err
-			}
-			if err := out.addCharged(p.RowIDs(i), p.masks[i], bud); err != nil {
-				return nil, err
+		if distinct {
+			out.appendAll(p) // charged when the worker appended them
+		} else {
+			for i := 0; i < p.Len(); i++ {
+				if err := l.step(); err != nil {
+					return nil, err
+				}
+				copy(out.next(), p.RowIDs(i))
+				if err := out.emit(p.masks[i], false, bud); err != nil {
+					return nil, err
+				}
 			}
 		}
+		p.Release()
 	}
 	return out, nil
 }
 
-// joinParB is JoinB with the probe side hash-partitioned across
-// workers.  The build side's chain index is constructed once by the
-// caller's goroutine; each worker streams a contiguous chunk of probe
-// rows against it into a private RowSet, and the partitions merge
-// through the shared dedup.  Small or keyless joins stay serial.
-func (s *RowSet) joinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
-	if s.Len() == 0 || t.Len() == 0 {
-		return NewRowSet(s.Schema), nil
-	}
-	build, probe := s, t
-	if build.Len() > probe.Len() {
-		build, probe = probe, build
-	}
-	key := build.alwaysBoundMask() & probe.alwaysBoundMask()
-	if po == nil || key == 0 || probe.Len() < minPart {
-		return s.JoinB(t, bud)
-	}
-	head, next := build.chainIndex(key)
-	parts, err := parChunks(po, probe.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		out := NewRowSet(s.Schema)
-		scratch := make([]rdf.ID, s.Schema.Len())
-		for j := lo; j < hi; j++ {
-			b, bm := probe.RowIDs(j), probe.masks[j]
-			if err := bud.Step(); err != nil {
-				return nil, err
-			}
-			for i := headOf(head, rowHash(b, key)); i >= 0; i = next[i] {
-				if err := bud.Step(); err != nil {
-					return nil, err
-				}
-				a, am := build.RowIDs(int(i)), build.masks[i]
-				if rowsCompatible(a, am, b, bm) {
-					if err := out.addCharged(scratch, mergeRows(scratch, a, am, b, bm), bud); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	node.AddPartitions(int64(len(parts)))
-	return mergeParts(parts, bud)
-}
-
-// diffParB is DiffB with the left side partitioned across workers,
-// each probing the shared chain index of t.
-func (s *RowSet) diffParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
-	if s.Len() == 0 {
-		return NewRowSet(s.Schema), nil
-	}
-	key := s.alwaysBoundMask() & t.alwaysBoundMask()
-	if po == nil || t.Len() == 0 || key == 0 || s.Len() < minPart {
-		return s.DiffB(t, bud)
-	}
-	head, next := t.chainIndex(key)
-	parts, err := parChunks(po, s.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		out := NewRowSet(s.Schema)
-		for i := lo; i < hi; i++ {
-			a, am := s.RowIDs(i), s.masks[i]
-			if err := bud.Step(); err != nil {
-				return nil, err
-			}
-			compatible := false
-			for j := headOf(head, rowHash(a, key)); j >= 0; j = next[j] {
-				if err := bud.Step(); err != nil {
-					return nil, err
-				}
-				if rowsCompatible(a, am, t.RowIDs(int(j)), t.masks[j]) {
-					compatible = true
-					break
-				}
-			}
-			if !compatible {
-				if err := out.addCharged(a, am, bud); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	node.AddPartitions(int64(len(parts)))
-	return mergeParts(parts, bud)
-}
-
-// leftJoinParB is Ω1 ⟕ Ω2 with both halves partitioned.  The Join
-// half often indexes t with the same key the Diff half needs, so the
-// receiver-cached chain index is built once for both.
-func (s *RowSet) leftJoinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
-	j, err := s.joinParB(t, bud, po, minPart, node)
-	if err != nil {
-		return nil, err
-	}
-	d, err := s.diffParB(t, bud, po, minPart, node)
-	if err != nil {
-		return nil, err
-	}
-	return j.UnionB(d, bud)
-}
-
 // chunkOf derives the minimum chunk size from the partition threshold:
 // fine enough to occupy the pool, coarse enough that per-chunk setup
-// (a RowSet, a scratch row) stays amortized.
+// (a RowSet, a step lease) stays amortized.
 func chunkOf(minPart int) int {
-	c := minPart / 4
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max(minPart/4, 1)
 }
 
 // MaximalPar is Maximal on the parallel engine (0 = GOMAXPROCS).
@@ -489,109 +442,9 @@ func (s *RowSet) MaximalPar(workers int) *RowSet {
 	return out
 }
 
-// MaximalParB is MaximalB sharded by mask bucket: rows group by
-// presence mask, each bucket's subsumption hunt (hash the superset
-// buckets' restrictions, probe the bucket's rows) is independent of
-// every other bucket's, so buckets spread across workers.  A final
-// cross-shard sweep in row order drops the subsumed rows, keeping the
-// output order identical to the serial algorithm's.
+// MaximalParB is MaximalB sharded by mask bucket across up to workers
+// goroutines; see maximalParB.
 func (s *RowSet) MaximalParB(bud *Budget, workers int) (*RowSet, error) {
 	o := ParOptions{Workers: workers}
 	return s.maximalParB(bud, newPool(o.workers()-1), DefaultMinPartition, nil)
-}
-
-func (s *RowSet) maximalParB(bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
-	if po == nil || s.Len() < minPart {
-		return s.MaximalB(bud)
-	}
-	type bucket struct {
-		mask uint64
-		rows []int32
-	}
-	buckets := make(map[uint64]*bucket)
-	order := make([]uint64, 0)
-	for i := 0; i < s.Len(); i++ {
-		m := s.masks[i]
-		b, ok := buckets[m]
-		if !ok {
-			b = &bucket{mask: m}
-			buckets[m] = b
-			order = append(order, m)
-		}
-		b.rows = append(b.rows, int32(i))
-	}
-	if len(order) < 2 {
-		// One mask: no strict superset exists, every row is maximal.
-		out := NewRowSet(s.Schema)
-		for i := 0; i < s.Len(); i++ {
-			if err := bud.Step(); err != nil {
-				return nil, err
-			}
-			if err := out.addCharged(s.RowIDs(i), s.masks[i], bud); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	// Shard the buckets: each worker hunts subsumption for a chunk of
-	// buckets, reading the shared bucket map and rows (no writes) and
-	// collecting its own dead-row list.
-	deadParts, err := parChunks(po, len(order), 1, node, func(lo, hi int) ([]int32, error) {
-		var dead []int32
-		for _, m := range order[lo:hi] {
-			b := buckets[m]
-			var superKeys *RowSet
-			for m2, b2 := range buckets {
-				if m2 == m || m&^m2 != 0 {
-					continue
-				}
-				// m ⊊ m2: hash the m-restrictions of the superset bucket.
-				if superKeys == nil {
-					superKeys = NewRowSet(s.Schema)
-				}
-				for _, j := range b2.rows {
-					if err := bud.Step(); err != nil {
-						return nil, err
-					}
-					superKeys.Add(s.RowIDs(int(j)), m)
-				}
-			}
-			if superKeys == nil {
-				continue
-			}
-			for _, i := range b.rows {
-				if err := bud.Step(); err != nil {
-					return nil, err
-				}
-				if superKeys.Contains(s.RowIDs(int(i)), m) {
-					dead = append(dead, i)
-				}
-			}
-		}
-		return dead, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	node.AddPartitions(int64(len(deadParts)))
-	// Cross-shard sweep: merge the shards' dead lists and emit the
-	// survivors in row order (the serial algorithm's order).
-	dead := make([]bool, s.Len())
-	for _, part := range deadParts {
-		for _, i := range part {
-			dead[i] = true
-		}
-	}
-	out := NewRowSet(s.Schema)
-	for i := 0; i < s.Len(); i++ {
-		if err := bud.Step(); err != nil {
-			return nil, err
-		}
-		if !dead[i] {
-			if err := out.addCharged(s.RowIDs(i), s.masks[i], bud); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

@@ -46,15 +46,7 @@ func EvalRowsProf(g rdf.Store, p Pattern, b *Budget, prof *obs.Node) (*RowSet, b
 // EvalRowsHints is EvalRowsProf with planner join-strategy hints (see
 // EvalHints); nil hints keep the structural auto behaviour.
 func EvalRowsHints(g rdf.Store, p Pattern, b *Budget, prof *obs.Node, h *EvalHints) (*RowSet, bool, error) {
-	sc, ok := SchemaFor(p)
-	if !ok {
-		return nil, false, nil
-	}
-	rs, err := evalRowsB(g, p, sc, b, prof, h)
-	if err != nil {
-		return nil, true, err
-	}
-	return rs, true, nil
+	return EvalRowsParOpts(g, p, b, ParOptions{Workers: 1, Prof: prof, Hints: h})
 }
 
 // opName maps a pattern node to its profile operator name and detail.
@@ -92,27 +84,39 @@ func childNode(parent *obs.Node, p Pattern) *obs.Node {
 }
 
 // evalInstrumented wraps one operator evaluation with the profile
-// counters common to the serial and parallel engines: wall time and
-// budget deltas over the call's window, then rows out and dedup hits of
-// the result.  Budget deltas include the children evaluated inside the
-// window (see obs.Node.AddBudget); the root node's totals are exact.
+// counters every operator has: wall time and budget deltas over the
+// call's window, then rows out.  Budget deltas include the children
+// evaluated inside the window (see obs.Node.AddBudget); the root
+// node's totals are exact.
 func evalInstrumented(node *obs.Node, b *Budget, eval func() (*RowSet, error)) (*RowSet, error) {
-	if node == nil {
-		return eval()
+	var (
+		start                 time.Time
+		steps0, rows0, bytes0 int64
+	)
+	if node != nil {
+		start = time.Now()
+		steps0, rows0, bytes0 = b.Counters()
 	}
-	start := time.Now()
-	steps0, rows0, bytes0 := b.Counters()
 	rs, err := eval()
-	node.AddWall(time.Since(start))
-	steps1, rows1, bytes1 := b.Counters()
-	node.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
+	if node != nil {
+		node.AddWall(time.Since(start))
+		steps1, rows1, bytes1 := b.Counters()
+		node.AddBudget(steps1-steps0, rows1-rows0, bytes1-bytes0)
+	}
 	if err != nil {
 		return nil, err
 	}
+	if checkRows != nil {
+		checkRows(rs)
+	}
 	node.AddRowsOut(int64(rs.Len()))
-	node.AddDedupHits(rs.DedupHits())
 	return rs, nil
 }
+
+// checkRows, when a test has set it (export_test.go), is shown every
+// operator's output — where the distinctness suite hangs its
+// duplicate check.  Always nil outside tests.
+var checkRows func(*RowSet)
 
 // recordNS attributes an NS operator's pruning to its profile node:
 // total candidates vs survivors, plus the per-presence-mask breakdown
@@ -151,102 +155,6 @@ func EvalRowEngine(g rdf.Store, p Pattern) *MappingSet {
 		return Eval(g, p)
 	}
 	return rs.MappingSet(g.Dict())
-}
-
-// evalRowsB is the bottom-up evaluator over rows; every sub-result uses
-// the same query-wide schema, and every operator runs its budgeted
-// variant so a hostile sub-pattern cannot outrun the governor.  parent
-// is the enclosing profile node (nil disables instrumentation); h
-// carries the planner's join-strategy hints (nil = structural auto).
-func evalRowsB(g rdf.Store, p Pattern, sc *VarSchema, b *Budget, parent *obs.Node, h *EvalHints) (*RowSet, error) {
-	node := childNode(parent, p)
-	return evalInstrumented(node, b, func() (*RowSet, error) {
-		return evalRowsOp(g, p, sc, b, node, h)
-	})
-}
-
-// evalRowsOp dispatches one operator, recursing through evalRowsB so
-// the children attach under node.  Rows-in is the operand total fed to
-// the operator (its own output is recorded by the wrapper).
-func evalRowsOp(g rdf.Store, p Pattern, sc *VarSchema, b *Budget, node *obs.Node, h *EvalHints) (*RowSet, error) {
-	if err := b.Step(); err != nil {
-		return nil, err
-	}
-	switch q := p.(type) {
-	case TriplePattern:
-		return evalTripleRowsB(g, q, sc, b, node)
-	case And:
-		if h.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := tryMergeScanJoin(g, q.L, q.R, sc, b, node, false); handled {
-				return rs, err
-			}
-		}
-		l, err := evalRowsB(g, q.L, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalRowsB(g, q.R, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.JoinB(r, b)
-	case Union:
-		l, err := evalRowsB(g, q.L, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalRowsB(g, q.R, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.UnionB(r, b)
-	case Opt:
-		if h.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := tryMergeScanJoin(g, q.L, q.R, sc, b, node, true); handled {
-				return rs, err
-			}
-		}
-		l, err := evalRowsB(g, q.L, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalRowsB(g, q.R, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(l.Len() + r.Len()))
-		return l.LeftJoinB(r, b)
-	case Filter:
-		inner, err := evalRowsB(g, q.P, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(inner.Len()))
-		return inner.FilterB(CompileCond(q.Cond, sc, g.Dict()), b)
-	case Select:
-		inner, err := evalRowsB(g, q.P, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(inner.Len()))
-		return inner.ProjectB(sc.SlotMask(q.Vars), b)
-	case NS:
-		inner, err := evalRowsB(g, q.P, sc, b, node, h)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(inner.Len()))
-		out, err := inner.MaximalB(b)
-		if err != nil {
-			return nil, err
-		}
-		recordNS(node, inner, out)
-		return out, nil
-	default:
-		return nil, ErrUnsupportedPattern{Pattern: p}
-	}
 }
 
 // tripleSlots resolves the positions of a triple pattern against a
@@ -323,7 +231,6 @@ func EvalTripleDeltaB(t TriplePattern, sc *VarSchema, d *rdf.Dict, delta []rdf.I
 	if !ok {
 		return out, nil
 	}
-	scratch := make([]rdf.ID, sc.Len())
 	for _, tr := range delta {
 		if err := b.Step(); err != nil {
 			return nil, err
@@ -339,26 +246,16 @@ func EvalTripleDeltaB(t TriplePattern, sc *VarSchema, d *rdf.Dict, delta []rdf.I
 		if !match {
 			continue
 		}
-		if _, ok := ts.bindTriple(scratch, tr, 0); ok {
-			out.Add(scratch, ts.mask)
+		if _, ok := ts.bindTriple(out.next(), tr, 0); ok {
+			out.addNext(ts.mask) // a delta may name a triple twice
 		}
 	}
 	return out, nil
 }
 
-// evalTripleRowsB computes ⟦t⟧_G directly on the ID-level indexes: a
-// constant in any of the three positions selects the matching index
-// order (SPO/POS/OSP) via MatchIDs, and repeated variables are checked
-// in ID space.  Each index probe charges one budget step; the scan is
-// recorded as one range scan on the pattern's profile node.
-func evalTripleRowsB(g rdf.Store, t TriplePattern, sc *VarSchema, b *Budget, node *obs.Node) (*RowSet, error) {
-	out := NewRowSet(sc)
-	ts, ok := resolveTriple(t, sc, g.Dict())
-	if !ok {
-		return out, nil
-	}
-	node.AddRangeScans(1)
-	var sp, pp, op *rdf.ID
+// constants returns the constant positions of the pattern as index
+// constraints (nil = free).
+func (ts *tripleSlots) constants() (sp, pp, op *rdf.ID) {
 	if ts.isConst[0] {
 		sp = &ts.constID[0]
 	}
@@ -368,18 +265,36 @@ func evalTripleRowsB(g rdf.Store, t TriplePattern, sc *VarSchema, b *Budget, nod
 	if ts.isConst[2] {
 		op = &ts.constID[2]
 	}
-	scratch := make([]rdf.ID, sc.Len())
+	return sp, pp, op
+}
+
+// scan computes ⟦t⟧_G directly on the ID-level indexes: a constant in
+// any of the three positions selects the matching index order
+// (SPO/POS/OSP) via MatchIDs, and repeated variables are checked in ID
+// space.  Each matched triple charges one budget step; the scan is
+// recorded as one range scan on the pattern's profile node.
+//
+// The output is sized by the index's exact match count and filled by
+// appending: the store holds a triple once, and two triples that agree
+// on the pattern's constants differ at a variable position, so no two
+// rows are equal.
+func (e *evaluator) scan(ts *tripleSlots, node *obs.Node) (*RowSet, error) {
+	node.AddRangeScans(1)
+	sp, pp, op := ts.constants()
+	out := newRowSet(e.sc, &e.free, e.g.CountMatchIDs(sp, pp, op))
+	w := e.sc.Len()
+	l := e.b.lease()
+	defer l.release()
 	var err error
-	g.MatchIDs(sp, pp, op, func(tr rdf.IDTriple) bool {
-		if err = b.Step(); err != nil {
+	e.g.MatchIDs(sp, pp, op, func(tr rdf.IDTriple) bool {
+		if err = l.step(); err != nil {
 			return false
 		}
-		if _, ok := ts.bindTriple(scratch, tr, 0); ok {
-			if err = out.addCharged(scratch, ts.mask, b); err != nil {
-				return false
-			}
+		if _, ok := ts.bindTriple(out.next(), tr, 0); ok {
+			out.commit(ts.mask)
+			err = e.b.chargeRow(w)
 		}
-		return true
+		return err == nil
 	})
 	if err != nil {
 		return nil, err

@@ -5,39 +5,31 @@ import (
 	"repro/internal/rdf"
 )
 
-// StagedExec is the planner-facing handle on the parallel engine's
-// worker pool for morsel-style staged chain execution (see
-// internal/plan's staged driver): the driver evaluates a DP-ordered
-// AND chain one operand at a time — observing materialized prefix
-// cardinalities at drift checkpoints between stages — while each
-// stage's work (operand scans, partitioned hash joins, bind-join
-// probes) fans out across the pool in morsels.  One StagedExec serves
-// one query: it owns the pool and shares the query's schema, budget
-// and hints with every stage, so the whole staged evaluation is
-// governed by a single atomic budget exactly like the static tree.
+// StagedExec is the planner-facing handle on one evaluator for chain
+// execution (see internal/plan's chain driver): the driver evaluates a
+// DP-ordered AND chain one operand at a time — observing materialized
+// prefix cardinalities at drift checkpoints between stages — while
+// each stage's work (operand scans, partitioned hash joins, bind-join
+// probes) fans out across the pool in morsels, or runs inline when
+// there is one worker.  One StagedExec serves one query: it owns the
+// pool and the free list and shares the query's schema, budget and
+// hints with every stage, so the whole chain is governed by a single
+// atomic budget exactly like the static tree.
 type StagedExec struct {
-	e *parEval
+	e *evaluator
 }
 
 // NewStagedExec builds the handle for pattern p.  ok = false when p
 // exceeds MaxSchemaVars (the caller falls back like the other row
-// entry points).  Workers counts the calling goroutine; 1 degrades
-// every stage to the serial operators (nil pool), which the plan
-// package uses only in tests — production serial chains run the
-// serial adaptive executor instead.
+// entry points).  Workers counts the calling goroutine; with 1 every
+// stage runs the serial operators (nil pool) — the serial adaptive
+// chain.
 func NewStagedExec(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*StagedExec, bool) {
 	sc, ok := SchemaFor(p)
 	if !ok {
 		return nil, false
 	}
-	return &StagedExec{e: &parEval{
-		g:       g,
-		sc:      sc,
-		b:       b,
-		po:      newPool(o.workers() - 1),
-		minPart: o.minPartition(),
-		hints:   o.Hints,
-	}}, true
+	return &StagedExec{e: newEvaluator(g, sc, b, o)}, true
 }
 
 // Schema returns the query-wide schema the handle evaluates under.
@@ -56,17 +48,20 @@ func (x *StagedExec) EvalOperand(p Pattern, parent *obs.Node) (*RowSet, error) {
 // schema.  handled = false means the operands don't qualify and
 // nothing was evaluated.
 func (x *StagedExec) TryMergeFirst(l, r Pattern, node *obs.Node) (*RowSet, bool, error) {
-	return tryMergeScanJoin(x.e.g, l, r, x.e.sc, x.e.b, node, false)
+	return x.e.tryMergeScanJoin(l, r, node, false)
 }
 
 // Join joins the accumulated prefix with one operand's rows through
-// the partitioned parallel hash join: the probe side splits into
-// contiguous morsels across the pool, each probing the shared chain
-// index into a private RowSet, merged through the open-addressed
-// dedup.  Small or keyless joins stay serial (JoinB).
+// the partitioned hash join: the probe side splits into contiguous
+// morsels across the pool, each probing the shared chain index into a
+// private RowSet, merged in morsel order.  Small joins stay serial.
 func (x *StagedExec) Join(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
 	node.AddRowsIn(int64(acc.Len() + r.Len()))
-	return acc.joinParB(r, x.e.b, x.e.po, x.e.minPart, node)
+	out, err := acc.joinParB(r, x.e.b, x.e.po, x.e.minPart, node)
+	if err == nil && checkRows != nil {
+		checkRows(out)
+	}
+	return out, err
 }
 
 // BindJoin is the parallel bind join: acc's rows split into morsels
