@@ -71,8 +71,9 @@ bench-smoke:
 	fi
 
 # Mirrors the CI obs-smoke step: boot nsserve, insert a triple, run a
-# profiled query and check the profile block and /metrics with jq.
-# Gated on jq like bench-smoke is.
+# profiled query and check the profile block and /metrics with jq; one
+# more insert must leave the cached plan a hit, not a miss or a
+# refresh.  Gated on jq like bench-smoke is.
 obs-smoke:
 	@if command -v jq >/dev/null 2>&1; then \
 		go build -o /tmp/nsserve-smoke ./cmd/nsserve || exit 1; \
@@ -96,12 +97,18 @@ obs-smoke:
 		curl -sfG --data-urlencode 'q=SELECT ?x ?y WHERE { ?x p ?y }' \
 			--data-urlencode 'profile=1' http://127.0.0.1:18321/query > /dev/null \
 		|| { echo "obs-smoke: repeat query failed" >&2; exit 1; }; \
+		printf 'c p d .\n' \
+		| curl -sf --data-binary @- http://127.0.0.1:18321/insert > /dev/null \
+		|| { echo "obs-smoke: second /insert failed" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=SELECT ?x ?y WHERE { ?x p ?y }' http://127.0.0.1:18321/query \
+		| jq -e '.results.bindings | length == 3' > /dev/null \
+		|| { echo "obs-smoke: post-insert query wrong" >&2; exit 1; }; \
 		curl -sf http://127.0.0.1:18321/metrics \
 		| jq -e '.requests["200"] >= 2 and .in_flight == 0 and .latency.query.count >= 1 and .governor_trips == 0' > /dev/null \
 		|| { echo "obs-smoke: /metrics malformed" >&2; exit 1; }; \
 		curl -sf http://127.0.0.1:18321/metrics \
-		| jq -e '.plan_cache.hits >= 1 and .plan_cache.misses >= 1 and .store.triples == 2 and .store.epoch >= 2' > /dev/null \
-		|| { echo "obs-smoke: plan-cache/store counters missing" >&2; exit 1; }; \
+		| jq -e '.plan_cache.misses == 1 and .plan_cache.hits >= 2 and .plan_cache.refreshes == 0 and .store.triples == 3 and .store.epoch >= 3' > /dev/null \
+		|| { echo "obs-smoke: plan cache did not survive the insert, or store counters missing" >&2; exit 1; }; \
 		prom=$$(curl -sf -H 'Accept: text/plain' http://127.0.0.1:18321/metrics); \
 		echo "$$prom" | grep -q '^ns_requests_total{code="200"}' \
 		|| { echo "obs-smoke: Prometheus exposition missing ns_requests_total" >&2; exit 1; }; \

@@ -101,9 +101,11 @@
 //     checkpoints and mid-query re-planning); -no-staged forces the
 //     static parallel tree instead (ablation).
 //   - -plan-cache bounds the LRU parse/plan cache (entries; 0
-//     disables).  Entries are keyed by (query text, graph epoch) and
-//     the epoch bumps on every insert, so a cached plan is never
-//     served against contents it was not prepared for.
+//     disables).  Entries are keyed by (syntax, query text, planner
+//     options) and survive inserts: a plan is correct on any graph
+//     contents, and the first read after an insert re-plans it only
+//     when one of the index counts it was chosen on left the re-plan
+//     band.
 //
 // Engine panics are converted to 500s without killing the process, and
 // SIGINT/SIGTERM drains in-flight requests for up to -drain-timeout
@@ -174,7 +176,7 @@ func main() {
 		parallel = flag.Int("parallel", 0,
 			"workers per query for the parallel row engine (0 = GOMAXPROCS, 1 = serial)")
 		planCacheSize = flag.Int("plan-cache", 256,
-			"parse/plan cache capacity in entries, keyed by (query, graph epoch); 0 disables")
+			"parse/plan cache capacity in entries, keyed by query text; plans survive inserts and re-plan only when their index counts drift; 0 disables")
 		dataDir = flag.String("data-dir", "",
 			"directory for the durable WAL+snapshot backend; empty keeps the in-memory store")
 		fsyncPolicy = flag.String("fsync", "batch",

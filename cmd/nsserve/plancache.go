@@ -2,32 +2,49 @@ package main
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/parser"
 )
 
 // cachedPlan is one parsed-and-prepared query, ready to execute: the
-// shared compiled form (dispatch shape plus optimized plan) that
-// exec.EvalCompiled runs for both nsserve and nscoord.
+// parse it was compiled from, the shared compiled form (dispatch shape
+// plus optimized plan) that exec.Run runs for both nsserve and nscoord,
+// and the graph epoch at which the plan was last found current.  The
+// parse and the plan are immutable; a plan whose statistics drifted is
+// replaced by a new cachedPlan, never rewritten in place.
 type cachedPlan struct {
-	compiled exec.Compiled
+	parsed    parser.Parsed
+	compiled  exec.Compiled
+	validated atomic.Uint64
 }
 
-// planCache is a bounded LRU of cachedPlans keyed by
-// (syntax, query text, graph epoch).  Because the epoch is part of the
-// key and every successful insert bumps it (rdf.Graph.Epoch), a cached
-// plan can never be served against graph contents it was not prepared
-// for — stale entries simply stop being hit and age out through the
-// LRU.  A nil *planCache (capacity 0, the -plan-cache 0 case) is valid
-// and caches nothing.
+// cacheOutcome is how lookupPlan resolved a query; it is also the
+// plan span's cache attribute.
+type cacheOutcome string
+
+const (
+	cacheHit     cacheOutcome = "hit"     // cached plan served
+	cacheMiss    cacheOutcome = "miss"    // parsed and prepared
+	cacheRefresh cacheOutcome = "refresh" // re-prepared from the cached parse
+)
+
+// planCache is a bounded LRU of cachedPlans keyed by (syntax, query
+// text, planner tag).  The graph epoch is not part of the key: a plan
+// answers correctly on any graph contents, and what an insert can make
+// stale is only the statistics it was chosen on.  lookupPlan re-checks
+// those when the epoch has moved since the plan was last validated
+// (plan.Prepared.Drifted) and re-prepares only when a leaf count left
+// the re-plan band.  A nil *planCache (capacity 0, the -plan-cache 0
+// case) is valid and caches nothing.
 //
-// Hit/miss/eviction counters are atomic so /metrics can read them
-// without the cache mutex; size takes the mutex briefly (never the
-// graph lock).
+// Hit/miss/refresh/eviction counters are atomic so /metrics can read
+// them without the cache mutex; size takes the mutex briefly (never the
+// graph lock).  A refresh counts as one miss as well: misses count
+// every Prepare, refreshes the share of them a drift caused.
 type planCache struct {
 	mu  sync.Mutex
 	cap int
@@ -36,6 +53,7 @@ type planCache struct {
 
 	hits      atomic.Int64
 	misses    atomic.Int64
+	refreshes atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -60,23 +78,40 @@ func newPlanCache(capacity int) *planCache {
 // configurations — version, greedy vs DP, re-plan settings — distinct
 // entries, so a planner upgrade or flag flip can never serve a stale
 // plan shape.
-func planKey(syntax, qText string, epoch uint64, plannerTag string) string {
-	return syntax + "\x00" + qText + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + plannerTag
+func planKey(syntax, qText, plannerTag string) string {
+	return syntax + "\x00" + qText + "\x00" + plannerTag
 }
 
-func (c *planCache) get(key string) (*cachedPlan, bool) {
+// get returns the plan cached under key (nil if none), marking it most
+// recently used.  It counts nothing: the caller knows the outcome only
+// after validating the plan (record).
+func (c *planCache) get(key string) *cachedPlan {
 	if c == nil {
-		return nil, false
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		c.lru.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*planEntry).cp, true
+		return el.Value.(*planEntry).cp
 	}
-	c.misses.Add(1)
-	return nil, false
+	return nil
+}
+
+// record counts one lookup outcome.
+func (c *planCache) record(o cacheOutcome) {
+	if c == nil {
+		return
+	}
+	switch o {
+	case cacheHit:
+		c.hits.Add(1)
+	case cacheRefresh:
+		c.refreshes.Add(1)
+		c.misses.Add(1)
+	default:
+		c.misses.Add(1)
+	}
 }
 
 func (c *planCache) put(key string, cp *cachedPlan) {
@@ -86,7 +121,8 @@ func (c *planCache) put(key string, cp *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		// Concurrent misses on one key both prepare; last writer wins.
+		// Concurrent misses or refreshes of one key both prepare; last
+		// writer wins.
 		el.Value.(*planEntry).cp = cp
 		c.lru.MoveToFront(el)
 		return
@@ -112,6 +148,7 @@ func (c *planCache) stats() *obs.PlanCacheStats {
 		Capacity:  int64(c.cap),
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Refreshes: c.refreshes.Load(),
 		Evictions: c.evictions.Load(),
 	}
 }

@@ -445,25 +445,21 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText string, wantProfile bool, deadline time.Duration, body *exec.ResultWriter) (out queryOutcome) {
 	span := obs.SpanFromContext(r.Context())
 
-	// Parse and prepare under the read lock: preparation reads the
-	// graph's index counts, and the cache key's epoch must describe the
-	// same contents the query will run against.  Encoding stays under
-	// it too: the rows are IDs until the dictionary resolves them.
+	// Look up, validate and prepare under the read lock: preparation
+	// and validation read the graph's index counts, and the epoch a
+	// plan is validated at must describe the contents the query will
+	// run against.  Encoding stays under it too: the rows are IDs until
+	// the dictionary resolves them.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	psp := span.StartChild("plan", "")
-	cp, hit, errMsg := s.lookupPlan(syntax, qText)
+	cp, outcome, errMsg := s.lookupPlan(syntax, qText)
+	psp.SetAttr("cache", string(outcome))
 	if errMsg != "" {
-		psp.SetAttr("cache", "miss")
 		psp.SetStatus("error")
 		psp.End()
 		http.Error(w, errMsg, http.StatusBadRequest)
 		return out
-	}
-	if hit {
-		psp.SetAttr("cache", "hit")
-	} else {
-		psp.SetAttr("cache", "miss")
 	}
 	explain := cp.compiled.Prepared.Explain()
 	if explain != nil {
@@ -556,28 +552,55 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 }
 
 // lookupPlan resolves a query to an executable plan through the plan
-// cache: a hit skips both the parse and the optimizer, a miss parses,
-// prepares against the current graph and caches the result.  Called
-// with the read lock held (the prepare pass reads index counts and the
-// epoch in the key must match the contents).  Parse failures are
-// returned as a message for a 400 and are never cached.
-func (s *server) lookupPlan(syntax, qText string) (cp *cachedPlan, hit bool, errMsg string) {
+// cache.  A cached plan last validated at the current graph epoch is a
+// hit at the cost of one atomic load.  After an insert it is validated
+// again: if every leaf count it was chosen on is still inside the
+// re-plan band (plan.Prepared.Drifted) the new epoch is recorded and
+// it is a hit; otherwise it is re-prepared from the cached parse and
+// replaces the entry (a refresh).  A query not in the cache is parsed,
+// prepared and cached (a miss).  Called with the read lock held: the
+// epoch cannot move under a reader, and preparation and validation
+// read index counts.  Parse failures are returned as a message for a
+// 400 and are never cached.
+func (s *server) lookupPlan(syntax, qText string) (*cachedPlan, cacheOutcome, string) {
 	var key string
+	epoch := s.graph.Epoch()
 	if s.plans != nil {
-		key = planKey(syntax, qText, s.graph.Epoch(), s.cfg.planner.CacheTag())
-		if cp, ok := s.plans.get(key); ok {
-			return cp, true, ""
+		key = planKey(syntax, qText, s.cfg.planner.CacheTag())
+		if cp := s.plans.get(key); cp != nil {
+			outcome := cacheHit
+			if cp.validated.Load() != epoch {
+				if cp.compiled.Prepared.Drifted(s.graph) {
+					cp = s.compile(cp.parsed, epoch)
+					s.plans.put(key, cp)
+					outcome = cacheRefresh
+				} else {
+					cp.validated.Store(epoch)
+				}
+			}
+			s.plans.record(outcome)
+			return cp, outcome, ""
 		}
 	}
+	s.plans.record(cacheMiss)
 	parsed, err := parser.ParseAny(syntax, qText)
 	if err != nil {
-		return nil, false, "parse error: " + err.Error()
+		return nil, cacheMiss, "parse error: " + err.Error()
 	}
-	cp = &cachedPlan{compiled: exec.CompileOpts(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner)}
-	if s.plans != nil {
-		s.plans.put(key, cp)
+	cp := s.compile(parsed, epoch)
+	s.plans.put(key, cp)
+	return cp, cacheMiss, ""
+}
+
+// compile prepares a parsed query against the current graph, validated
+// at epoch.  Called with the read lock held.
+func (s *server) compile(parsed parser.Parsed, epoch uint64) *cachedPlan {
+	cp := &cachedPlan{
+		parsed:   parsed,
+		compiled: exec.CompileOpts(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner),
 	}
-	return cp, false, ""
+	cp.validated.Store(epoch)
+	return cp
 }
 
 // logSlowQuery emits the structured slow-query line: the query text,

@@ -229,6 +229,7 @@ func TestMetricsPrometheusNegotiation(t *testing.T) {
 		"# TYPE ns_query_encode_duration_seconds histogram",
 		"ns_query_encode_duration_seconds_count 1",
 		"# TYPE ns_response_bytes_total counter",
+		"ns_plan_cache_refreshes_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

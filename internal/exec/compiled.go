@@ -52,11 +52,12 @@ type Answer struct {
 
 // Run executes c against g under the budget and planner options and
 // returns the answer without materialising it: ASK through the
-// early-terminating search, everything else through plan.Run.  g must
-// be the store c was prepared against (or one with identical contents
-// — the plan embeds index cardinalities, not data), and Rows may be
-// read only while g may be.  Servers hand the Answer to a
-// ResultWriter; EvalCompiled materialises it.
+// early-terminating search, everything else through plan.Run.  g may
+// hold other contents than the store c was prepared against — the plan
+// embeds index cardinalities, not data, so it answers correctly on any
+// contents (plan.Prepared.Drifted tells when it is no longer a cheap
+// plan) — and Rows may be read only while g may be.  Servers hand the
+// Answer to a ResultWriter; EvalCompiled materialises it.
 func Run(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Answer, error) {
 	if c.Ask {
 		ok, err := AskPreparedOpts(g, c.Prepared, b, o)

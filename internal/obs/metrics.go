@@ -292,11 +292,14 @@ type ClusterStats struct {
 }
 
 // PlanCacheStats is the /metrics view of nsserve's parse/plan cache.
+// Misses counts every lookup that prepared a plan; Refreshes counts
+// the subset that re-prepared a cached query whose statistics drifted.
 type PlanCacheStats struct {
 	Size      int64 `json:"size"`
 	Capacity  int64 `json:"capacity"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
+	Refreshes int64 `json:"refreshes"`
 	Evictions int64 `json:"evictions"`
 }
 

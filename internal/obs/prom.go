@@ -68,7 +68,7 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot) {
 		p.gauge("ns_store_overlay_adds", "Pending overlay additions.", float64(st.OverlayAdds))
 		p.gauge("ns_store_overlay_dels", "Pending overlay deletions.", float64(st.OverlayDels))
 		p.counter("ns_store_compactions_total", "Overlay compactions into the base arrays.", float64(st.Compactions))
-		p.gauge("ns_store_epoch", "Store mutation epoch (plan-cache key).", float64(st.Epoch))
+		p.gauge("ns_store_epoch", "Store mutation epoch (plan-cache validation trigger).", float64(st.Epoch))
 	}
 
 	if d := s.Durable; d != nil {
@@ -88,6 +88,7 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot) {
 		p.gauge("ns_plan_cache_capacity", "Plan cache capacity.", float64(pc.Capacity))
 		p.counter("ns_plan_cache_hits_total", "Plan cache hits.", float64(pc.Hits))
 		p.counter("ns_plan_cache_misses_total", "Plan cache misses.", float64(pc.Misses))
+		p.counter("ns_plan_cache_refreshes_total", "Plan cache misses that re-prepared a drifted plan.", float64(pc.Refreshes))
 		p.counter("ns_plan_cache_evictions_total", "Plan cache evictions.", float64(pc.Evictions))
 	}
 

@@ -25,10 +25,13 @@ import (
 	"repro/internal/sparql"
 )
 
-// estimator is a memoizing cardinality oracle for one (graph, epoch).
+// estimator is a memoizing cardinality oracle for one Prepare.
 // Triple-pattern counts come from the exact sorted indexes and are
 // memoized by pattern value; composite estimates are memoized by
-// pattern text.  The mutex makes it safe for the adaptive executor to
+// pattern text.  A plan served after the graph changed keeps this memo:
+// its estimates stay the counts it was prepared on (correct plans,
+// possibly not optimal ones) until Prepared.Drifted calls for a new
+// Prepare.  The mutex makes it safe for the adaptive executor to
 // re-plan concurrently running queries that share one cached plan.
 type estimator struct {
 	g rdf.Store
@@ -65,6 +68,32 @@ func (e *estimator) tripleCount(t sparql.TriplePattern) float64 {
 	}
 	e.probes++
 	e.mu.Unlock()
+	c := countLeaf(e.g, t)
+	e.mu.Lock()
+	e.triples[t] = c
+	e.mu.Unlock()
+	return c
+}
+
+// leafCount is one probed triple-pattern count.
+type leafCount struct {
+	t sparql.TriplePattern
+	n float64
+}
+
+// leafCounts snapshots the triple-pattern counts probed so far.
+func (e *estimator) leafCounts() []leafCount {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]leafCount, 0, len(e.triples))
+	for t, n := range e.triples {
+		out = append(out, leafCount{t: t, n: n})
+	}
+	return out
+}
+
+// countLeaf is one exact index count of a triple pattern.
+func countLeaf(g rdf.Store, t sparql.TriplePattern) float64 {
 	var s, p, o *rdf.IRI
 	if !t.S.IsVar() {
 		i := t.S.IRI()
@@ -78,11 +107,7 @@ func (e *estimator) tripleCount(t sparql.TriplePattern) float64 {
 		i := t.O.IRI()
 		o = &i
 	}
-	c := float64(e.g.CountMatch(s, p, o))
-	e.mu.Lock()
-	e.triples[t] = c
-	e.mu.Unlock()
-	return c
+	return float64(g.CountMatch(s, p, o))
 }
 
 // estimate mirrors the exported Estimate's structural formulas, with

@@ -2,7 +2,10 @@
 // plan and surfaced through nsserve's profile=1 responses and `nsq
 // -stats`.  Everything here is immutable after Prepare — runtime
 // counters (replans, merge runs) live in the obs profile instead, so
-// one cached plan can serve concurrent queries.
+// one cached plan can serve concurrent queries.  A plan served again
+// after the graph changed (see Prepared.Drifted) keeps its Explain:
+// the estimates are the prepare-time counts, while the profile's
+// observed cardinalities are those of the live graph.
 package plan
 
 import (

@@ -138,11 +138,17 @@ func EvalBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.Mappin
 // pattern, the planner's cardinality estimate for the serial/parallel
 // cutover, the recorded plan (Explain), the engine hints, and — for
 // AND chains — the flattened operand order plus prefix estimates the
-// adaptive executor checkpoints against.  Preparation reads the
-// graph's index counts (CountMatch), so a Prepared plan is only valid
-// for the graph contents it was built against — cache it keyed by the
-// graph's Epoch and the PlannerOptions.CacheTag, as nsserve's plan
-// cache does, and it never goes stale.
+// adaptive executor checkpoints against.
+//
+// A Prepared plan is correct on any graph contents: its rewrites are
+// equivalences, and the join order, join strategies and engine routing
+// it carries change only what evaluation costs, never what it returns
+// (⟦P⟧_G depends on P and G alone).  It is optimal only near the index
+// counts (CountMatch) it was prepared with.  Those leaf counts are kept
+// on the plan, and Drifted re-counts them: a cache keyed by query text
+// and PlannerOptions.CacheTag, as nsserve's is, re-prepares only when
+// Drifted says the statistics have really moved.  Explain's estimates
+// stay the prepare-time counts for as long as the plan is served.
 type Prepared struct {
 	pattern sparql.Pattern
 	est     float64
@@ -156,6 +162,9 @@ type Prepared struct {
 	// chain[:i+1].
 	chain     []sparql.Pattern
 	chainEsts []float64
+	// leaves are the exact leaf counts the estimator probed while
+	// preparing: the statistics the plan was chosen on.  Immutable.
+	leaves []leafCount
 }
 
 // Pattern returns the optimized pattern the plan will evaluate.
@@ -184,7 +193,24 @@ func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	}
 	pr.explain, pr.hints = buildExplain(pc.e, opt, po, pr.adaptiveArmed())
 	pr.est = pr.explain.Estimate
+	pr.leaves = pc.e.leafCounts()
 	return pr
+}
+
+// Drifted reports whether the plan's statistics have moved on g: it
+// counts every leaf the plan was prepared on again and reports whether
+// any count left the band [est/ReplanFactor, est·ReplanFactor] — the
+// predicate and factor the chain driver re-plans on mid-query.  Either
+// way the plan stays correct on g; a drifted one is only no longer
+// likely to be cheap.
+func (pr Prepared) Drifted(g rdf.Store) bool {
+	factor := pr.popts.replanFactor()
+	for _, l := range pr.leaves {
+		if drifted(countLeaf(g, l.t), l.n, factor) {
+			return true
+		}
+	}
+	return false
 }
 
 func identityOrder(n int) []int {

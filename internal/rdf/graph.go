@@ -136,8 +136,9 @@ func (g *Graph) Close() error { return nil }
 
 // Epoch returns the graph's mutation epoch: a counter bumped on every
 // successful Add or Remove.  Callers that cache anything derived from
-// graph statistics (nsserve's plan cache) key it by the epoch so a
-// mutation invalidates the cache.  Reading the epoch is atomic, but a
+// graph statistics (nsserve's plan cache) compare it with the epoch
+// they last checked the statistics at, to know when to check them
+// again.  Reading the epoch is atomic, but a
 // consistent (epoch, contents) pair still needs the caller's external
 // read lock.
 func (g *Graph) Epoch() uint64 { return g.epoch.Load() }

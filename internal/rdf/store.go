@@ -60,8 +60,8 @@ type Store interface {
 	// Len reports the number of triples in the store.
 	Len() int
 	// Epoch returns the mutation epoch: a counter bumped on every
-	// successful Add or Remove, used to key caches derived from the
-	// store's contents (nsserve's plan cache).
+	// successful Add or Remove, used to tell when caches derived from
+	// the store's contents need checking (nsserve's plan cache).
 	Epoch() uint64
 	// Stats returns a point-in-time snapshot of the index layout.
 	Stats() IndexStats
