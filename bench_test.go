@@ -289,13 +289,13 @@ func BenchmarkE20_PlannerAblation(b *testing.B) {
 		b.Run("planner-string/"+q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.EvalString(g, p)
+				sparql.EvalBudget(g, plan.Optimize(g, p), nil)
 			}
 		})
 		b.Run("planner-rows/"+q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(g, p)
+				plan.Run(g, plan.Prepare(g, p), nil, plan.Options{})
 			}
 		})
 	}
@@ -351,12 +351,12 @@ func BenchmarkE23_EarlyTermination(b *testing.B) {
 	})
 	b.Run("ask", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exec.Ask(g, p)
+			exec.Run(g, exec.Compile(g, p, nil, true), nil, plan.Options{})
 		}
 	})
 	b.Run("limit-10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exec.Limit(g, p, 10)
+			exec.Limit(g, p, 10, nil, plan.Options{})
 		}
 	})
 }

@@ -136,7 +136,7 @@ func init() {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(f.full, p)
+				evalPlanned(f.full, p, plan.Options{})
 			}
 		})
 
@@ -166,7 +166,7 @@ func init() {
 		for _, q := range e27Queries {
 			p := mustPattern(q.text)
 			tps := sparql.TriplePatterns(p)
-			want := plan.Eval(e27Fixtures[1]().full, p)
+			want := evalPlanned(e27Fixtures[1]().full, p, plan.Options{})
 			for _, n := range e27ShardCounts {
 				got := e27Answer(e27Fixtures[n](), p, tps)
 				check(got.Equal(want),

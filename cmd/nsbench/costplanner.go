@@ -64,11 +64,11 @@ func e28Eval(s *workload.Social, queries []sparql.Pattern, po plan.PlannerOption
 	rows := 0
 	for _, q := range queries {
 		pr := plan.PrepareOpts(s.G, q, po)
-		ms, err := plan.EvalPreparedOpts(s.G, pr, nil, plan.Options{Parallel: 1})
+		ans, err := plan.Run(s.G, pr, nil, plan.Options{Parallel: 1})
 		if err != nil {
 			panic(fmt.Sprintf("nsbench: E28 eval failed: %v", err))
 		}
-		rows += ms.Len()
+		rows += ans.MappingSet().Len()
 	}
 	return rows
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sparql"
 	"repro/internal/workload"
 )
@@ -28,8 +29,8 @@ func init() {
 			p := mustPattern(q.text)
 			var res *sparql.MappingSet
 			dFull := timeIt(func() { res = sparql.Eval(g, p) })
-			dAsk := timeIt(func() { exec.Ask(g, p) })
-			dLim := timeIt(func() { exec.Limit(g, p, 10) })
+			dAsk := timeIt(func() { exec.Run(g, exec.Compile(g, p, nil, true), nil, plan.Options{}) })
+			dLim := timeIt(func() { exec.Limit(g, p, 10, nil, plan.Options{}) })
 			fmt.Printf("  %-10s | %7d | %9s | %9s | %9s\n",
 				q.name, res.Len(), dFull.Round(time.Microsecond),
 				dAsk.Round(time.Microsecond), dLim.Round(time.Microsecond))

@@ -66,6 +66,17 @@ func registerBenchStats(experiment, name string, params map[string]interface{}, 
 	jsonBenches = append(jsonBenches, jsonBench{experiment: experiment, name: name, params: params, stats: stats, fn: fn})
 }
 
+// evalPlanned runs p the way the servers do — plan.Prepare, then
+// plan.Run — and materialises the answer; a failure is a bug in the
+// experiment.
+func evalPlanned(g rdf.Store, p sparql.Pattern, o plan.Options) *sparql.MappingSet {
+	rows, err := plan.Run(g, plan.Prepare(g, p), nil, o)
+	if err != nil {
+		panic(fmt.Sprintf("nsbench: evaluating %s: %v", p, err))
+	}
+	return rows.MappingSet()
+}
+
 // planStats evaluates p once under a profile and folds the tree into
 // profStats: rows_scanned is the total operator output excluding the
 // root (which double-counts the final result set).
@@ -73,9 +84,7 @@ func planStats(g *rdf.Graph, p sparql.Pattern, o plan.Options) func() profStats 
 	return func() profStats {
 		prof := obs.NewNode("query", "")
 		o.Prof = prof
-		if _, err := plan.EvalOpts(g, p, nil, o); err != nil {
-			panic(fmt.Sprintf("nsbench: profiled run failed: %v", err))
-		}
+		evalPlanned(g, p, o)
 		snap := prof.Snapshot()
 		return profStats{
 			NSCandidates: snap.Sum(func(n *obs.Profile) int64 { return n.NSCandidates }),
@@ -216,21 +225,19 @@ func init() {
 		registerBench("E20", "planner-string", params, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.EvalString(g, p)
+				sparql.EvalBudget(g, plan.Optimize(g, p), nil)
 			}
 		})
 		registerBenchStats("E20", "planner-rows", params, planStats(g, p, plan.Options{}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan.Eval(g, p)
+				evalPlanned(g, p, plan.Options{})
 			}
 		})
 		registerBenchStats("E20", "planner-rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, parOpts); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(g, p, parOpts)
 			}
 		})
 	}
@@ -278,18 +285,14 @@ func init() {
 		registerBench("E24", "profile-off", params, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1}); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(g, p, plan.Options{Parallel: 1})
 			}
 		})
 		registerBenchStats("E24", "profile-on", params, planStats(g, p, plan.Options{Parallel: 1}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				prof := obs.NewNode("query", "")
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1, Prof: prof}); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(g, p, plan.Options{Parallel: 1, Prof: prof})
 			}
 		})
 	}
@@ -300,17 +303,13 @@ func init() {
 		registerBenchStats("E21", "rows-serial", params, planStats(g, p, plan.Options{Parallel: 1}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1}); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(g, p, plan.Options{Parallel: 1})
 			}
 		})
 		registerBenchStats("E21", "rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := plan.EvalOpts(g, p, nil, parOpts); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(g, p, parOpts)
 			}
 		})
 	}

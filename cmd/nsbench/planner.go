@@ -32,7 +32,7 @@ func init() {
 				p := mustPattern(q.text)
 				var ref, opt *sparql.MappingSet
 				dRef := timeIt(func() { ref = sparql.Eval(g, p) })
-				dOpt := timeIt(func() { opt = plan.Eval(g, p) })
+				dOpt := timeIt(func() { opt = evalPlanned(g, p, plan.Options{}) })
 				fmt.Printf("  %-14s | %6d | %7d | %9s | %7s | %v\n",
 					q.name, size, ref.Len(),
 					dRef.Round(time.Microsecond), dOpt.Round(time.Microsecond), ref.Equal(opt))

@@ -60,11 +60,11 @@ func e30Eval(s *workload.Social, queries []sparql.Pattern, cfg e30Config) int {
 	rows := 0
 	for _, q := range queries {
 		pr := plan.PrepareOpts(s.G, q, cfg.po)
-		ms, err := plan.EvalPreparedOpts(s.G, pr, nil, cfg.eo)
+		ans, err := plan.Run(s.G, pr, nil, cfg.eo)
 		if err != nil {
 			panic(fmt.Sprintf("nsbench: E30 eval failed: %v", err))
 		}
-		rows += ms.Len()
+		rows += ans.MappingSet().Len()
 	}
 	return rows
 }

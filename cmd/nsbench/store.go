@@ -232,9 +232,7 @@ func init() {
 		withMerge(true, func() {
 			b.ReportAllocs()
 			for j := 0; j < b.N; j++ {
-				if _, err := plan.EvalOpts(fx.g, joinPattern, nil, serial); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(fx.g, joinPattern, serial)
 			}
 		})
 	})
@@ -244,9 +242,7 @@ func init() {
 		withMerge(false, func() {
 			b.ReportAllocs()
 			for j := 0; j < b.N; j++ {
-				if _, err := plan.EvalOpts(fx.g, joinPattern, nil, serial); err != nil {
-					b.Fatal(err)
-				}
+				evalPlanned(fx.g, joinPattern, serial)
 			}
 		})
 	})
@@ -260,8 +256,8 @@ func init() {
 			check(got == want, fmt.Sprintf("%s: sorted index and nested maps agree on %d triples", sc.name, got))
 		}
 		var merged, hashed *sparql.MappingSet
-		withMerge(true, func() { merged = sparql.EvalRowEngine(fx.g, joinPattern) })
-		withMerge(false, func() { hashed = sparql.EvalRowEngine(fx.g, joinPattern) })
+		withMerge(true, func() { merged = evalPlanned(fx.g, joinPattern, serial) })
+		withMerge(false, func() { hashed = evalPlanned(fx.g, joinPattern, serial) })
 		check(merged.Equal(hashed), fmt.Sprintf("star join: merge scan and hash join agree on %d rows", merged.Len()))
 		fx.g.Compact() // fold the residual overlay below the auto threshold
 		st := fx.g.Stats()

@@ -50,10 +50,7 @@ func e29Query(g *rdf.Graph, p sparql.Pattern, tracer *obs.Tracer) int {
 	span := tracer.StartTrace("query", "")
 	prof := obs.NewNode("query", "")
 	esp := span.StartChild("exec", "")
-	ms, err := plan.EvalOpts(g, p, nil, plan.Options{Parallel: 1, Prof: prof, Trace: esp})
-	if err != nil {
-		panic(fmt.Sprintf("nsbench: E29 eval failed: %v", err))
-	}
+	ms := evalPlanned(g, p, plan.Options{Parallel: 1, Prof: prof, Trace: esp})
 	esp.End()
 	esp.AttachProfile(prof.Snapshot())
 	span.End()

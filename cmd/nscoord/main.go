@@ -37,6 +37,11 @@
 //	     patterns/triples/dict/bytes) merged with the span segments fetched
 //	     from every shard's /debug/traces for that trace ID.
 //
+// Each query's gathered subgraph is planned fresh by the cost-based DP
+// planner and run the way nsserve runs its queries (adaptive AND chains
+// staged across the worker pool).  The planner ablations are nsbench
+// experiments (E28, E30), not coordinator settings.
+//
 // # Tracing
 //
 // Every request starts a trace whose ID rides to the shards in the
@@ -119,12 +124,6 @@ func main() {
 			"how long to drain in-flight requests on SIGINT/SIGTERM")
 		logLevel = flag.String("log-level", "info",
 			"structured-log threshold: debug, info, warn or error")
-		plannerName = flag.String("planner", "dp",
-			"query planner for the gathered subgraph: dp or greedy")
-		noReplan = flag.Bool("no-replan", false,
-			"disable adaptive mid-query re-optimization (dp planner only)")
-		noStaged = flag.Bool("no-staged", false,
-			"force the static parallel tree instead of morsel-style staged fan-out on adaptive chains (ablation)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log a structured slow-query line (and always keep the trace) for queries at least this slow (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0.1,
@@ -174,16 +173,6 @@ func main() {
 		traceSample:  *traceSample,
 		traceBuffer:  *traceBuffer,
 	}
-	switch *plannerName {
-	case "dp":
-	case "greedy":
-		cfg.planner.Greedy = true
-	default:
-		fmt.Fprintf(os.Stderr, "nscoord: bad -planner %q (want dp or greedy)\n", *plannerName)
-		os.Exit(1)
-	}
-	cfg.planner.NoReplan = *noReplan
-	cfg.noStaged = *noStaged
 	s := newCoordServer(coord, cfg)
 	srv := &http.Server{
 		Addr:              *addr,

@@ -9,10 +9,13 @@
 //	echo 'a b c .' | nsq -query '(?x b ?y)'
 //	nsq -server http://localhost:8080 -trace 4be1c2d9e0f1a2b3
 //
-// With -stats, the per-operator execution profile (wall time, rows
-// in/out, dedup hits, NS candidates vs survivors, budget steps) is
-// printed to stderr after the results; -stats always evaluates through
-// the query planner.
+// Queries run the way the servers run them: exec.Compile plans, and
+// exec.EvalCompiled evaluates and materialises the answer.  With
+// -stats, the recorded plan and the per-operator execution profile
+// (wall time, rows in/out, dedup hits, NS candidates vs survivors,
+// budget steps) are printed to stderr around the results.
+// -optimize=false evaluates SELECT and CONSTRUCT with the reference
+// evaluator instead (ASK and -stats always go through the planner).
 //
 // With -trace <id>, nsq fetches that trace from a server's
 // /debug/traces endpoint (-server, default http://localhost:8080) and
@@ -153,96 +156,61 @@ func run(o runOpts) error {
 		return fmt.Errorf("reading graph: %w", err)
 	}
 
-	var prof *obs.Node
-	if o.stats {
-		prof = obs.NewNode("query", "")
-	}
-	popts := plan.Options{Prof: prof}
-	bud := sparql.NewBudget(context.Background())
-
-	var q parser.Query
+	syntax := "paper"
 	if o.w3c {
-		sq, err := parser.ParseSPARQL(queryText)
-		if err != nil {
-			return fmt.Errorf("parsing query: %w", err)
-		}
-		if sq.Ask {
-			if o.stats {
-				pr := plan.Prepare(g, sq.Pattern)
-				printPlan(pr)
-				ok, err := exec.AskPreparedOpts(g, pr, bud, popts)
-				if err != nil {
-					return err
-				}
-				fmt.Println(ok)
-				printStats(prof)
-				return nil
-			}
-			fmt.Println(exec.Ask(g, sq.Pattern))
-			return nil
-		}
-		q = parser.Query{Pattern: sq.Pattern, Construct: sq.Construct}
-	} else {
-		var err error
-		q, err = parser.ParseQuery(queryText)
-		if err != nil {
-			return fmt.Errorf("parsing query: %w", err)
-		}
+		syntax = "sparql"
 	}
-
-	evalPattern := sparql.Eval
-	evalConstruct := sparql.EvalConstruct
-	if o.optimize {
-		evalPattern = plan.Eval
-		evalConstruct = plan.EvalConstruct
+	q, err := parser.ParseAny(syntax, queryText)
+	if err != nil {
+		return fmt.Errorf("parsing query: %w", err)
 	}
-	switch {
-	case q.Construct != nil:
+	if q.Construct != nil {
 		if o.maxOnly {
 			q.Construct.Where = sparql.NS{P: q.Construct.Where}
 		}
+		q.Pattern = q.Construct.Where
 		if o.showPlan {
 			fmt.Println("#", q.Construct)
 		}
-		var out rdf.Store
-		if o.stats {
-			pr := plan.Prepare(g, q.Construct.Where)
-			printPlan(pr)
-			out, err = plan.EvalConstructPreparedOpts(g, pr, q.Construct.Template, bud, popts)
-			if err != nil {
-				return err
-			}
-		} else {
-			out = evalConstruct(g, *q.Construct)
-		}
-		fmt.Print(out)
-		if o.stats {
-			printStats(prof)
-		}
-	default:
-		p := q.Pattern
+	} else {
 		if o.maxOnly {
-			p = sparql.NS{P: p}
+			q.Pattern = sparql.NS{P: q.Pattern}
 		}
-		if o.showPlan {
-			fmt.Println("#", plan.Optimize(g, p))
+		if o.showPlan && !q.Ask {
+			fmt.Println("#", plan.Optimize(g, q.Pattern))
 		}
-		var res *sparql.MappingSet
+	}
+
+	var prof *obs.Node // nil unless -stats
+	if o.stats {
+		prof = obs.NewNode("query", "")
+	}
+	var res exec.Result
+	if o.optimize || o.stats || q.Ask {
+		c := exec.Compile(g, q.Pattern, q.Construct, q.Ask)
 		if o.stats {
-			pr := plan.Prepare(g, p)
-			printPlan(pr)
-			res, err = plan.EvalPreparedOpts(g, pr, bud, popts)
-			if err != nil {
-				return err
-			}
-		} else {
-			res = evalPattern(g, p)
+			printPlan(c.Prepared)
 		}
-		fmt.Print(res.Table())
-		fmt.Printf("(%d solution%s)\n", res.Len(), plural(res.Len()))
-		if o.stats {
-			printStats(prof)
+		res, err = exec.EvalCompiled(g, c, sparql.NewBudget(context.Background()), plan.Options{Prof: prof})
+		if err != nil {
+			return err
 		}
+	} else if q.Construct != nil {
+		res.Graph = sparql.EvalConstruct(g, *q.Construct)
+	} else {
+		res.Rows = sparql.Eval(g, q.Pattern)
+	}
+	switch {
+	case res.Bool != nil:
+		fmt.Println(*res.Bool)
+	case res.Graph != nil:
+		fmt.Print(res.Graph)
+	default:
+		fmt.Print(res.Rows.Table())
+		fmt.Printf("(%d solution%s)\n", res.Rows.Len(), plural(res.Rows.Len()))
+	}
+	if prof != nil {
+		printStats(prof)
 	}
 	return nil
 }

@@ -96,13 +96,15 @@
 //   - -parallel sets the per-query worker count of the parallel row
 //     engine (0 = GOMAXPROCS, 1 = serial).  All workers of one query
 //     share its governor, so the limits above bound the query as a
-//     whole regardless of the worker count.  Adaptive-armed AND
-//     chains run morsel-style on the pool (staged fan-out with drift
-//     checkpoints and mid-query re-planning); -no-staged forces the
-//     static parallel tree instead (ablation).
+//     whole regardless of the worker count.  Queries are planned by
+//     the cost-based DP planner; adaptive-armed AND chains run
+//     morsel-style on the pool (staged fan-out with drift checkpoints
+//     and mid-query re-planning).  The planner ablations (greedy
+//     ordering, no re-planning, the static parallel tree) are nsbench
+//     experiments (E28, E30), not server settings.
 //   - -plan-cache bounds the LRU parse/plan cache (entries; 0
-//     disables).  Entries are keyed by (syntax, query text, planner
-//     options) and survive inserts: a plan is correct on any graph
+//     disables).  Entries are keyed by (syntax, query text) and
+//     survive inserts: a plan is correct on any graph
 //     contents, and the first read after an insert re-plans it only
 //     when one of the index counts it was chosen on left the re-plan
 //     band.
@@ -191,12 +193,6 @@ func main() {
 			"expose Go profiling under /debug/pprof (off by default: it leaks process internals)")
 		shardSpec = flag.String("shard", "",
 			`cluster mode: serve hash-by-subject partition i of N, given as "i/N" (e.g. "0/4")`)
-		plannerName = flag.String("planner", "dp",
-			"query planner: dp (cost-based DP join ordering) or greedy (v1 heuristic baseline)")
-		noReplan = flag.Bool("no-replan", false,
-			"disable adaptive mid-query re-optimization (dp planner only)")
-		noStaged = flag.Bool("no-staged", false,
-			"force the static parallel tree instead of morsel-style staged fan-out on adaptive chains (ablation)")
 		slowQuery = flag.Duration("slow-query", 0,
 			"log a structured slow-query line (query, trace ID, plan, hottest operators) for /query requests at least this slow (0 = off)")
 		traceSample = flag.Float64("trace-sample", 0.1,
@@ -266,16 +262,6 @@ func main() {
 	cfg.slowQuery = *slowQuery
 	cfg.traceSample = *traceSample
 	cfg.traceBuffer = *traceBuffer
-	switch *plannerName {
-	case "dp":
-	case "greedy":
-		cfg.planner.Greedy = true
-	default:
-		fmt.Fprintf(os.Stderr, "nsserve: bad -planner %q (want dp or greedy)\n", *plannerName)
-		os.Exit(1)
-	}
-	cfg.planner.NoReplan = *noReplan
-	cfg.noStaged = *noStaged
 	if *shardSpec != "" {
 		idx, n, err := parseShardSpec(*shardSpec)
 		if err != nil {

@@ -80,28 +80,6 @@ func TestQueryProfilePlanBlock(t *testing.T) {
 	}
 }
 
-// TestQueryProfilePlanGreedy: a server started with -planner greedy
-// reports the v1 baseline in its plan block.
-func TestQueryProfilePlanGreedy(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.planner.Greedy = true
-	ts := plannerTestServer(t, cfg)
-	q := url.QueryEscape("(?x knows ?y) AND (?y worksAt ?w)")
-	_, body := get(t, ts, "/query?syntax=paper&profile=1&q="+q)
-	var doc struct {
-		Plan *struct {
-			Planner  string `json:"planner"`
-			Adaptive bool   `json:"adaptive"`
-		} `json:"plan"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, body)
-	}
-	if doc.Plan == nil || doc.Plan.Planner != "greedy" || doc.Plan.Adaptive {
-		t.Fatalf("plan = %+v, want planner=greedy adaptive=false", doc.Plan)
-	}
-}
-
 // TestMetricsPlannerReplans: /metrics always carries the
 // planner_replans counter (zero included, so dashboards can rate() it
 // from the first scrape).

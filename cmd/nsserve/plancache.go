@@ -33,7 +33,7 @@ const (
 )
 
 // planCache is a bounded LRU of cachedPlans keyed by (syntax, query
-// text, planner tag).  The graph epoch is not part of the key: a plan
+// text).  The graph epoch is not part of the key: a plan
 // answers correctly on any graph contents, and what an insert can make
 // stale is only the statistics it was chosen on.  lookupPlan re-checks
 // those when the epoch has moved since the plan was last validated
@@ -73,13 +73,11 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// planKey builds the cache key.  plannerTag (plan.PlannerOptions.
-// CacheTag) makes plans prepared under different planner
-// configurations — version, greedy vs DP, re-plan settings — distinct
-// entries, so a planner upgrade or flag flip can never serve a stale
-// plan shape.
-func planKey(syntax, qText, plannerTag string) string {
-	return syntax + "\x00" + qText + "\x00" + plannerTag
+// planKey builds the cache key.  Every plan comes from the one
+// planner configuration a process runs, so the text and its syntax
+// determine the plan shape.
+func planKey(syntax, qText string) string {
+	return syntax + "\x00" + qText
 }
 
 // get returns the plan cached under key (nil if none), marking it most

@@ -61,17 +61,6 @@ type config struct {
 	// on small graphs.
 	minParallelEstimate float64
 	minPartition        int
-
-	// planner selects the planning algorithm (-planner, -no-replan);
-	// the zero value is the cost-based DP planner with adaptive
-	// re-optimization.  Part of every plan-cache key via CacheTag.
-	planner plan.PlannerOptions
-
-	// noStaged (-no-staged) forces the static parallel tree on
-	// adaptive-armed chains instead of morsel-style staged fan-out —
-	// an engine option, not a planner option, so it is not part of
-	// the plan-cache key (the Prepared plan is identical either way).
-	noStaged bool
 }
 
 func defaultConfig() config {
@@ -493,7 +482,6 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 		Parallel:            s.cfg.parallel,
 		MinParallelEstimate: s.cfg.minParallelEstimate,
 		MinPartition:        s.cfg.minPartition,
-		NoStaged:            s.cfg.noStaged,
 		Prof:                prof,
 		Trace:               esp,
 	})
@@ -566,7 +554,7 @@ func (s *server) lookupPlan(syntax, qText string) (*cachedPlan, cacheOutcome, st
 	var key string
 	epoch := s.graph.Epoch()
 	if s.plans != nil {
-		key = planKey(syntax, qText, s.cfg.planner.CacheTag())
+		key = planKey(syntax, qText)
 		if cp := s.plans.get(key); cp != nil {
 			outcome := cacheHit
 			if cp.validated.Load() != epoch {
@@ -597,7 +585,7 @@ func (s *server) lookupPlan(syntax, qText string) (*cachedPlan, cacheOutcome, st
 func (s *server) compile(parsed parser.Parsed, epoch uint64) *cachedPlan {
 	cp := &cachedPlan{
 		parsed:   parsed,
-		compiled: exec.CompileOpts(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask, s.cfg.planner),
+		compiled: exec.Compile(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask),
 	}
 	cp.validated.Store(epoch)
 	return cp

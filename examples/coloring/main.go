@@ -7,9 +7,11 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sat"
 	"repro/internal/sparql"
@@ -52,12 +54,19 @@ func main() {
 
 	// 2 colors: the query has no answer (χ = 3).
 	g2, q2 := coloringQuery(h, 2)
-	fmt.Printf("2-colorable (via ASK)? %v\n", exec.Ask(g2, q2))
+	ask, err := exec.Run(g2, exec.Compile(g2, q2, nil, true), nil, plan.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("2-colorable (via ASK)? %v\n", *ask.Bool)
 
 	// 3 colors: find one coloring fast, then count them all.
 	g3, q3 := coloringQuery(h, 3)
 	start := time.Now()
-	first := exec.Limit(g3, q3, 1)
+	first, err := exec.Limit(g3, q3, 1, nil, plan.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("3-colorable? %v  (first coloring in %s)\n", first.Len() == 1, time.Since(start).Round(time.Microsecond))
 	for _, mu := range first.Mappings() {
 		fmt.Printf("  witness: %s\n", mu)

@@ -29,16 +29,10 @@ type Compiled struct {
 
 // Compile prepares pattern against g and tags the result with the
 // query kind.  construct may be nil and ask false for plain SELECT /
-// pattern queries.
+// pattern queries.  The plan uses the default planner options; an
+// ablation builds the Compiled from plan.PrepareOpts itself.
 func Compile(g rdf.Store, pattern sparql.Pattern, construct *sparql.ConstructQuery, ask bool) Compiled {
-	return CompileOpts(g, pattern, construct, ask, plan.PlannerOptions{})
-}
-
-// CompileOpts is Compile with explicit planner options; servers expose
-// these as flags (nsserve -planner) and must key their plan caches by
-// po.CacheTag().
-func CompileOpts(g rdf.Store, pattern sparql.Pattern, construct *sparql.ConstructQuery, ask bool, po plan.PlannerOptions) Compiled {
-	return Compiled{Prepared: plan.PrepareOpts(g, pattern, po), Construct: construct, Ask: ask}
+	return Compiled{Prepared: plan.Prepare(g, pattern), Construct: construct, Ask: ask}
 }
 
 // Answer is the outcome of Run in ID form.  Bool is set for ASK;
@@ -60,7 +54,7 @@ type Answer struct {
 // Answer to a ResultWriter; EvalCompiled materialises it.
 func Run(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Answer, error) {
 	if c.Ask {
-		ok, err := AskPreparedOpts(g, c.Prepared, b, o)
+		ok, err := askPrepared(g, c.Prepared, b, o)
 		if err != nil {
 			return Answer{}, err
 		}
@@ -90,7 +84,7 @@ type Result struct {
 
 // EvalCompiled is Run followed by materialisation into the string
 // facade: a MappingSet for SELECT, an rdf.Graph for CONSTRUCT (one
-// budget step per row, as plan.EvalConstructPreparedOpts charges).
+// budget step per row).
 func EvalCompiled(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Result, error) {
 	a, err := Run(g, c, b, o)
 	switch {

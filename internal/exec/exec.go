@@ -1,7 +1,12 @@
-// Package exec is a backtracking executor for NS-SPARQL with early
-// termination: Ask decides whether a pattern has any solution and
-// Limit returns the first k solutions, both without materializing the
-// full answer set when they can avoid it.
+// Package exec runs queries: Compile plans a SELECT, ASK or CONSTRUCT
+// query and Run executes it (EvalCompiled materialises the answer), the
+// one path both servers and nsq take.  Alongside it sits a backtracking
+// executor with early termination: ASK (Run on a Compiled with Ask
+// set) decides whether a pattern has any solution, Limit returns the
+// first k solutions and ConstructContains decides one CONSTRUCT output
+// triple, all without materializing the full answer set when they can
+// avoid it.  Every entry point plans once (plan.Prepare) and falls back
+// to plan.Run whenever it must materialize.
 //
 // The search runs on the ID-native row runtime (sparql.Searcher): the
 // pattern is optimized once up front, then evaluated depth-first over
@@ -15,14 +20,12 @@
 // classic certificate search that witnesses the NP membership of
 // Eval(SPARQL[AUFS]) (Section 7).  The non-monotone operators OPT and
 // NS need the complete sub-answer sets to decide what survives, so
-// sub-patterns under them fall back to the reference evaluator; Ask
+// sub-patterns under them fall back to the reference evaluator; ASK
 // and Limit still terminate early at the outer level.  Patterns wider
-// than sparql.MaxSchemaVars fall back to materializing the reference
-// answer set.
+// than sparql.MaxSchemaVars are materialized through plan.Run.
 package exec
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/obs"
@@ -35,8 +38,8 @@ import (
 // completion callback recording wall time, budget deltas and rows out.
 // The backtracking searcher interleaves all operators in one depth-first
 // walk, so exec profiles it as a single node instead of an operator
-// tree; materializing fallbacks go through plan.EvalOpts, which builds
-// the full tree.  A nil prof costs one nil check.
+// tree; materializing fallbacks go through plan.Run, which builds the
+// full tree.  A nil prof costs one nil check.
 func instrumentSearch(prof *obs.Node, b *sparql.Budget, detail string) func(rows int64) {
 	if prof == nil {
 		return func(int64) {}
@@ -52,39 +55,13 @@ func instrumentSearch(prof *obs.Node, b *sparql.Budget, detail string) func(rows
 	}
 }
 
-// Ask reports whether ⟦P⟧_G is non-empty, stopping at the first
-// solution found.  Ungoverned legacy entry point; servers should use
-// AskCtx or AskBudget.
-func Ask(g rdf.Store, p sparql.Pattern) bool {
-	found, _ := AskBudget(g, p, nil)
-	return found
-}
-
-// AskCtx is Ask bounded by a context.
-func AskCtx(ctx context.Context, g rdf.Store, p sparql.Pattern) (bool, error) {
-	return AskBudget(g, p, sparql.NewBudget(ctx))
-}
-
-// AskBudget is Ask under a resource governor: the backtracking search
-// charges the budget per index probe and aborts with the budget's
-// typed error the moment the governor trips.
-func AskBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (bool, error) {
-	return AskOpts(g, p, b, plan.Options{})
-}
-
-// AskOpts is AskBudget with planner options.  Monotone patterns keep
-// the early-terminating backtracking search; patterns that force full
-// materialization anyway — a non-monotone (OPT/NS) root, or a schema
-// wider than the row runtime — are routed through the planner's
-// (possibly parallel) row evaluator instead of the serial reference
-// evaluator.
-func AskOpts(g rdf.Store, p sparql.Pattern, b *sparql.Budget, o plan.Options) (bool, error) {
-	return AskPreparedOpts(g, plan.Prepare(g, p), b, o)
-}
-
-// AskPreparedOpts is AskOpts on an already-prepared plan, so servers
-// can run ASK through their plan cache without re-optimizing.
-func AskPreparedOpts(g rdf.Store, pr plan.Prepared, b *sparql.Budget, o plan.Options) (bool, error) {
+// askPrepared reports whether ⟦P⟧_G is non-empty for a prepared plan,
+// stopping at the first solution found: Run's ASK path.  Monotone
+// patterns keep the early-terminating backtracking search, charging the
+// budget per index probe; patterns that force full materialization
+// anyway — a non-monotone (OPT/NS) root, or a schema wider than the row
+// runtime — go through plan.Run's (possibly parallel) row evaluator.
+func askPrepared(g rdf.Store, pr plan.Prepared, b *sparql.Budget, o plan.Options) (bool, error) {
 	opt := pr.Pattern()
 	sc, ok := sparql.SchemaFor(opt)
 	if !ok || materializes(opt) {
@@ -125,43 +102,27 @@ func materializes(p sparql.Pattern) bool {
 }
 
 // Limit returns up to k distinct solutions of ⟦P⟧_G (all of them for
-// k < 0), stopping the search as soon as k are found.  Ungoverned
-// legacy entry point; servers should use LimitCtx or LimitBudget.
-func Limit(g rdf.Store, p sparql.Pattern, k int) *sparql.MappingSet {
-	out, err := LimitBudget(g, p, k, nil)
-	if err != nil {
-		return sparql.NewMappingSet()
-	}
-	return out
-}
-
-// LimitCtx is Limit bounded by a context.
-func LimitCtx(ctx context.Context, g rdf.Store, p sparql.Pattern, k int) (*sparql.MappingSet, error) {
-	return LimitBudget(g, p, k, sparql.NewBudget(ctx))
-}
-
-// LimitBudget is Limit under a resource governor.  Each returned
-// solution also charges the budget's row limit, so MaxRows bounds the
-// result set even for k < 0.
-func LimitBudget(g rdf.Store, p sparql.Pattern, k int, b *sparql.Budget) (*sparql.MappingSet, error) {
-	return LimitOpts(g, p, k, b, plan.Options{})
-}
-
-// LimitOpts is LimitBudget with planner options; like AskOpts it sends
-// the materializing cases through the planner's row evaluator.
-func LimitOpts(g rdf.Store, p sparql.Pattern, k int, b *sparql.Budget, o plan.Options) (*sparql.MappingSet, error) {
+// k < 0), stopping the search as soon as k are found.  p is planned
+// once: monotone patterns run the backtracking search over the plan's
+// pattern, and the materializing cases (an OPT/NS root, a schema wider
+// than the row runtime) run the plan itself through plan.Run.  The
+// search charges b per index probe and each returned solution charges
+// its row limit, so MaxRows bounds the result set even for k < 0; a nil
+// b disables accounting.
+func Limit(g rdf.Store, p sparql.Pattern, k int, b *sparql.Budget, o plan.Options) (*sparql.MappingSet, error) {
 	out := sparql.NewMappingSet()
 	if k == 0 {
 		return out, nil
 	}
-	opt := plan.Optimize(g, p)
+	pr := plan.Prepare(g, p)
+	opt := pr.Pattern()
 	sc, ok := sparql.SchemaFor(opt)
 	if !ok || materializes(opt) {
-		ms, err := plan.EvalOpts(g, p, b, o)
+		rows, err := plan.Run(g, pr, b, o)
 		if err != nil {
 			return nil, err
 		}
-		for _, mu := range ms.Mappings() {
+		for _, mu := range rows.MappingSet().Mappings() {
 			out.Add(mu)
 			if k >= 0 && out.Len() >= k {
 				break
@@ -196,45 +157,34 @@ func LimitOpts(g rdf.Store, p sparql.Pattern, k int, b *sparql.Budget, o plan.Op
 
 // ConstructContains decides t ∈ ans(Q, G) with early termination: the
 // target triple is unified with each template triple, the resulting
-// binding seeds the backtracking search, and the first witness stops
-// it.  This is the decision problem of Section 7.3.  Ungoverned legacy
-// entry point; servers should use ConstructContainsCtx or
-// ConstructContainsBudget.
-func ConstructContains(g rdf.Store, q sparql.ConstructQuery, target rdf.Triple) bool {
-	found, _ := ConstructContainsBudget(g, q, target, nil)
-	return found
-}
-
-// ConstructContainsCtx is ConstructContains bounded by a context.
-func ConstructContainsCtx(ctx context.Context, g rdf.Store, q sparql.ConstructQuery, target rdf.Triple) (bool, error) {
-	return ConstructContainsBudget(g, q, target, sparql.NewBudget(ctx))
-}
-
-// ConstructContainsBudget is ConstructContains under a resource
-// governor.
-func ConstructContainsBudget(g rdf.Store, q sparql.ConstructQuery, target rdf.Triple, b *sparql.Budget) (bool, error) {
-	return ConstructContainsOpts(g, q, target, b, plan.Options{})
-}
-
-// ConstructContainsOpts is ConstructContainsBudget with planner
-// options for the materializing fallback.  The seeded searches keep
-// the serial early-terminating path: the seed row usually prunes the
-// search long before materialization would pay off.
-func ConstructContainsOpts(g rdf.Store, q sparql.ConstructQuery, target rdf.Triple, b *sparql.Budget, o plan.Options) (bool, error) {
-	opt := plan.Optimize(g, q.Where)
+// binding seeds the backtracking search over the planned WHERE pattern,
+// and the first witness stops it.  This is the decision problem of
+// Section 7.3.  The seeded searches stay serial — the seed row usually
+// prunes the search long before materialization would pay off — and
+// only a WHERE pattern wider than the row runtime is materialized, once,
+// through plan.Run under o.  A nil b disables accounting.
+func ConstructContains(g rdf.Store, q sparql.ConstructQuery, target rdf.Triple, b *sparql.Budget, o plan.Options) (bool, error) {
+	pr := plan.Prepare(g, q.Where)
+	opt := pr.Pattern()
 	sc, scOK := sparql.SchemaFor(opt)
+	var wide *sparql.MappingSet // the materialized answer, when !scOK
 	for _, tp := range q.Template {
 		seed, ok := unifyTemplate(tp, target)
 		if !ok {
 			continue
 		}
 		if !scOK {
-			hit, err := containsMaterialized(g, q.Where, tp, target, b, o)
-			if err != nil {
-				return false, err
+			if wide == nil {
+				rows, err := plan.Run(g, pr, b, o)
+				if err != nil {
+					return false, err
+				}
+				wide = rows.MappingSet()
 			}
-			if hit {
-				return true, nil
+			for _, mu := range wide.Mappings() {
+				if produced, ok := mu.Apply(tp); ok && produced == target {
+					return true, nil
+				}
 			}
 			continue
 		}
@@ -271,21 +221,6 @@ func ConstructContainsOpts(g rdf.Store, q sparql.ConstructQuery, target rdf.Trip
 			return true, nil
 		}
 		done(0)
-	}
-	return false, nil
-}
-
-// containsMaterialized is the wide-schema fallback: materialize the
-// answers and apply the template.
-func containsMaterialized(g rdf.Store, where sparql.Pattern, tp sparql.TriplePattern, target rdf.Triple, b *sparql.Budget, o plan.Options) (bool, error) {
-	ms, err := plan.EvalOpts(g, where, b, o)
-	if err != nil {
-		return false, err
-	}
-	for _, mu := range ms.Mappings() {
-		if produced, ok := mu.Apply(tp); ok && produced == target {
-			return true, nil
-		}
 	}
 	return false, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/workload"
@@ -20,14 +21,14 @@ func TestAskCtxCanceled(t *testing.T) {
 	p := sparql.TP(sparql.V("X"), sparql.V("P"), sparql.V("Y"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AskCtx(ctx, g, p)
+	_, err := ask(g, p, sparql.NewBudget(ctx))
 	if !errors.Is(err, sparql.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled/context.Canceled", err)
 	}
 	// A live context gives the real answer.
-	ok, err := AskCtx(context.Background(), g, p)
+	ok, err := ask(g, p, sparql.NewBudget(context.Background()))
 	if err != nil || !ok {
-		t.Fatalf("live AskCtx = %v, %v", ok, err)
+		t.Fatalf("live ASK = %v, %v", ok, err)
 	}
 }
 
@@ -42,19 +43,19 @@ func TestLimitBudgetMaxRows(t *testing.T) {
 
 	// k within budget: fine.
 	b := sparql.NewBudget(nil).WithMaxRows(5)
-	out, err := LimitBudget(g, p, 3, b)
+	out, err := Limit(g, p, 3, b, plan.Options{})
 	if err != nil || out.Len() != 3 {
 		t.Fatalf("k=3 under MaxRows=5: %v, %v", out, err)
 	}
 	// Unlimited k against a smaller row budget: typed failure.
 	b = sparql.NewBudget(nil).WithMaxRows(5)
-	_, err = LimitBudget(g, p, -1, b)
+	_, err = Limit(g, p, -1, b, plan.Options{})
 	var be sparql.ErrBudgetExceeded
 	if !errors.As(err, &be) || be.Kind != sparql.BudgetRows {
 		t.Fatalf("err = %v, want ErrBudgetExceeded{BudgetRows}", err)
 	}
-	// The legacy wrapper degrades to an empty set, not a panic.
-	if got := Limit(g, p, -1); got.Len() != 10 {
+	// Without a budget nothing is charged.
+	if got := mustLimit(t, g, p, -1); got.Len() != 10 {
 		t.Fatalf("ungoverned Limit = %d rows", got.Len())
 	}
 }
@@ -71,7 +72,7 @@ func TestExecFaultInjection(t *testing.T) {
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3, Ops: ops})
 
 		b := sparql.NewBudget(context.Background())
-		want, err := AskBudget(g, p, b)
+		want, err := ask(g, p, b)
 		if err != nil {
 			t.Fatalf("trial %d: governed Ask failed: %v", trial, err)
 		}
@@ -79,7 +80,7 @@ func TestExecFaultInjection(t *testing.T) {
 		for n := int64(0); n <= total; n += 1 + total/8 {
 			fb := sparql.NewBudget(nil)
 			fb.InjectFault(n, errInjectedExec)
-			got, err := AskBudget(g, p, fb)
+			got, err := ask(g, p, fb)
 			if err == nil {
 				// Ask stops at the first witness and the index iteration
 				// order is not deterministic, so a lucky run may finish
@@ -92,12 +93,12 @@ func TestExecFaultInjection(t *testing.T) {
 				t.Fatalf("trial %d Ask fault@%d/%d: err = %v", trial, n, total, err)
 			}
 		}
-		if got := Ask(g, p); got != want {
+		if got := mustAsk(t, g, p); got != want {
 			t.Fatalf("trial %d: Ask changed after faults: %v -> %v", trial, want, got)
 		}
 
 		lb := sparql.NewBudget(context.Background())
-		wantSet, err := LimitBudget(g, p, -1, lb)
+		wantSet, err := Limit(g, p, -1, lb, plan.Options{})
 		if err != nil {
 			t.Fatalf("trial %d: governed Limit failed: %v", trial, err)
 		}
@@ -105,7 +106,7 @@ func TestExecFaultInjection(t *testing.T) {
 		for n := int64(0); n <= ltotal; n += 1 + ltotal/8 {
 			fb := sparql.NewBudget(nil)
 			fb.InjectFault(n, errInjectedExec)
-			got, err := LimitBudget(g, p, -1, fb)
+			got, err := Limit(g, p, -1, fb, plan.Options{})
 			if err == nil {
 				// Step totals vary with iteration order; an under-n run
 				// must be complete and correct (see the sparql fault suite).
@@ -118,7 +119,7 @@ func TestExecFaultInjection(t *testing.T) {
 				t.Fatalf("trial %d Limit fault@%d/%d: err = %v", trial, n, ltotal, err)
 			}
 		}
-		if got := Limit(g, p, -1); !got.Equal(wantSet) {
+		if got := mustLimit(t, g, p, -1); !got.Equal(wantSet) {
 			t.Fatalf("trial %d: Limit changed after faults", trial)
 		}
 	}
@@ -149,7 +150,7 @@ func TestConstructContainsFaultInjection(t *testing.T) {
 	}
 
 	b := sparql.NewBudget(context.Background())
-	want, err := ConstructContainsBudget(g, q, target, b)
+	want, err := ConstructContains(g, q, target, b, plan.Options{})
 	if err != nil {
 		t.Fatalf("governed ConstructContains failed: %v", err)
 	}
@@ -157,7 +158,7 @@ func TestConstructContainsFaultInjection(t *testing.T) {
 	for n := int64(0); n <= total; n++ {
 		fb := sparql.NewBudget(nil)
 		fb.InjectFault(n, errInjectedExec)
-		got, err := ConstructContainsBudget(g, q, target, fb)
+		got, err := ConstructContains(g, q, target, fb, plan.Options{})
 		if err == nil {
 			// Like Ask, the search may find its witness before step n.
 			if !want || !got {
@@ -167,13 +168,13 @@ func TestConstructContainsFaultInjection(t *testing.T) {
 			t.Fatalf("fault@%d/%d: err = %v", n, total, err)
 		}
 	}
-	if got := ConstructContains(g, q, target); got != want {
+	if got := mustContain(t, g, q, target); got != want {
 		t.Fatalf("ConstructContains changed after faults: %v -> %v", want, got)
 	}
 	// Canceled context variant.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ConstructContainsCtx(ctx, g, q, target); !errors.Is(err, sparql.ErrCanceled) {
+	if _, err := ConstructContains(g, q, target, sparql.NewBudget(ctx), plan.Options{}); !errors.Is(err, sparql.ErrCanceled) {
 		t.Fatalf("canceled ctx: %v", err)
 	}
 }

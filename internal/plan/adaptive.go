@@ -16,7 +16,7 @@
 // one worker they are the serial row operators.
 // With more, the chain runs staged — morsel-style fan-out with the
 // same mid-query re-planning — where the static parallel engine
-// (sparql.EvalRowsParOpts) would commit the whole DP-ordered chain to
+// (sparql.EvalRows) would commit the whole DP-ordered chain to
 // a plan-time tree no observation can change:
 //
 //   - each join step is one *stage*: the accumulated prefix and the
@@ -37,10 +37,9 @@
 // aggregate into the server's planner_replans counter; stages as
 // `stages=N` and bind probes as `bind_probes=N` on the profile's
 // staged "and" node, and each stage records a trace span (position,
-// strategy, rows).  Options.NoStaged (nsserve/nscoord -no-staged)
-// forces the static tree for ablation; -no-replan disarms the driver
-// entirely, which also routes parallel queries to the static tree (the
-// E30 "static-parallel" baseline).
+// strategy, rows).  PlannerOptions.NoReplan disarms the driver
+// entirely, which routes parallel queries to the static tree: the E30
+// "static-parallel" baseline nsbench constructs.
 package plan
 
 import (

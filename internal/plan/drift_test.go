@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -12,43 +10,6 @@ import (
 	"repro/internal/sparql"
 	"repro/internal/workload"
 )
-
-// rowKeys renders an answer as its sorted rows, one string a row: a
-// multiset, so a row returned twice does not compare equal to a set.
-func rowKeys(r sparql.Rows) []string {
-	width := len(r.Vars)
-	keys := make([]string, 0, r.Len())
-	for i := 0; i < r.Len(); i++ {
-		var sb strings.Builder
-		for j, v := range r.Vars {
-			if r.Masks[i*r.Words+j/64]&(1<<uint(j%64)) != 0 {
-				fmt.Fprintf(&sb, "%s=%s;", string(v), r.Dict.IRI(r.IDs[i*width+j]))
-			}
-		}
-		keys = append(keys, sb.String())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// mappingKeys renders a reference answer the way rowKeys does.
-func mappingKeys(ms *sparql.MappingSet) []string {
-	keys := make([]string, 0, ms.Len())
-	for _, mu := range ms.Mappings() {
-		vars := make([]string, 0, len(mu))
-		for v := range mu {
-			vars = append(vars, string(v))
-		}
-		sort.Strings(vars)
-		var sb strings.Builder
-		for _, v := range vars {
-			fmt.Fprintf(&sb, "%s=%s;", v, mu[sparql.Var(v)])
-		}
-		keys = append(keys, sb.String())
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // mutate applies 1–20 random inserts and deletes to g.  Inserts draw
 // from the pattern pool plus IRIs no pattern mentions, deletes from the
@@ -143,15 +104,11 @@ func TestStalePlanMatchesReference(t *testing.T) {
 				c0 := g.Stats().Compactions
 				mutate(rng, g)
 				compactions += int(g.Stats().Compactions - c0)
-				want := mappingKeys(sparql.Eval(g, p))
+				want := sparql.Eval(g, p)
 				for i, path := range paths {
-					rows, err := Run(g, prs[i], nil, path.o)
-					if err != nil {
-						t.Fatalf("seed %d, %s: %v\n%s", seed, path.name, err, p)
-					}
-					if got := rowKeys(rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+					if rows := run(t, g, prs[i], path.o); !sameRows(rows, want) {
 						t.Fatalf("seed %d, %s: stale plan diverges on\n%s\ngraph\n%s\ngot  %v\nwant %v",
-							seed, path.name, p, g, got, want)
+							seed, path.name, p, g, rowKeys(rows), mappingKeys(want))
 					}
 				}
 			}
@@ -201,11 +158,7 @@ func TestDriftedBandEdges(t *testing.T) {
 		if got := pr.Drifted(g); got != tc.drifted {
 			t.Errorf("leaf count 12 → %d: Drifted = %t, want %t", tc.n, got, tc.drifted)
 		}
-		got, err := EvalPreparedOpts(g, pr, nil, Options{Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(sparql.Eval(g, q)) {
+		if got := run(t, g, pr, Options{Parallel: 1}); !sameRows(got, sparql.Eval(g, q)) {
 			t.Errorf("leaf count 12 → %d: answer differs from reference", tc.n)
 		}
 	}
@@ -250,12 +203,9 @@ func TestDriftedFromZero(t *testing.T) {
 		if !pr.Drifted(g) {
 			t.Errorf("%s: 0 → 2 did not drift", text)
 		}
-		got, err := EvalPreparedOpts(g, pr, nil, Options{Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := sparql.Eval(g, q); !got.Equal(want) || got.Len() != 2 {
-			t.Errorf("%s: stale plan answered %v, reference %v", text, got, want)
+		got := run(t, g, pr, Options{Parallel: 1})
+		if want := sparql.Eval(g, q); !sameRows(got, want) || got.Len() != 2 {
+			t.Errorf("%s: stale plan answered %v, reference %v", text, rowKeys(got), mappingKeys(want))
 		}
 	}
 }

@@ -16,14 +16,15 @@ import (
 	"repro/internal/sparql"
 )
 
-// PlannerVersion tags plans produced by this planner generation; it is
-// part of nsserve's plan-cache key, so upgrading the planner (or
-// flipping its options) can never serve a stale plan shape.
+// PlannerVersion tags plans produced by this planner generation in
+// their Explain record.
 const PlannerVersion = 2
 
 // PlannerOptions selects the planning algorithm.  The zero value is
-// the production default: DP join ordering with cost-gated join
-// strategies and adaptive mid-query re-optimization.
+// the production default — DP join ordering with cost-gated join
+// strategies and adaptive mid-query re-optimization — and the only
+// value the servers use; Greedy and NoReplan are the ablation
+// baselines nsbench (E28, E30) and the tests construct.
 type PlannerOptions struct {
 	// Greedy forces the v1 greedy ordering heuristic with the purely
 	// structural merge-join gate and no re-optimization — the ablation
@@ -61,14 +62,6 @@ func (po PlannerOptions) name() string {
 	return "dp"
 }
 
-// CacheTag renders the options (plus the planner version) as a short
-// string for plan-cache keys: two queries planned under different
-// planner configurations must never share a cache entry.
-func (po PlannerOptions) CacheTag() string {
-	return fmt.Sprintf("v%d:%s:replan=%t:dpmax=%d:factor=%g",
-		PlannerVersion, po.name(), !po.NoReplan && !po.Greedy, po.dpMax(), po.replanFactor())
-}
-
 // ScanChoice records the index permutation one triple pattern scans —
 // the leading constants select it (see rdf.Store.MatchIDs) — plus the
 // exact scan cardinality the planner ordered by.
@@ -102,10 +95,9 @@ type Explain struct {
 	// Staged marks the plan eligible for morsel-style staged parallel
 	// execution: when the evaluator routes it to the parallel engine
 	// (workers > 1, estimate over the cutover) the chain runs stage by
-	// stage with drift checkpoints instead of as a static tree, unless
-	// Options.NoStaged forces the tree.  Always equal to Adaptive
-	// today (both require an armed chain) but recorded separately so
-	// the decision shows up in Explain JSON.
+	// stage with drift checkpoints instead of as a static tree.  Always
+	// equal to Adaptive today (both require an armed chain) but
+	// recorded separately so the decision shows up in Explain JSON.
 	Staged    bool         `json:"staged"`
 	JoinOrder []ScanChoice `json:"join_order,omitempty"`
 	Joins     []JoinChoice `json:"joins,omitempty"`

@@ -17,23 +17,25 @@ var forcePar = Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 1}
 
 // TestEvalOptsParallelMatchesReferenceQuick extends the planner's core
 // guarantee to the parallel engine: forced-parallel evaluation returns
-// exactly the reference answer set on random patterns × graphs.
+// exactly the reference answer on random patterns and random chains ×
+// graphs.
 func TestEvalOptsParallelMatchesReferenceQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
-		want := sparql.Eval(g, p)
-		got, err := EvalOpts(g, p, nil, forcePar)
-		if err != nil {
-			t.Logf("pattern %s: parallel eval failed: %v", p, err)
-			return false
-		}
-		if !got.Equal(want) {
-			t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
-				p, Optimize(g, p), g, want, got)
-			return false
+		for _, p := range []sparql.Pattern{workload.RandomPattern(rng, workload.PatternOpts{Depth: 3}), randomChain(rng)} {
+			want := sparql.Eval(g, p)
+			got, err := Run(g, Prepare(g, p), nil, forcePar)
+			if err != nil {
+				t.Logf("pattern %s: parallel eval failed: %v", p, err)
+				return false
+			}
+			if !sameRows(got, want) {
+				t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
+					p, Optimize(g, p), g, mappingKeys(want), rowKeys(got))
+				return false
+			}
 		}
 		return true
 	}
@@ -66,13 +68,8 @@ func TestAndComponentsSplit(t *testing.T) {
 	if shared := sharedVars(and.L, and.R); len(shared) != 0 {
 		t.Fatalf("root children share variables %v — components not split", shared)
 	}
-	want := sparql.Eval(g, p)
-	if got := Eval(g, p); !got.Equal(want) {
-		t.Fatalf("component plan diverges\ngot: %v\nwant:%v", got, want)
-	}
-	if got, err := EvalOpts(g, p, nil, forcePar); err != nil || !got.Equal(want) {
-		t.Fatalf("parallel component plan diverges (err=%v)\ngot: %v\nwant:%v", err, got, want)
-	}
+	checkRun(t, g, p, PlannerOptions{}, Options{})
+	checkRun(t, g, p, PlannerOptions{}, forcePar)
 }
 
 func sharedVars(l, r sparql.Pattern) []sparql.Var {
@@ -104,8 +101,5 @@ func TestConnectedChainStaysLeftDeep(t *testing.T) {
 	if _, leaf := and.R.(sparql.TriplePattern); !leaf {
 		t.Fatalf("connected chain not left-deep: right child is %T", and.R)
 	}
-	want := sparql.Eval(g, p)
-	if got := Eval(g, p); !got.Equal(want) {
-		t.Fatalf("left-deep plan diverges\ngot: %v\nwant:%v", got, want)
-	}
+	checkRun(t, g, p, PlannerOptions{}, Options{})
 }

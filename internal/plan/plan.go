@@ -27,14 +27,15 @@
 //     (sparql.EvalRows): dictionary-encoded rows with presence bitsets,
 //     hash joins keyed on always-bound slot masks, and the
 //     mask-bucketed NS algorithm.  Patterns wider than
-//     sparql.MaxSchemaVars fall back to the string hash algebra
-//     (EvalString), which also remains available for the E20 ablation.
+//     sparql.MaxSchemaVars fall back to the string algebra
+//     (sparql.EvalBudget).
 //
-// These choices are ablated in the E20 experiment.
+// Prepare (or PrepareOpts) plans and Run executes: Run is the one exit
+// every evaluation goes through, returning the answer in ID form.
+// These choices are ablated in the E20, E28 and E30 experiments.
 package plan
 
 import (
-	"context"
 	"runtime"
 	"time"
 
@@ -62,16 +63,9 @@ type Options struct {
 	// MinPartition is passed through to the row engine's partitioned
 	// operators (0 = sparql.DefaultMinPartition).
 	MinPartition int
-	// NoStaged forces the static parallel tree even when the plan is
-	// staged-eligible (an adaptive-armed AND chain): the whole chain
-	// fans out at once with no drift checkpoints — the E30 ablation
-	// baseline, exposed as -no-staged on nsserve and nscoord.  It has
-	// no effect on serial evaluation or on plans that are not
-	// adaptive-armed.
-	NoStaged bool
 	// Prof, when non-nil, collects a per-query execution profile: the
 	// evaluator attaches one obs child node per operator under it (see
-	// internal/obs and sparql.EvalRowsProf).  The string-algebra
+	// internal/obs and sparql.EvalRows).  The string-algebra
 	// fallback for patterns wider than sparql.MaxSchemaVars records
 	// only root-level totals.  A nil Prof disables all instrumentation
 	// at the cost of one nil check per operator node.
@@ -103,37 +97,6 @@ func (o Options) minEstimate() float64 {
 	return o.MinParallelEstimate
 }
 
-// Eval optimizes the pattern for the given graph and evaluates it on
-// the ID-native row engine, decoding at the boundary.  It always
-// returns exactly ⟦P⟧_G.  Eval is the ungoverned legacy entry point
-// (context.Background(), no limits); servers should use EvalCtx or
-// EvalBudget so hostile queries cannot run unboundedly.
-func Eval(g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
-	ms, err := EvalBudget(g, p, nil)
-	if err != nil {
-		// Only a malformed plan can fail without a budget; degrade to
-		// the empty answer instead of crashing the caller.
-		return sparql.NewMappingSet()
-	}
-	return ms
-}
-
-// EvalCtx is Eval bounded by a context: evaluation aborts with a typed
-// error (wrapping sparql.ErrCanceled and the context cause) shortly
-// after ctx is canceled or its deadline expires.
-func EvalCtx(ctx context.Context, g rdf.Store, p sparql.Pattern) (*sparql.MappingSet, error) {
-	return EvalBudget(g, p, sparql.NewBudget(ctx))
-}
-
-// EvalBudget is Eval under a full resource governor (see
-// sparql.Budget): deadline, step, row and memory limits all surface as
-// typed errors instead of unbounded work.  A nil budget disables all
-// accounting.  It runs with the default Options — the parallel engine
-// on multi-core hosts, gated by the cardinality estimate.
-func EvalBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	return EvalOpts(g, p, b, Options{})
-}
-
 // Prepared is an optimized, ready-to-run query plan: the rewritten
 // pattern, the planner's cardinality estimate for the serial/parallel
 // cutover, the recorded plan (Explain), the engine hints, and — for
@@ -145,10 +108,10 @@ func EvalBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.Mappin
 // it carries change only what evaluation costs, never what it returns
 // (⟦P⟧_G depends on P and G alone).  It is optimal only near the index
 // counts (CountMatch) it was prepared with.  Those leaf counts are kept
-// on the plan, and Drifted re-counts them: a cache keyed by query text
-// and PlannerOptions.CacheTag, as nsserve's is, re-prepares only when
-// Drifted says the statistics have really moved.  Explain's estimates
-// stay the prepare-time counts for as long as the plan is served.
+// on the plan, and Drifted re-counts them: a cache keyed by query text,
+// as nsserve's is, re-prepares only when Drifted says the statistics
+// have really moved.  Explain's estimates stay the prepare-time counts
+// for as long as the plan is served.
 type Prepared struct {
 	pattern sparql.Pattern
 	est     float64
@@ -173,14 +136,16 @@ func (pr Prepared) Pattern() sparql.Pattern { return pr.pattern }
 // Explain returns the recorded plan (nil only for a zero Prepared).
 func (pr Prepared) Explain() *Explain { return pr.explain }
 
-// Prepare optimizes p for g under the default planner options, the
-// graph-dependent (and therefore cacheable) half of EvalOpts.
+// Prepare optimizes p for g under the default planner options: the
+// graph-dependent (and therefore cacheable) half of evaluation, Run
+// being the other.
 func Prepare(g rdf.Store, p sparql.Pattern) Prepared {
 	return PrepareOpts(g, p, PlannerOptions{})
 }
 
-// PrepareOpts is Prepare with explicit planner options (greedy
-// baseline, DP cutoff, re-plan factor).
+// PrepareOpts is Prepare with explicit planner options: the greedy and
+// no-replan ablation baselines that nsbench (E28, E30) and the tests
+// construct, the DP cutoff and the re-plan factor.
 func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	pc := &planCtx{g: g, e: newEstimator(g), po: po}
 	opt := pc.optimize(sparql.SimplifyPattern(p))
@@ -221,22 +186,13 @@ func identityOrder(n int) []int {
 	return order
 }
 
-// EvalOpts is EvalBudget with explicit engine options: the optimized
-// pattern runs on the parallel row engine when o asks for more than
-// one worker and the cardinality estimate clears the serial cutover,
-// and on the serial row engine otherwise.  Both engines return exactly
-// the same answer set (differentially tested); the string algebra
-// remains the fallback for patterns wider than sparql.MaxSchemaVars.
-func EvalOpts(g rdf.Store, p sparql.Pattern, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
-	return EvalPreparedOpts(g, Prepare(g, p), b, o)
-}
-
 // Run executes a Prepared plan and returns the answer in ID form — the
 // engine's single exit.  Row-engine answers share g's dictionary (read
 // them only while g may be read); a pattern wider than
 // sparql.MaxSchemaVars runs on the string algebra and comes back laid
 // out the same way (sparql.RowsOf).  Servers encode the rows directly
-// (exec.ResultWriter); the Eval* entry points below materialise them.
+// (exec.ResultWriter); library callers materialise them with
+// Rows.MappingSet or Rows.Graph.  A nil budget disables accounting.
 func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, error) {
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
@@ -246,29 +202,25 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 		ok  bool
 		err error
 	)
-	if workers := o.workers(); workers > 1 && pr.est >= o.minEstimate() {
-		if pr.adaptiveArmed() && !o.NoStaged {
-			// Morsel-style staged fan-out: run the chain stage by
-			// stage on the pool, observing materialized prefix
-			// cardinalities and re-planning the tail between stages
-			// (staged.go).
-			rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Prof, o.Trace)
-		} else {
-			// Static tree: the whole plan fans out at once (no
-			// sequential drift checkpoint exists once the chain is
-			// committed) — non-chain plans, -no-replan, -no-staged
-			// and the greedy baseline.
-			rs, ok, err = sparql.EvalRowsParOpts(g, opt, b, sparql.ParOptions{
-				Workers:      workers,
-				MinPartition: o.MinPartition,
-				Prof:         o.Prof,
-				Hints:        pr.hints,
-			})
-		}
-	} else if pr.adaptiveArmed() {
-		rs, ok, err = evalChain(g, pr, b, 1, 0, o.Prof, o.Trace)
+	workers := o.workers()
+	if pr.est < o.minEstimate() {
+		workers = 1
+	}
+	if pr.adaptiveArmed() {
+		// The chain driver: operand by operand on one worker; with more,
+		// morsel-style staged fan-out that observes materialized prefix
+		// cardinalities and re-plans the tail between stages (staged.go).
+		rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Prof, o.Trace)
 	} else {
-		rs, ok, err = sparql.EvalRowsHints(g, opt, b, o.Prof, pr.hints)
+		// The tree evaluator: non-chain plans and the Greedy and NoReplan
+		// ablations.  With more than one worker the whole plan fans out
+		// at once — the static parallel tree, with no drift checkpoint.
+		rs, ok, err = sparql.EvalRows(g, opt, b, sparql.ParOptions{
+			Workers:      workers,
+			MinPartition: o.MinPartition,
+			Prof:         o.Prof,
+			Hints:        pr.hints,
+		})
 	}
 	recordRoot := func(resultRows int) {
 		if o.Prof == nil {
@@ -284,7 +236,7 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 		rows = rs.Rows(g.Dict())
 	} else if err == nil {
 		var ms *sparql.MappingSet
-		if ms, err = evalOptBudget(g, opt, b); err == nil { // wider than MaxSchemaVars
+		if ms, err = sparql.EvalBudget(g, opt, b); err == nil { // wider than MaxSchemaVars
 			rows = sparql.RowsOf(ms)
 		}
 	}
@@ -297,69 +249,6 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 	}
 	recordRoot(rows.Len())
 	return rows, nil
-}
-
-// EvalPreparedOpts runs a Prepared plan and materialises the answer as
-// string mappings — the evaluation half of EvalOpts, split out so
-// callers can cache plans.
-func EvalPreparedOpts(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (*sparql.MappingSet, error) {
-	rows, err := Run(g, pr, b, o)
-	if err != nil {
-		return nil, err
-	}
-	return rows.MappingSet(), nil
-}
-
-// EvalString optimizes the pattern and evaluates it with the
-// string-mapping hash algebra — the pre-row-engine planner path, kept
-// as the E20 ablation baseline and the fallback for patterns wider
-// than sparql.MaxSchemaVars.
-func EvalString(g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
-	ms, err := evalOptBudget(g, Optimize(g, p), nil)
-	if err != nil {
-		return sparql.NewMappingSet()
-	}
-	return ms
-}
-
-// EvalConstruct is the planner-backed counterpart of
-// sparql.EvalConstruct.
-func EvalConstruct(g rdf.Store, q sparql.ConstructQuery) rdf.Store {
-	out, err := EvalConstructBudget(g, q, nil)
-	if err != nil {
-		return rdf.NewGraph()
-	}
-	return out
-}
-
-// EvalConstructCtx is EvalConstruct bounded by a context.
-func EvalConstructCtx(ctx context.Context, g rdf.Store, q sparql.ConstructQuery) (rdf.Store, error) {
-	return EvalConstructBudget(g, q, sparql.NewBudget(ctx))
-}
-
-// EvalConstructBudget is EvalConstruct under a resource governor.
-func EvalConstructBudget(g rdf.Store, q sparql.ConstructQuery, b *sparql.Budget) (rdf.Store, error) {
-	return EvalConstructOpts(g, q, b, Options{})
-}
-
-// EvalConstructOpts is EvalConstructBudget with explicit engine
-// options.
-func EvalConstructOpts(g rdf.Store, q sparql.ConstructQuery, b *sparql.Budget, o Options) (rdf.Store, error) {
-	return EvalConstructPreparedOpts(g, Prepare(g, q.Where), q.Template, b, o)
-}
-
-// EvalConstructPreparedOpts is EvalConstructOpts on an already-prepared
-// WHERE plan (the template needs no preparation).
-func EvalConstructPreparedOpts(g rdf.Store, pr Prepared, template []sparql.TriplePattern, b *sparql.Budget, o Options) (rdf.Store, error) {
-	rows, err := Run(g, pr, b, o)
-	if err != nil {
-		return nil, err
-	}
-	out, err := rows.Graph(template, b)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Optimize rewrites the pattern into a semantically equal pattern with
@@ -544,85 +433,4 @@ func pushFilter(p sparql.Pattern, cond sparql.Condition) (sparql.Pattern, bool) 
 // estimator in cost.go; this entry point builds a throwaway memo.)
 func Estimate(g rdf.Store, p sparql.Pattern) float64 {
 	return newEstimator(g).estimate(p)
-}
-
-// evalOptBudget mirrors sparql.Eval with the hash-based algebra
-// primitives, charging the budget per operator (cardinality-
-// proportional, like sparql.EvalBudget).
-func evalOptBudget(g rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	if err := b.Step(); err != nil {
-		return nil, err
-	}
-	switch q := p.(type) {
-	case sparql.TriplePattern:
-		return sparql.EvalBudget(g, q, b)
-	case sparql.And:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.JoinHash(r), nil
-	case sparql.Union:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
-	case sparql.Opt:
-		l, err := evalOptBudget(g, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalOptBudget(g, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.LeftJoinHash(r), nil
-	case sparql.Filter:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Filter(q.Cond), nil
-	case sparql.Select:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Project(q.Vars), nil
-	case sparql.NS:
-		inner, err := evalOptBudget(g, q.P, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len() * inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Maximal(), nil
-	default:
-		return nil, sparql.ErrUnsupportedPattern{Pattern: p}
-	}
 }

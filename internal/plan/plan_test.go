@@ -12,20 +12,22 @@ import (
 )
 
 // TestEvalMatchesReferenceQuick is the planner's core guarantee: for
-// random NS-SPARQL patterns and graphs, the optimized evaluator returns
-// exactly the reference answer set.
+// random NS-SPARQL patterns and graphs — and random AND chains over
+// UNION/OPT operands, whose joins meet rows of mixed domains — Run
+// returns exactly the reference answer, each row once.
 func TestEvalMatchesReferenceQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
-		want := sparql.Eval(g, p)
-		got := Eval(g, p)
-		if !got.Equal(want) {
-			t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
-				p, Optimize(g, p), g, want, got)
-			return false
+		for _, p := range []sparql.Pattern{workload.RandomPattern(rng, workload.PatternOpts{Depth: 3}), randomChain(rng)} {
+			want := sparql.Eval(g, p)
+			got, err := Run(g, Prepare(g, p), nil, Options{})
+			if err != nil || !sameRows(got, want) {
+				t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v (err %v)",
+					p, Optimize(g, p), g, mappingKeys(want), rowKeys(got), err)
+				return false
+			}
 		}
 		return true
 	}
@@ -57,7 +59,11 @@ func TestEvalConstructMatchesReference(t *testing.T) {
 	g := workload.Figure3()
 	q := parser.MustParseConstruct(`CONSTRUCT {(?n affiliated_to ?u), (?n email ?e)}
 		WHERE ((?p name ?n) AND (?p works_at ?u)) OPT (?p email ?e)`)
-	if !EvalConstruct(g, q).Equal(sparql.EvalConstruct(g, q)) {
+	out, err := run(t, g, Prepare(g, q.Where), Options{}).Graph(q.Template, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Equal(sparql.EvalConstruct(g, q)) {
 		t.Fatal("planner CONSTRUCT differs from reference")
 	}
 }
@@ -72,9 +78,7 @@ func TestFilterPushdown(t *testing.T) {
 	if _, isFilter := opt.(sparql.Filter); isFilter {
 		t.Fatalf("filter not pushed down: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
-		t.Fatal("pushdown changed semantics")
-	}
+	checkRun(t, g, p, PlannerOptions{}, Options{})
 }
 
 func TestFilterNotPushedWhenUnsafe(t *testing.T) {
@@ -87,9 +91,7 @@ func TestFilterNotPushedWhenUnsafe(t *testing.T) {
 	if _, isFilter := opt.(sparql.Filter); !isFilter {
 		t.Fatalf("unsafe filter was pushed: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
-		t.Fatal("semantics changed")
-	}
+	checkRun(t, g, p, PlannerOptions{}, Options{})
 }
 
 func TestJoinOrdering(t *testing.T) {
@@ -103,9 +105,7 @@ func TestJoinOrdering(t *testing.T) {
 		// smaller estimate.
 		t.Fatalf("join order not by selectivity: %s", opt)
 	}
-	if !sparql.Eval(g, p).Equal(Eval(g, p)) {
-		t.Fatal("reordering changed semantics")
-	}
+	checkRun(t, g, p, PlannerOptions{}, Options{})
 }
 
 func TestEstimate(t *testing.T) {
@@ -155,15 +155,22 @@ func TestCountMatchAgainstEnumeration(t *testing.T) {
 	}
 }
 
-// TestEvalStringMatchesEvalQuick pins the E20 ablation baseline: the
-// string-mapping planner path and the row-engine path must agree.
-func TestEvalStringMatchesEvalQuick(t *testing.T) {
+// TestStringAlgebraMatchesRowsQuick pins the E20 ablation baseline and
+// Run's fallback past sparql.MaxSchemaVars: the optimized pattern on
+// the string algebra (sparql.EvalBudget) and Run on the row engine
+// return the same answer.
+func TestStringAlgebraMatchesRowsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3})
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
-		return EvalString(g, p).Equal(Eval(g, p))
+		str, err := sparql.EvalBudget(g, Optimize(g, p), nil)
+		if err != nil {
+			return false
+		}
+		rows, err := Run(g, Prepare(g, p), nil, Options{})
+		return err == nil && sameRows(rows, str)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

@@ -56,14 +56,10 @@ func TestStagedMatchesReferenceQuick(t *testing.T) {
 			p = sparql.And{L: p, R: workload.RandomTriplePattern(rng, &workload.PatternOpts{})}
 		}
 		want := sparql.Eval(g, p)
-		pr := PrepareOpts(g, p, PlannerOptions{})
-		got, err := EvalPreparedOpts(g, pr, nil, forcePar)
-		if err != nil {
-			t.Fatalf("trial %d %s: staged eval failed: %v", trial, p, err)
-		}
-		if !got.Equal(want) {
+		got := run(t, g, PrepareOpts(g, p, PlannerOptions{}), forcePar)
+		if !sameRows(got, want) {
 			t.Fatalf("trial %d: staged eval diverges on %s\ngot: %v\nwant:%v",
-				trial, p, got, want)
+				trial, p, rowKeys(got), mappingKeys(want))
 		}
 	}
 }
@@ -71,8 +67,9 @@ func TestStagedMatchesReferenceQuick(t *testing.T) {
 // TestStagedRouting pins the engine routing: an armed chain under the
 // parallel gates runs on the staged executor (an "and" node with
 // detail "staged" and a positive stage count appears on the profile),
-// NoStaged forces it back onto the static tree, and the serial engine
-// keeps the serial adaptive driver.  All three answer identically.
+// the NoReplan plan of the same query runs on the static tree, and the
+// serial engine keeps the serial adaptive driver.  All three answer
+// identically.
 func TestStagedRouting(t *testing.T) {
 	s := workload.NewSocial(workload.SocialOpts{People: 300})
 	q := parser.MustParsePattern(
@@ -83,20 +80,16 @@ func TestStagedRouting(t *testing.T) {
 		t.Fatal("test query must arm the adaptive driver")
 	}
 
-	run := func(o Options) (*obs.Profile, *sparql.MappingSet) {
+	profiled := func(pr Prepared, o Options) *obs.Profile {
 		prof := obs.NewNode("query", "")
 		o.Prof = prof
-		got, err := EvalPreparedOpts(s.G, pr, nil, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
+		if !sameRows(run(t, s.G, pr, o), want) {
 			t.Fatalf("answer diverges from reference under %+v", o)
 		}
-		return prof.Snapshot(), got
+		return prof.Snapshot()
 	}
 
-	staged, _ := run(forcePar)
+	staged := profiled(pr, forcePar)
 	node := findNode(staged, "and", "staged")
 	if node == nil {
 		t.Fatal("parallel adaptive run has no staged chain node on the profile")
@@ -105,12 +98,12 @@ func TestStagedRouting(t *testing.T) {
 		t.Fatalf("staged node records %d stages, want >=1", node.Stages)
 	}
 
-	static, _ := run(Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 1, NoStaged: true})
+	static := profiled(PrepareOpts(s.G, q, PlannerOptions{NoReplan: true}), forcePar)
 	if findNode(static, "and", "staged") != nil {
-		t.Fatal("NoStaged run still produced a staged chain node")
+		t.Fatal("NoReplan run still produced a staged chain node")
 	}
 
-	serial, _ := run(Options{Parallel: 1})
+	serial := profiled(pr, Options{Parallel: 1})
 	if findNode(serial, "and", "staged") != nil {
 		t.Fatal("serial run produced a staged chain node")
 	}
@@ -139,11 +132,7 @@ func TestStagedEmptyPrefixShortCircuit(t *testing.T) {
 	prof := obs.NewNode("query", "")
 	o := forcePar
 	o.Prof = prof
-	got, err := EvalPreparedOpts(cs, pr, nil, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
+	if got := run(t, cs, pr, o); got.Len() != 0 {
 		t.Fatalf("expected empty answer, got %d rows", got.Len())
 	}
 	if findNode(prof.Snapshot(), "and", "staged") == nil {
@@ -198,11 +187,7 @@ func TestStagedReplanAndBindJoin(t *testing.T) {
 	prof := obs.NewNode("query", "")
 	o := forcePar
 	o.Prof = prof
-	got, err := EvalPreparedOpts(s.G, pr, nil, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(sparql.Eval(s.G, q)) {
+	if got := run(t, s.G, pr, o); !sameRows(got, sparql.Eval(s.G, q)) {
 		t.Fatal("staged adaptive answer differs from reference")
 	}
 	snap := prof.Snapshot()
@@ -225,9 +210,10 @@ func TestStagedReplanAndBindJoin(t *testing.T) {
 }
 
 // TestStagedDifferentialNoStaged extends the planner differential to
-// the staged/static ablation axis: every planner configuration must
-// return the reference answers with the staged executor enabled and
-// with NoStaged forcing the static parallel tree.
+// the staged/static ablation axis on the parallel engine: every planner
+// configuration must return the reference answers, the adaptive ones
+// on the staged executor and the NoReplan and Greedy ones on the static
+// parallel tree.
 func TestStagedDifferentialNoStaged(t *testing.T) {
 	s := workload.NewSocial(workload.SocialOpts{People: 300})
 	rng := rand.New(rand.NewSource(31))
@@ -237,22 +223,14 @@ func TestStagedDifferentialNoStaged(t *testing.T) {
 	}
 	queries = append(queries,
 		parser.MustParsePattern("(?x0 follows ?x1) AND (?x1 mentors ?x2) AND (?x2 worksAt org_3)"),
-		parser.MustParsePattern("(?x livesIn city_1) AND (?x worksAt org_0) AND (?x knows ?y) AND (?y name ?n)"))
+		parser.MustParsePattern("(?x livesIn city_1) AND (?x worksAt org_0) AND (?x knows ?y) AND (?y name ?n)"),
+		parser.MustParsePattern("((?x knows ?y) UNION (?x worksAt ?w)) AND (?x knows ?y) AND (?x worksAt ?w)"))
 	for qi, q := range queries {
 		want := sparql.Eval(s.G, q)
 		for _, cfg := range plannerConfigs {
-			pr := PrepareOpts(s.G, q, cfg.po)
-			for _, noStaged := range []bool{false, true} {
-				o := forcePar
-				o.NoStaged = noStaged
-				got, err := EvalPreparedOpts(s.G, pr, nil, o)
-				if err != nil {
-					t.Fatalf("q%d %s under %s (noStaged=%t): %v", qi, q, cfg.name, noStaged, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("q%d %s under %s (noStaged=%t): %d rows, reference %d",
-						qi, q, cfg.name, noStaged, got.Len(), want.Len())
-				}
+			if got := run(t, s.G, PrepareOpts(s.G, q, cfg.po), forcePar); !sameRows(got, want) {
+				t.Fatalf("q%d %s under %s: %d rows, reference %d",
+					qi, q, cfg.name, got.Len(), want.Len())
 			}
 		}
 	}

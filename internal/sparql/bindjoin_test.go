@@ -40,7 +40,7 @@ func TestBindJoinScanMatchesHashJoin(t *testing.T) {
 		if !ok {
 			continue
 		}
-		acc, err := sparql.EvalPatternRows(g, accPat, sc, nil, nil, nil)
+		acc, err := sparql.EvalPatternRows(g, accPat, sc)
 		if err != nil {
 			t.Fatalf("trial %d: accumulator eval failed: %v", trial, err)
 		}
@@ -68,7 +68,7 @@ func TestBindJoinScanParMatchesSerial(t *testing.T) {
 		if !ok {
 			continue
 		}
-		acc, err := sparql.EvalPatternRows(g, accPat, sc, nil, nil, nil)
+		acc, err := sparql.EvalPatternRows(g, accPat, sc)
 		if err != nil {
 			t.Fatalf("trial %d: accumulator eval failed: %v", trial, err)
 		}
@@ -103,7 +103,7 @@ func TestBindJoinFaultInjection(t *testing.T) {
 		if !ok {
 			continue
 		}
-		acc, err := sparql.EvalPatternRows(g, accPat, sc, nil, nil, nil)
+		acc, err := sparql.EvalPatternRows(g, accPat, sc)
 		if err != nil {
 			t.Fatalf("trial %d: accumulator eval failed: %v", trial, err)
 		}
@@ -171,7 +171,7 @@ func TestBindJoinParBudgetCancelMidMorsel(t *testing.T) {
 	if !ok {
 		t.Fatal("schema rejected")
 	}
-	acc, err := sparql.EvalPatternRows(g, accPat, sc, nil, nil, nil)
+	acc, err := sparql.EvalPatternRows(g, accPat, sc)
 	if err != nil {
 		t.Fatalf("accumulator eval failed: %v", err)
 	}

@@ -131,7 +131,7 @@ type ErrUnsupportedPattern struct {
 }
 
 func (e ErrUnsupportedPattern) Error() string {
-	return fmt.Sprintf("sparql: unsupported pattern type %T", e.Pattern)
+	return fmt.Sprintf("sparql: unknown pattern type %T", e.Pattern)
 }
 
 // DefaultStride is how many steps pass between context polls.  Powers

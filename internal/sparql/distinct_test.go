@@ -64,18 +64,20 @@ func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
 		eval func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error)
 	}{
 		{"serial tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rs, _, err := sparql.EvalRowsBudget(g, p, nil)
+			rs, _, err := sparql.EvalRows(g, p, nil, serialOpts)
 			return rs.MappingSet(g.Dict()), err
 		}},
 		{"static parallel tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rs, _, err := sparql.EvalRowsParOpts(g, p, nil, parTestOpts)
+			rs, _, err := sparql.EvalRows(g, p, nil, parTestOpts)
 			return rs.MappingSet(g.Dict()), err
 		}},
 		{"adaptive chain", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			return plan.EvalPreparedOpts(g, plan.Prepare(g, p), nil, plan.Options{Parallel: 1})
+			rows, err := plan.Run(g, plan.Prepare(g, p), nil, plan.Options{Parallel: 1})
+			return rows.MappingSet(), err
 		}},
 		{"staged chain", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			return plan.EvalPreparedOpts(g, plan.Prepare(g, p), nil, forcePar)
+			rows, err := plan.Run(g, plan.Prepare(g, p), nil, forcePar)
+			return rows.MappingSet(), err
 		}},
 	}
 	type gen struct {
@@ -192,11 +194,11 @@ func TestBindJoinOverMixedDomains(t *testing.T) {
 		if !ok {
 			continue
 		}
-		acc, err := sparql.EvalPatternRows(g, accPat, sc, nil, nil, nil)
+		acc, err := sparql.EvalPatternRows(g, accPat, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := sparql.EvalPatternRows(g, probe, sc, nil, nil, nil)
+		scan, err := sparql.EvalPatternRows(g, probe, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,21 +4,22 @@ import (
 	"repro/internal/rdf"
 )
 
-// EvalBudget is the reference evaluator Eval under a governor: the
-// same bottom-up semantics over string mappings, with budget charges
-// proportional to the work of each algebra operator.  It exists for
-// the string-engine paths (patterns wider than MaxSchemaVars) so that
-// even the fallback respects deadlines and step limits.
+// EvalBudget is the string algebra under a governor: Eval's bottom-up
+// semantics over string mappings, with AND and OPT on the hash-based
+// primitives (JoinHash, LeftJoinHash) and budget charges proportional
+// to the work of each operator.  It is the evaluator for patterns wider
+// than MaxSchemaVars — plan.Run's fallback and the views package's —
+// so that even those respect deadlines and step limits.
 //
-// Charging is coarser than on the row engine: binary operators charge
-// their input cardinalities up front (the nested-loop Join is O(n·m),
-// so that product is charged before the join runs).  A single operator
-// invocation can therefore overshoot a deadline by its own runtime,
-// but never run unboundedly across operators.
+// Charging is coarser than on the row engine: each operator charges its
+// input cardinalities up front (NS, quadratic, charges the square).  A
+// single operator invocation can therefore overshoot a deadline by its
+// own runtime, but never run unboundedly across operators.
 //
 // With b == nil, EvalBudget(g, p, nil) computes exactly Eval(g, p)
-// (differentially tested), except that a malformed pattern returns
-// ErrUnsupportedPattern instead of panicking.
+// (differentially tested; the hash primitives equal the nested-loop
+// ones), except that a malformed pattern returns ErrUnsupportedPattern
+// instead of panicking.
 func EvalBudget(g rdf.Store, p Pattern, b *Budget) (*MappingSet, error) {
 	if err := b.Step(); err != nil {
 		return nil, err
@@ -35,10 +36,10 @@ func EvalBudget(g rdf.Store, p Pattern, b *Budget) (*MappingSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := b.StepN(l.Len() * r.Len()); err != nil {
+		if err := b.StepN(l.Len() + r.Len()); err != nil {
 			return nil, err
 		}
-		return l.Join(r), nil
+		return l.JoinHash(r), nil
 	case Union:
 		l, err := EvalBudget(g, q.L, b)
 		if err != nil {
@@ -61,10 +62,10 @@ func EvalBudget(g rdf.Store, p Pattern, b *Budget) (*MappingSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := b.StepN(2 * l.Len() * max(r.Len(), 1)); err != nil {
+		if err := b.StepN(l.Len() + r.Len()); err != nil {
 			return nil, err
 		}
-		return l.LeftJoin(r), nil
+		return l.LeftJoinHash(r), nil
 	case Filter:
 		inner, err := EvalBudget(g, q.P, b)
 		if err != nil {

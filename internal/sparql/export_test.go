@@ -8,8 +8,9 @@ import (
 )
 
 // Test-only exports: the differential tests need to force the sharded
-// NS implementation on inputs far below DefaultMinPartition, and the
-// distinctness suite needs to see every operator's output.
+// NS implementation on inputs far below DefaultMinPartition, the
+// distinctness suite needs to see every operator's output, and the
+// bind-join tests evaluate operands under a shared schema.
 
 // MaximalParMin is MaximalParB with a tunable partition threshold.
 func (s *RowSet) MaximalParMin(bud *Budget, workers, minPart int) (*RowSet, error) {
@@ -47,6 +48,12 @@ func (s *RowSet) Duplicate() (string, bool) {
 
 // TableBuilt reports whether the set has built its membership table.
 func (s *RowSet) TableBuilt() bool { return s.table != nil }
+
+// EvalPatternRows evaluates one sub-pattern under an existing
+// query-wide schema on the serial engine; sc must cover var(p).
+func EvalPatternRows(g rdf.Store, p Pattern, sc *VarSchema) (*RowSet, error) {
+	return newEvaluator(g, sc, nil, ParOptions{Workers: 1}).eval(p, nil)
+}
 
 // Push appends a row with no membership check, as the operators do
 // when they have proved it new.

@@ -158,7 +158,7 @@ func TestEvalRowsFaultInjection(t *testing.T) {
 		want := sparql.Eval(g, p)
 
 		b := sparql.NewBudget(context.Background())
-		rs, ok, err := sparql.EvalRowsBudget(g, p, b)
+		rs, ok, err := sparql.EvalRows(g, p, b, serialOpts)
 		if err != nil {
 			t.Fatalf("trial %d: governed eval failed without fault: %v", trial, err)
 		}
@@ -166,7 +166,7 @@ func TestEvalRowsFaultInjection(t *testing.T) {
 			t.Fatal("row path rejected a narrow pattern")
 		}
 		if gs := rs.MappingSet(g.Dict()); !gs.Equal(want) {
-			t.Fatalf("trial %d: governed EvalRowsBudget diverges on\n%s\ngot: %v\nwant:%v",
+			t.Fatalf("trial %d: governed EvalRows diverges on\n%s\ngot: %v\nwant:%v",
 				trial, p, gs, want)
 		}
 		total := b.Steps()
@@ -174,7 +174,7 @@ func TestEvalRowsFaultInjection(t *testing.T) {
 		for _, n := range injectionPoints(total, 24) {
 			b2 := sparql.NewBudget(nil)
 			b2.InjectFault(n, errInjected)
-			rs2, _, err := sparql.EvalRowsBudget(g, p, b2)
+			rs2, _, err := sparql.EvalRows(g, p, b2, serialOpts)
 			if err == nil {
 				// See TestSearcherFaultInjection: a run may come in under n
 				// steps, but then it must be complete and correct.

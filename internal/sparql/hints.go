@@ -1,11 +1,6 @@
 package sparql
 
-import (
-	"math/bits"
-
-	"repro/internal/obs"
-	"repro/internal/rdf"
-)
+import "math/bits"
 
 // This file is the planner-facing surface of the row engine's join
 // strategy choice.  The engine historically picked merge-vs-hash with a
@@ -110,12 +105,4 @@ func ScanLeadVar(t TriplePattern) (Var, bool) {
 		lead = 2
 	}
 	return pos[lead].Var(), true
-}
-
-// EvalPatternRows evaluates one sub-pattern under an existing
-// query-wide schema on the serial engine, attaching its operator
-// profile under parent.  sc must cover var(p); h carries join-strategy
-// hints for nested binary nodes.
-func EvalPatternRows(g rdf.Store, p Pattern, sc *VarSchema, b *Budget, parent *obs.Node, h *EvalHints) (*RowSet, error) {
-	return newEvaluator(g, sc, b, ParOptions{Workers: 1, Hints: h}).eval(p, parent)
 }

@@ -56,7 +56,7 @@ var leasePaths = []struct {
 	eval   func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error)
 }{
 	{"serial tree", true, func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
-		rs, _, err := sparql.EvalRowsBudget(g, p, b)
+		rs, _, err := sparql.EvalRows(g, p, b, serialOpts)
 		if err != nil {
 			return 0, err
 		}

@@ -65,7 +65,7 @@ type ParOptions struct {
 	MinPartition int
 	// Prof, when non-nil, collects an execution profile: one child
 	// node per operator, with pool and partition counters on top of
-	// the serial engine's metrics.  See EvalRowsProf.
+	// the serial engine's metrics.  See EvalRows.
 	Prof *obs.Node
 	// Hints carries the planner's per-node join-strategy decisions
 	// (nil = structural auto behaviour).  See EvalHints.
@@ -115,39 +115,6 @@ func (p *pool) tryAcquire() bool {
 }
 
 func (p *pool) release() { <-p.sem }
-
-// EvalRowsPar is EvalRows on the parallel engine: ⟦P⟧_G with UNION
-// branches, AND/OPT operands, large joins and NS evaluated across up
-// to workers goroutines (0 = GOMAXPROCS).  ok = false when the
-// pattern exceeds MaxSchemaVars variables.
-func EvalRowsPar(g rdf.Store, p Pattern, workers int) (*RowSet, bool) {
-	rs, ok, err := EvalRowsParOpts(g, p, nil, ParOptions{Workers: workers})
-	if err != nil {
-		return nil, false
-	}
-	return rs, ok
-}
-
-// EvalRowsParBudget is EvalRowsPar under a governor: the single budget
-// is shared by every worker (its counters are atomic), cancellation
-// and limits stop all of them within a stride, and the pool is fully
-// drained before the error returns.
-func EvalRowsParBudget(g rdf.Store, p Pattern, b *Budget, workers int) (*RowSet, bool, error) {
-	return EvalRowsParOpts(g, p, b, ParOptions{Workers: workers})
-}
-
-// EvalRowsParOpts is EvalRowsParBudget with full tuning options.
-func EvalRowsParOpts(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, bool, error) {
-	sc, ok := SchemaFor(p)
-	if !ok {
-		return nil, false, nil
-	}
-	rs, err := newEvaluator(g, sc, b, o).eval(p, o.Prof)
-	if err != nil {
-		return nil, true, err
-	}
-	return rs, true, nil
-}
 
 // evaluator is the bottom-up tree evaluator of the row engine, serial
 // and parallel: every sub-result uses the same query-wide schema, and

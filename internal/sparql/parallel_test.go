@@ -40,11 +40,11 @@ func TestEvalRowsParAgreesWithSerialQuick(t *testing.T) {
 					p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
 				}
 				want := sparql.Eval(g, p)
-				serial, ok := sparql.EvalRows(g, p)
-				if !ok {
-					t.Fatal("schema rejected small pattern")
+				serial, ok, err := sparql.EvalRows(g, p, nil, serialOpts)
+				if err != nil || !ok {
+					t.Fatalf("trial %d: serial eval: ok=%t err=%v", trial, ok, err)
 				}
-				par, ok, err := sparql.EvalRowsParOpts(g, p, nil, parTestOpts)
+				par, ok, err := sparql.EvalRows(g, p, nil, parTestOpts)
 				if err != nil {
 					t.Fatalf("trial %d: parallel eval failed: %v", trial, err)
 				}
@@ -230,7 +230,7 @@ func TestParallelFaultInjectionSweep(t *testing.T) {
 			// total varies slightly with scheduling (partition merges),
 			// so the invariant below holds for every injection point.
 			probe := sparql.NewBudget(context.Background()).WithStride(1)
-			if _, _, err := sparql.EvalRowsParOpts(g, p, probe, parTestOpts); err != nil {
+			if _, _, err := sparql.EvalRows(g, p, probe, parTestOpts); err != nil {
 				t.Fatalf("probe run failed: %v", err)
 			}
 			total := probe.Steps()
@@ -242,7 +242,7 @@ func TestParallelFaultInjectionSweep(t *testing.T) {
 			for at := int64(0); at <= total+1; at += stride {
 				b := sparql.NewBudget(context.Background()).WithStride(1)
 				b.InjectFault(at, sentinel)
-				rs, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
+				rs, ok, err := sparql.EvalRows(g, p, b, parTestOpts)
 				if !ok {
 					t.Fatal("schema rejected")
 				}
@@ -288,7 +288,7 @@ func TestParallelDeadlineDrains(t *testing.T) {
 	defer cancel()
 	b := sparql.NewBudget(ctx).WithMaxBytes(1 << 30)
 	start := time.Now()
-	_, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
+	_, ok, err := sparql.EvalRows(g, p, b, parTestOpts)
 	elapsed := time.Since(start)
 	if !ok {
 		t.Fatal("schema rejected")
@@ -317,7 +317,7 @@ func TestParallelSharedBudgetMemoryLimit(t *testing.T) {
 		R: sparql.TP(sparql.V("P"), sparql.I("works_at"), sparql.V("U")),
 	}
 	b := sparql.NewBudget(context.Background()).WithMaxBytes(4096)
-	_, ok, err := sparql.EvalRowsParOpts(g, p, b, parTestOpts)
+	_, ok, err := sparql.EvalRows(g, p, b, parTestOpts)
 	if !ok {
 		t.Fatal("schema rejected")
 	}

@@ -111,7 +111,7 @@ func TestProfileDifferentialSerial(t *testing.T) {
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
-				rs, ok, err := sparql.EvalRowsProf(g, p, sparql.NewBudget(context.Background()), prof)
+				rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -145,7 +145,7 @@ func TestProfileDifferentialParallel(t *testing.T) {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
 				opts := sparql.ParOptions{Workers: 4, MinPartition: 1, Prof: prof}
-				rs, ok, err := sparql.EvalRowsParOpts(g, p, sparql.NewBudget(context.Background()), opts)
+				rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), opts)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -178,7 +178,7 @@ func TestProfileDedupHits(t *testing.T) {
 	tp := sparql.TriplePattern{S: sparql.V("x"), P: sparql.I("p"), O: sparql.V("y")}
 	p := sparql.Union{L: tp, R: tp}
 	prof := obs.NewNode("query", "")
-	rs, ok, err := sparql.EvalRowsProf(g, p, sparql.NewBudget(context.Background()), prof)
+	rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
 	if err != nil || !ok {
 		t.Fatalf("eval: ok=%v err=%v", ok, err)
 	}

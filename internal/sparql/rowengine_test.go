@@ -154,6 +154,19 @@ func fragmentCases() []struct {
 	}
 }
 
+// serialOpts runs the row engine on one worker: the serial evaluator.
+var serialOpts = sparql.ParOptions{Workers: 1}
+
+// rowEngine evaluates p on the serial row engine and decodes the answer.
+func rowEngine(t testing.TB, g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
+	t.Helper()
+	rs, ok, err := sparql.EvalRows(g, p, nil, serialOpts)
+	if err != nil || !ok {
+		t.Fatalf("row engine on %s: ok=%t err=%v", p, ok, err)
+	}
+	return rs.MappingSet(g.Dict())
+}
+
 // TestEvalRowsAgreesWithEvalQuick is the differential property test of
 // the tentpole: on random patterns × random graphs, the row engine and
 // the string reference evaluator produce the same answer set, per
@@ -174,7 +187,7 @@ func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 					p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
 				}
 				want := sparql.Eval(g, p)
-				got := sparql.EvalRowEngine(g, p)
+				got := rowEngine(t, g, p)
 				if !got.Equal(want) {
 					t.Fatalf("trial %d: row engine diverges on\n%s\ngot: %v\nwant:%v",
 						trial, p, got, want)
@@ -309,7 +322,7 @@ func TestRepeatedVarTriple(t *testing.T) {
 			if got := sparql.Eval(g, tc.p); !got.Equal(tc.want) {
 				t.Errorf("string engine: got %v want %v", got, tc.want)
 			}
-			if got := sparql.EvalRowEngine(g, tc.p); !got.Equal(tc.want) {
+			if got := rowEngine(t, g, tc.p); !got.Equal(tc.want) {
 				t.Errorf("row engine: got %v want %v", got, tc.want)
 			}
 			sc, _ := sparql.SchemaFor(tc.p)
@@ -335,19 +348,20 @@ func TestSchemaWidthLimit(t *testing.T) {
 	if _, ok := sparql.NewVarSchema(wide); ok {
 		t.Fatalf("schema accepted %d variables", len(wide))
 	}
-	// Build a chain pattern with 65 variables; EvalRowEngine must fall
-	// back to Eval and still return the right answers.
+	// Build a chain pattern with 65 variables: the row engine declines
+	// it, and the string algebra it falls back to returns the right
+	// answers.
 	g := rdf.NewGraph()
 	g.Add("a", "p", "a")
 	var p sparql.Pattern = sparql.TP(sparql.V(wide[0]), sparql.I("p"), sparql.V(wide[0]))
 	for _, v := range wide[1:] {
 		p = sparql.And{L: p, R: sparql.TP(sparql.V(v), sparql.I("p"), sparql.V(v))}
 	}
-	if _, ok := sparql.EvalRows(g, p); ok {
-		t.Fatal("EvalRows accepted a pattern wider than MaxSchemaVars")
+	if _, ok, err := sparql.EvalRows(g, p, nil, serialOpts); ok || err != nil {
+		t.Fatalf("EvalRows accepted a pattern wider than MaxSchemaVars (err %v)", err)
 	}
 	want := sparql.Eval(g, p)
-	if got := sparql.EvalRowEngine(g, p); !got.Equal(want) {
+	if got, err := sparql.EvalBudget(g, p, nil); err != nil || !got.Equal(want) {
 		t.Fatalf("wide fallback diverges: got %v want %v", got, want)
 	}
 }

@@ -11,42 +11,35 @@ import (
 // EvalRows computes ⟦P⟧_G with the ID-native row engine: one VarSchema
 // for the whole query, dictionary-encoded rows throughout, and the
 // mask-bucketed NS algorithm.  ok = false when the pattern exceeds
-// MaxSchemaVars variables (or is malformed); callers then fall back to
-// the string algebra.
+// MaxSchemaVars variables; nothing is evaluated and callers fall back
+// to the string algebra (EvalBudget).
 //
-// The result decodes to exactly Eval(g, p) (differentially tested);
-// Eval stays the reference implementation and oracle.
-func EvalRows(g rdf.Store, p Pattern) (*RowSet, bool) {
-	rs, ok, err := EvalRowsBudget(g, p, nil)
-	if err != nil {
-		return nil, false
+// o.Workers picks the engine: 1 is the serial evaluator, more fan UNION
+// branches, AND/OPT operands, large joins and NS out across that many
+// goroutines sharing the one budget (see parallel.go).  The budget is
+// charged per triple-index probe, join candidate and materialized row,
+// and a nil budget disables accounting; the evaluation aborts with the
+// budget's typed error (ErrCanceled, ErrBudgetExceeded) as soon as the
+// governor trips, with the pool fully drained, and a malformed plan
+// surfaces as ErrUnsupportedPattern instead of panicking.  A non-nil
+// o.Prof gets one child node per operator (wall time, rows in/out,
+// dedup hits, NS pruning per mask bucket, budget consumption) at the
+// cost of one nil check per operator node when nil; o.Hints carries
+// the planner's join strategies.
+//
+// The result decodes to exactly Eval(g, p) on every engine
+// (differentially tested); Eval stays the reference implementation and
+// oracle.
+func EvalRows(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, bool, error) {
+	sc, ok := SchemaFor(p)
+	if !ok {
+		return nil, false, nil
 	}
-	return rs, ok
-}
-
-// EvalRowsBudget is EvalRows under a governor: the budget is charged
-// per triple-index probe, join candidate and materialized row, and the
-// evaluation aborts with the budget's typed error (ErrCanceled,
-// ErrBudgetExceeded) as soon as the governor trips.  Malformed plans
-// surface as ErrUnsupportedPattern instead of panicking.
-func EvalRowsBudget(g rdf.Store, p Pattern, b *Budget) (*RowSet, bool, error) {
-	return EvalRowsProf(g, p, b, nil)
-}
-
-// EvalRowsProf is EvalRowsBudget with an execution profile: when prof
-// is non-nil, evaluation attaches one child node per operator of the
-// pattern tree under it, recording wall time, rows in/out, dedup hits,
-// NS pruning per mask bucket, and budget consumption.  A nil prof is
-// exactly EvalRowsBudget — the instrumentation costs one nil check per
-// operator node, nothing per row.
-func EvalRowsProf(g rdf.Store, p Pattern, b *Budget, prof *obs.Node) (*RowSet, bool, error) {
-	return EvalRowsHints(g, p, b, prof, nil)
-}
-
-// EvalRowsHints is EvalRowsProf with planner join-strategy hints (see
-// EvalHints); nil hints keep the structural auto behaviour.
-func EvalRowsHints(g rdf.Store, p Pattern, b *Budget, prof *obs.Node, h *EvalHints) (*RowSet, bool, error) {
-	return EvalRowsParOpts(g, p, b, ParOptions{Workers: 1, Prof: prof, Hints: h})
+	rs, err := newEvaluator(g, sc, b, o).eval(p, o.Prof)
+	if err != nil {
+		return nil, true, err
+	}
+	return rs, true, nil
 }
 
 // opName maps a pattern node to its profile operator name and detail.
@@ -144,17 +137,6 @@ func recordNS(node *obs.Node, in, out *RowSet) {
 	for m, b := range buckets {
 		node.AddNSBucket(m, b.c, b.s)
 	}
-}
-
-// EvalRowEngine evaluates with the row engine and decodes at the
-// boundary, falling back to the reference evaluator for patterns wider
-// than MaxSchemaVars.
-func EvalRowEngine(g rdf.Store, p Pattern) *MappingSet {
-	rs, ok := EvalRows(g, p)
-	if !ok {
-		return Eval(g, p)
-	}
-	return rs.MappingSet(g.Dict())
 }
 
 // tripleSlots resolves the positions of a triple pattern against a

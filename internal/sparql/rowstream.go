@@ -12,8 +12,8 @@ import (
 // search node.
 //
 // Search streams the solutions of a pattern that extend a seed
-// environment; exec.Ask/Limit and the views delta probes are built on
-// it.  For the monotone operators the search is the classic
+// environment; exec's ASK and Limit and the views delta probes are
+// built on it.  For the monotone operators the search is the classic
 // certificate hunt (Section 7); OPT and NS need complete sub-answer
 // sets and fall back to the constrained reference evaluator at their
 // boundary.

@@ -1,5 +1,7 @@
 package sparql
 
+import "fmt"
+
 // SimplifyCond rewrites a condition into an equivalent, usually smaller
 // one: double negations are removed, constants are folded through the
 // connectives, and trivial (in)equalities collapse.  The rewriting is
@@ -95,6 +97,6 @@ func SimplifyPattern(p Pattern) Pattern {
 	case NS:
 		return NS{P: SimplifyPattern(q.P)}
 	default:
-		panic("sparql: unknown pattern type")
+		panic(fmt.Sprintf("sparql: unknown pattern type %T", p))
 	}
 }

@@ -58,7 +58,7 @@ func TestMixedQueriesDistributionAndValidity(t *testing.T) {
 		}
 		// Every generated query must fit the row engine (validity of
 		// the shapes against the schema width).
-		if _, ok := sparql.EvalRows(s.G, q); !ok {
+		if _, ok := sparql.SchemaFor(q); !ok {
 			t.Fatalf("query %s too wide for the row engine", q)
 		}
 	}

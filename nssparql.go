@@ -159,8 +159,17 @@ func CheckSubsumptionFree(p Pattern, opts CheckOpts) *Counterexample {
 func MemberOf(g Store, p Pattern, mu Mapping) bool { return sparql.Member(g, p, mu) }
 
 // EvalOptimized evaluates with the query planner (hash joins, join
-// reordering, filter push-down); always returns exactly ⟦P⟧_G.
-func EvalOptimized(g Store, p Pattern) *MappingSet { return plan.Eval(g, p) }
+// reordering, filter push-down); always returns exactly ⟦P⟧_G.  Like
+// Eval it panics on a pattern node outside the algebra.
+func EvalOptimized(g Store, p Pattern) *MappingSet {
+	rows, err := plan.Run(g, plan.Prepare(g, p), nil, plan.Options{})
+	if err != nil {
+		// Without a budget only a pattern outside the algebra fails;
+		// the message is the one Eval panics with.
+		panic(err.Error())
+	}
+	return rows.MappingSet()
+}
 
 // NewView materializes a monotone CONSTRUCT[AUF] view with incremental
 // insert-only maintenance (Corollary 6.8); see the views package.
