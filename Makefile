@@ -167,8 +167,10 @@ crash-smoke:
 
 # Mirrors the CI cluster-smoke step: two sharded nsserve processes
 # behind an nscoord; insert through the coordinator, query across the
-# shard split, kill -9 one shard and assert the degraded answer is
-# still 200 with partial:true and the dead shard named.  Gated on jq.
+# shard split, repeat the query (a plan-cache hit), insert once more
+# and see the new row, kill -9 one shard and assert the degraded
+# answer is still 200 with partial:true and the dead shard named.
+# Gated on jq.
 cluster-smoke:
 	@if command -v jq >/dev/null 2>&1; then \
 		go build -o /tmp/nsserve-cluster ./cmd/nsserve || exit 1; \
@@ -193,6 +195,18 @@ cluster-smoke:
 			http://127.0.0.1:18325/query \
 		| jq -e '(.results.bindings | length == 100) and (.partial | not)' > /dev/null \
 		|| { echo "cluster-smoke: healthy cluster query wrong" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=(?x knows ?y)' --data-urlencode 'syntax=paper' \
+			http://127.0.0.1:18325/query > /dev/null \
+		&& curl -sf http://127.0.0.1:18325/metrics \
+		| jq -e '.plan_cache.hits >= 1 and .plan_cache.misses == 1' > /dev/null \
+		|| { echo "cluster-smoke: repeated query not served from the plan cache" >&2; exit 1; }; \
+		echo '<s100> <knows> <o100> .' \
+		| curl -sf --data-binary @- http://127.0.0.1:18325/insert \
+		| jq -e '.added == 1' > /dev/null \
+		&& curl -sfG --data-urlencode 'q=(?x knows ?y)' --data-urlencode 'syntax=paper' \
+			http://127.0.0.1:18325/query \
+		| jq -e '(.results.bindings | length == 101) and any(.results.bindings[]; .x.value == "s100")' > /dev/null \
+		|| { echo "cluster-smoke: cached plan served a stale answer after an insert" >&2; exit 1; }; \
 		kill -9 $$s0; \
 		curl -sfG --data-urlencode 'q=(?x knows ?y)' --data-urlencode 'syntax=paper' \
 			http://127.0.0.1:18325/query \

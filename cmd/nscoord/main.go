@@ -20,13 +20,15 @@
 //	     with a Content-Length.
 //	POST /insert       N-Triples body, partitioned by subject hash and
 //	     forwarded to the owning shards; response {"added": N,
-//	     "partial": bool[, "shards": [...]]}
+//	     "partial": bool[, "shards": [...]]}.  A body over 16 MiB (nsserve's
+//	     -max-insert-bytes default) is refused with 413.
 //	GET  /healthz      liveness (always 200 while the process runs)
 //	GET  /readyz       readiness: 503 once graceful shutdown began
 //	GET  /metrics      process metrics plus the "cluster" block:
 //	     per-shard scan/retry/hedge/ejection counters, scan_bytes
 //	     (response bytes read off the wire) and latency histograms,
-//	     and query/partial/failed totals.  JSON by
+//	     and query/partial/failed totals; and nsserve's "plan_cache"
+//	     block (size, hits, misses, refreshes, evictions).  JSON by
 //	     default; Prometheus text exposition with Accept: text/plain
 //	     or ?format=prometheus.
 //	GET  /debug/traces[?id=<trace>&limit=N]
@@ -37,10 +39,16 @@
 //	     patterns/triples/dict/bytes) merged with the span segments fetched
 //	     from every shard's /debug/traces for that trace ID.
 //
-// Each query's gathered subgraph is planned fresh by the cost-based DP
-// planner and run the way nsserve runs its queries (adaptive AND chains
-// staged across the worker pool).  The planner ablations are nsbench
-// experiments (E28, E30), not coordinator settings.
+// Queries go through nsserve's parse/plan cache (exec.PlanCache, 256
+// entries keyed on syntax and query text): a repeated query skips the
+// parse and the cost-based DP planner.  A plan is correct on any
+// gathered subgraph; the cached one is revalidated on each query's
+// gathered store (plan.Prepared.Drifted) and re-prepared from its
+// cached parse only when a leaf count left the re-plan band.  Plans
+// run the way nsserve runs its queries (adaptive AND chains staged
+// across the worker pool).  The planner ablations are nsbench
+// experiments (E28, E30), not coordinator settings.  A panicking
+// handler answers 500 and ticks the panics metric, as in nsserve.
 //
 // # Tracing
 //

@@ -39,13 +39,22 @@ type coordConfig struct {
 	traceBuffer int
 }
 
+// planCacheEntries and maxInsertBytes are nsserve's -plan-cache and
+// -max-insert-bytes defaults; the coordinator has no flags for them.
+const (
+	planCacheEntries = 256
+	maxInsertBytes   = 16 << 20
+)
+
 // coordServer is the HTTP face of the cluster coordinator: it parses
-// queries, gathers the relevant subgraph from the shards and runs the
-// ordinary single-node engine over it.
+// queries (or finds them in its plan cache), gathers the relevant
+// subgraph from the shards and runs the ordinary single-node engine
+// over it.
 type coordServer struct {
 	coord   *cluster.Coordinator
 	cfg     coordConfig
 	metrics *obs.Metrics
+	plans   *exec.PlanCache
 	tracer  *obs.Tracer // nil: tracing disabled (traceBuffer < 0)
 	qid     atomic.Uint64
 
@@ -57,7 +66,7 @@ func newCoordServer(coord *cluster.Coordinator, cfg coordConfig) *coordServer {
 	if cfg.logger == nil {
 		cfg.logger = slog.Default()
 	}
-	s := &coordServer{coord: coord, cfg: cfg, metrics: obs.NewMetrics()}
+	s := &coordServer{coord: coord, cfg: cfg, metrics: obs.NewMetrics(), plans: exec.NewPlanCache(planCacheEntries)}
 	if cfg.traceBuffer >= 0 {
 		s.tracer = obs.NewTracer(obs.TracerOptions{
 			Capacity:      cfg.traceBuffer,
@@ -77,7 +86,7 @@ func newCoordServer(coord *cluster.Coordinator, cfg coordConfig) *coordServer {
 	mux.Handle("/debug/traces", obs.TracesHandler(s.tracer, func(r *http.Request, id string) []obs.TraceSnapshot {
 		return s.coord.FetchShardTraces(r.Context(), id)
 	}))
-	s.handler = mux
+	s.handler = obs.RecoverPanics(cfg.logger, s.metrics, mux)
 	return s
 }
 
@@ -195,16 +204,26 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	prsp := span.StartChild("parse", "")
-	parsed, err := parser.ParseAny(params.Get("syntax"), qText)
-	if err != nil {
-		prsp.SetStatus("error")
-		prsp.SetAttr("error", err.Error())
+	// A cached plan brings its parse: the gather needs the query's
+	// triple patterns before there is a store to validate the plan on.
+	syntax := params.Get("syntax")
+	key := exec.PlanKey(syntax, qText)
+	cached := s.plans.Get(key)
+	var parsed parser.Parsed
+	if cached != nil {
+		parsed = cached.Parsed
+	} else {
+		prsp := span.StartChild("parse", "")
+		var err error
+		if parsed, err = s.plans.Parse(syntax, qText); err != nil {
+			prsp.SetStatus("error")
+			prsp.SetAttr("error", err.Error())
+			prsp.End()
+			http.Error(w, "parse error: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 		prsp.End()
-		http.Error(w, "parse error: "+err.Error(), http.StatusBadRequest)
-		return
 	}
-	prsp.End()
 	deadline, err := s.queryDeadline(params.Get("timeout"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -243,11 +262,21 @@ func (s *coordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.maxRows > 0 {
 		bud.WithMaxRows(s.cfg.maxRows)
 	}
-	// The coordinator compiles fresh against the gathered subgraph
-	// (whose statistics drive join ordering), so the plan span carries
-	// the planner's Explain for this query's actual data.
+	// Every query runs on a newly gathered subgraph, and a plan is
+	// correct on any of them: a cached plan is revalidated on this one
+	// (its leaf counts here are the cluster's, since every match of a
+	// query pattern is gathered) and re-prepared from its parse only
+	// when they drifted; an uncached query is prepared on it and cached.
 	psp := span.StartChild("plan", "")
-	compiled := exec.Compile(g, parsed.Pattern, parsed.Construct, parsed.Ask)
+	var cp *exec.CachedPlan
+	var outcome exec.CacheOutcome
+	if cached != nil {
+		cp, outcome = s.plans.Revalidate(key, cached, g)
+	} else {
+		cp, outcome = s.plans.Add(key, parsed, g), exec.CacheMiss
+	}
+	psp.SetAttr("cache", string(outcome))
+	compiled := cp.Compiled
 	if ex := compiled.Prepared.Explain(); ex != nil {
 		psp.SetAttr("planner", ex.Planner)
 		psp.SetAttr("probes", ex.Probes)
@@ -374,8 +403,16 @@ func (s *coordServer) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	// Drain the capped body before parsing: a cap hit mid-line must
+	// surface as 413, not as a parse error on the truncated line.
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxInsertBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSONError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("insert body exceeds %d bytes", tooBig.Limit), nil)
+			return
+		}
 		http.Error(w, "read error: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -428,6 +465,7 @@ func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	cs := s.coord.Stats()
 	snap.Cluster = &cs
+	snap.PlanCache = s.plans.Stats()
 	if s.tracer != nil {
 		ts := s.tracer.Stats()
 		snap.Traces = &ts

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -246,4 +247,50 @@ func TestCoordMetricsAndReadyz(t *testing.T) {
 		t.Fatalf("/readyz after drain = %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestCoordInsertBodyCap: an /insert body over 16 MiB is refused with
+// 413 before any of it reaches a shard, and the coordinator keeps
+// accepting ordinary inserts.
+func TestCoordInsertBodyCap(t *testing.T) {
+	g0, g1 := rdf.NewGraph(), rdf.NewGraph()
+	coord := newTestCoord(t, []string{fakeShard(t, g0).URL, fakeShard(t, g1).URL})
+	line := "<a> <p> <b> .\n"
+	big := io.LimitReader(strings.NewReader(strings.Repeat(line, (maxInsertBytes/len(line))+2)), maxInsertBytes+1)
+	resp, err := http.Post(coord.URL+"/insert", "text/plain", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized insert: status %d, want 413: %.200s", resp.StatusCode, body)
+	}
+	if g0.Len()+g1.Len() != 0 {
+		t.Fatalf("the refused insert reached the shards: %d + %d triples", g0.Len(), g1.Len())
+	}
+	coordInsert(t, coord.URL, line)
+	if g0.Len()+g1.Len() != 1 {
+		t.Fatalf("small insert after the 413: %d + %d triples", g0.Len(), g1.Len())
+	}
+}
+
+// TestCoordPanicRecovery: a /query handler that panics (here: a server
+// with no coordinator behind it) answers 500 instead of dropping the
+// connection, and ticks the panics metric.
+func TestCoordPanicRecovery(t *testing.T) {
+	s := newCoordServer(nil, coordConfig{logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/query?syntax=paper&q=" + urlQueryEscape("(?x p ?y)"))
+	if err != nil {
+		t.Fatalf("panicking /query dropped the connection: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking /query: status %d, want 500", resp.StatusCode)
+	}
+	if got := s.metrics.Snapshot().Panics; got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
 }

@@ -262,7 +262,7 @@ func TestPanicRecovery(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(lockedWriter{mu: &mu, w: &logBuf}, nil))
 	m := obs.NewMetrics()
-	ts := httptest.NewServer(recoverPanics(logger, m, mux))
+	ts := httptest.NewServer(obs.RecoverPanics(logger, m, mux))
 	t.Cleanup(ts.Close)
 
 	resp, _ := get(t, ts, "/boom")

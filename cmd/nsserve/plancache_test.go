@@ -258,7 +258,7 @@ func TestPlanCacheReadersDuringCommit(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	pc := s.plans.stats()
+	pc := s.plans.Stats()
 	if pc.Refreshes == 0 || pc.Hits == 0 || pc.Size != int64(len(queries)) {
 		t.Fatalf("the batches never exercised both revalidation outcomes: %+v", pc)
 	}

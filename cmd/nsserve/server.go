@@ -20,7 +20,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/rdf/durable"
@@ -82,8 +81,8 @@ type server struct {
 	mu    sync.RWMutex
 	graph rdf.Store
 	cfg   config
-	sem   chan struct{} // nil: unlimited concurrency
-	plans *planCache    // nil: caching disabled
+	sem   chan struct{}   // nil: unlimited concurrency
+	plans *exec.PlanCache // nil: caching disabled
 
 	// durable is non-nil when the store is the WAL+snapshot backend;
 	// backend names the active storage backend for /healthz.  Durable
@@ -128,7 +127,7 @@ func newServerWith(g rdf.Store, cfg config) *server {
 	if cfg.logger == nil {
 		cfg.logger = slog.Default()
 	}
-	s := &server{graph: g, cfg: cfg, metrics: obs.NewMetrics(), plans: newPlanCache(cfg.planCache)}
+	s := &server{graph: g, cfg: cfg, metrics: obs.NewMetrics(), plans: exec.NewPlanCache(cfg.planCache)}
 	if cfg.traceBuffer >= 0 {
 		s.tracer = obs.NewTracer(obs.TracerOptions{
 			Capacity:      cfg.traceBuffer,
@@ -174,7 +173,7 @@ func newServerWith(g rdf.Store, cfg config) *server {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.handler = recoverPanics(cfg.logger, s.metrics, mux)
+	s.handler = obs.RecoverPanics(cfg.logger, s.metrics, mux)
 	return s
 }
 
@@ -254,28 +253,6 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		span.End()
 		logger.Info("request", "method", r.Method, "status", sr.status, "duration", d)
 	}
-}
-
-// recoverPanics converts a panicking handler into a 500 response, a
-// structured log line, and a metrics tick, keeping the process (and its
-// listener) alive.  A panic below this middleware cannot leak the graph
-// lock: handlers release it with defer, and deferred calls run during
-// the panic unwind.
-func recoverPanics(logger *slog.Logger, m *obs.Metrics, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler {
-					panic(rec)
-				}
-				m.Panic()
-				logger.Error("panic recovered", "path", r.URL.Path, "panic", rec,
-					"stack", string(debug.Stack()))
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
-		}()
-		h.ServeHTTP(w, r)
-	})
 }
 
 // limitConcurrency admits at most cfg.maxConcurrent requests into h;
@@ -376,7 +353,7 @@ const sparqlJSON = "application/sparql-results+json"
 type queryOutcome struct {
 	ok          bool
 	contentType string
-	plan        *cachedPlan
+	plan        *exec.CachedPlan
 	profile     *obs.Profile
 	encode      *obs.Profile // the encode stage as a profile node, for the hot-span list
 }
@@ -450,7 +427,7 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 		http.Error(w, errMsg, http.StatusBadRequest)
 		return out
 	}
-	explain := cp.compiled.Prepared.Explain()
+	explain := cp.Compiled.Prepared.Explain()
 	if explain != nil {
 		psp.SetAttr("planner", explain.Planner)
 		psp.SetAttr("probes", explain.Probes)
@@ -478,7 +455,7 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 	// for the profile block.
 	prof := obs.NewNode("query", reqQID(r))
 	esp := span.StartChild("exec", "")
-	ans, err := exec.Run(s.graph, cp.compiled, bud, plan.Options{
+	ans, err := exec.Run(s.graph, cp.Compiled, bud, plan.Options{
 		Parallel:            s.cfg.parallel,
 		MinParallelEstimate: s.cfg.minParallelEstimate,
 		MinPartition:        s.cfg.minPartition,
@@ -513,7 +490,7 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 		out.contentType = sparqlJSON
 		err = json.NewEncoder(body).Encode(doc)
 		st.Bytes = len(body.Bytes())
-	case cp.compiled.Construct != nil:
+	case cp.Compiled.Construct != nil:
 		// CONSTRUCT output is N-Triples text; there is no JSON envelope
 		// to carry a profile block.  Use nsq -stats for profiled
 		// CONSTRUCT runs.
@@ -540,55 +517,30 @@ func (s *server) evalQuery(w http.ResponseWriter, r *http.Request, syntax, qText
 }
 
 // lookupPlan resolves a query to an executable plan through the plan
-// cache.  A cached plan last validated at the current graph epoch is a
-// hit at the cost of one atomic load.  After an insert it is validated
-// again: if every leaf count it was chosen on is still inside the
-// re-plan band (plan.Prepared.Drifted) the new epoch is recorded and
-// it is a hit; otherwise it is re-prepared from the cached parse and
-// replaces the entry (a refresh).  A query not in the cache is parsed,
+// cache.  A cached plan last found current at the graph's epoch is a
+// hit at the cost of one atomic load.  After an insert it is
+// revalidated (exec.PlanCache.Revalidate): a hit while its leaf counts
+// stay inside the re-plan band, re-prepared from the cached parse (a
+// refresh) once one leaves it.  A query not in the cache is parsed,
 // prepared and cached (a miss).  Called with the read lock held: the
 // epoch cannot move under a reader, and preparation and validation
 // read index counts.  Parse failures are returned as a message for a
 // 400 and are never cached.
-func (s *server) lookupPlan(syntax, qText string) (*cachedPlan, cacheOutcome, string) {
-	var key string
-	epoch := s.graph.Epoch()
-	if s.plans != nil {
-		key = planKey(syntax, qText)
-		if cp := s.plans.get(key); cp != nil {
-			outcome := cacheHit
-			if cp.validated.Load() != epoch {
-				if cp.compiled.Prepared.Drifted(s.graph) {
-					cp = s.compile(cp.parsed, epoch)
-					s.plans.put(key, cp)
-					outcome = cacheRefresh
-				} else {
-					cp.validated.Store(epoch)
-				}
-			}
-			s.plans.record(outcome)
-			return cp, outcome, ""
+func (s *server) lookupPlan(syntax, qText string) (*exec.CachedPlan, exec.CacheOutcome, string) {
+	key := exec.PlanKey(syntax, qText)
+	if cp := s.plans.Get(key); cp != nil {
+		if cp.CurrentAt(s.graph.Epoch()) {
+			s.plans.Record(exec.CacheHit)
+			return cp, exec.CacheHit, ""
 		}
+		cp, outcome := s.plans.Revalidate(key, cp, s.graph)
+		return cp, outcome, ""
 	}
-	s.plans.record(cacheMiss)
-	parsed, err := parser.ParseAny(syntax, qText)
+	parsed, err := s.plans.Parse(syntax, qText)
 	if err != nil {
-		return nil, cacheMiss, "parse error: " + err.Error()
+		return nil, exec.CacheMiss, "parse error: " + err.Error()
 	}
-	cp := s.compile(parsed, epoch)
-	s.plans.put(key, cp)
-	return cp, cacheMiss, ""
-}
-
-// compile prepares a parsed query against the current graph, validated
-// at epoch.  Called with the read lock held.
-func (s *server) compile(parsed parser.Parsed, epoch uint64) *cachedPlan {
-	cp := &cachedPlan{
-		parsed:   parsed,
-		compiled: exec.Compile(s.graph, parsed.Pattern, parsed.Construct, parsed.Ask),
-	}
-	cp.validated.Store(epoch)
-	return cp
+	return s.plans.Add(key, parsed, s.graph), exec.CacheMiss, ""
 }
 
 // logSlowQuery emits the structured slow-query line: the query text,
@@ -601,7 +553,7 @@ func (s *server) logSlowQuery(r *http.Request, qText string, out queryOutcome, e
 	if tid := obs.SpanFromContext(r.Context()).TraceID(); tid != "" {
 		args = append(args, "trace_id", tid)
 	}
-	if ex := out.plan.compiled.Prepared.Explain(); ex != nil {
+	if ex := out.plan.Compiled.Prepared.Explain(); ex != nil {
 		if js, err := json.Marshal(ex); err == nil {
 			args = append(args, "plan", string(js))
 		}
@@ -760,7 +712,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ds := s.durable.DurableStats()
 		snap.Durable = &ds
 	}
-	snap.PlanCache = s.plans.stats()
+	snap.PlanCache = s.plans.Stats()
 	if s.tracer != nil {
 		ts := s.tracer.Stats()
 		snap.Traces = &ts

@@ -22,7 +22,8 @@ package cluster
 // acquisition of the shard's read lock, sorted and duplicate-free.
 // Because the dictionary is sorted, index order *is* IRI order: the
 // (S, P, O) integer order of the run is rdf.Triple.Less order, so the
-// shard sorts machine words, never strings, and never formats a
+// shard compares only the distinct IRIs as strings, places the
+// triples by counting passes over their indices, and never formats a
 // triple; and since any two shards' dictionaries merge into one sorted
 // dictionary under a monotone remap, their runs stay sorted through
 // the remap and k-way-merge into the SPO base array of the gathered
@@ -55,6 +56,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -168,11 +170,22 @@ func readScanRequest(w http.ResponseWriter, r *http.Request) ([]scanPattern, int
 	return patterns, 0, nil
 }
 
+// scanScratch maps store IDs to positions for collectMatches: slot id
+// holds the ID's position among the scan's distinct IDs plus one, 0
+// while the scan has not met it.  It is pooled with every slot zero; a
+// scan resets only the slots it set, so its cost is the matches, not
+// the dictionary — whose size it does carry, 4 bytes an entry per
+// concurrent scan.
+type scanScratch struct{ pos []int32 }
+
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
 // collectMatches reads everything a frame needs from the store under
-// one read lock: the patterns' matches in the store's ID space (with
-// repeats where patterns overlap), the distinct IDs they mention in
-// ascending order, and those IDs' IRIs.
-func collectMatches(src StoreSource, patterns []scanPattern) (ids []rdf.ID, iris []rdf.IRI, ts []rdf.IDTriple) {
+// one read lock: the patterns' matches (with repeats where patterns
+// overlap) rewritten from store IDs to local indices, and iris, the
+// distinct IRIs the matches mention, local index i ↦ iris[i], in order
+// of first appearance.
+func collectMatches(src StoreSource, patterns []scanPattern) (iris []rdf.IRI, ts []rdf.IDTriple) {
 	g, release := src()
 	defer release()
 	dict := g.Dict()
@@ -205,44 +218,51 @@ func collectMatches(src StoreSource, patterns []scanPattern) (ids []rdf.ID, iris
 			return true
 		})
 	}
-	ids = make([]rdf.ID, 0, 3*len(ts))
-	for _, t := range ts {
-		ids = append(ids, t.S, t.P, t.O)
+
+	sc := scanScratchPool.Get().(*scanScratch)
+	if n := dict.Len(); len(sc.pos) < n {
+		sc.pos = append(sc.pos, make([]int32, n-len(sc.pos))...)
 	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	iris = make([]rdf.IRI, len(ids))
-	for i, id := range ids {
+	pos := sc.pos
+	var seen []rdf.ID // seen[i] is the store ID of local index i
+	for i, t := range ts {
+		for _, id := range [3]rdf.ID{t.S, t.P, t.O} {
+			if pos[id] == 0 {
+				seen = append(seen, id)
+				pos[id] = int32(len(seen))
+			}
+		}
+		ts[i] = rdf.IDTriple{S: rdf.ID(pos[t.S] - 1), P: rdf.ID(pos[t.P] - 1), O: rdf.ID(pos[t.O] - 1)}
+	}
+	iris = make([]rdf.IRI, len(seen))
+	for i, id := range seen {
 		iris[i] = dict.IRI(id)
+		pos[id] = 0
 	}
-	return ids, iris, ts
+	scanScratchPool.Put(sc)
+	return iris, ts
 }
 
-// buildFrame turns collectMatches' output into a frame: ids[i] ↦
-// iris[i] is re-ranked by IRI order, ts is rewritten from store IDs to
-// those ranks, sorted and deduplicated.  Only the distinct IRIs are
-// ever compared as strings; the triples sort as integers.
-func buildFrame(ids []rdf.ID, iris []rdf.IRI, ts []rdf.IDTriple) scanFrame {
-	order := make([]int, len(iris)) // order[rank] = position in ids/iris
+// buildFrame turns collectMatches' output into a frame: the distinct
+// IRIs are sorted — the only string comparisons — each local index is
+// replaced by its IRI's rank, and the rank triples are put in (S, P, O)
+// order by counting passes over the ranks and deduplicated.
+func buildFrame(iris []rdf.IRI, ts []rdf.IDTriple) scanFrame {
+	order := make([]int32, len(iris)) // order[rank] = local index
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(string(iris[a]), string(iris[b])) })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(string(iris[a]), string(iris[b])) })
 	rank := make([]rdf.ID, len(iris))
 	sorted := make([]rdf.IRI, len(iris))
 	for r, i := range order {
 		rank[i] = rdf.ID(r)
 		sorted[r] = iris[i]
 	}
-	rankOf := func(id rdf.ID) rdf.ID {
-		i, _ := slices.BinarySearch(ids, id)
-		return rank[i]
-	}
 	for i, t := range ts {
-		ts[i] = rdf.IDTriple{S: rankOf(t.S), P: rankOf(t.P), O: rankOf(t.O)}
+		ts[i] = rdf.IDTriple{S: rank[t.S], P: rank[t.P], O: rank[t.O]}
 	}
-	slices.SortFunc(ts, rdf.CompareSPO)
-	return scanFrame{iris: sorted, triples: slices.Compact(ts)}
+	return scanFrame{iris: sorted, triples: slices.Compact(rdf.CountingSortSPO(ts, len(iris)))}
 }
 
 // encode renders the frame in the wire layout described at the top of

@@ -291,7 +291,8 @@ type ClusterStats struct {
 	FailedResponses  int64        `json:"failed_responses"`
 }
 
-// PlanCacheStats is the /metrics view of nsserve's parse/plan cache.
+// PlanCacheStats is the /metrics view of a server's parse/plan cache
+// (exec.PlanCache; nsserve and nscoord both export it).
 // Misses counts every lookup that prepared a plan; Refreshes counts
 // the subset that re-prepared a cached query whose statistics drifted.
 type PlanCacheStats struct {

@@ -55,7 +55,7 @@ import (
 // long enough that a drift checkpoint can still reorder ≥2 remaining
 // operands.
 func (pr Prepared) adaptiveArmed() bool {
-	return !pr.popts.Greedy && !pr.popts.NoReplan && len(pr.chain) >= 3 && pr.estr != nil
+	return !pr.popts.Greedy && !pr.popts.NoReplan && len(pr.chain) >= 3 && pr.memo != nil
 }
 
 // evalChain runs the prepared AND chain with drift-triggered
@@ -80,7 +80,7 @@ func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition
 	node := prof.Child("and", detail)
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
-	rs, err := runChain(pr, x, staged, node, span)
+	rs, err := runChain(g, pr, x, staged, node, span)
 	if node != nil {
 		node.AddWall(time.Since(start))
 		steps1, rows1, bytes1 := b.Counters()
@@ -100,12 +100,13 @@ func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition
 // re-plan the tail on drift, and pick bind vs hash join per step
 // against the observed accumulator size.  The prefix and the operand a
 // step consumed hand their arrays back to the evaluation's free list
-// as soon as the step has its output.
-func runChain(pr Prepared, x *sparql.StagedExec, staged bool, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
+// as soon as the step has its output.  The plan's memo answers the
+// estimates it already holds; a re-plan's new probes count on g.
+func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
 	factor := pr.popts.replanFactor()
 	chain := append([]sparql.Pattern(nil), pr.chain...)
 	targets := append([]float64(nil), pr.chainEsts...)
-	e := pr.estr
+	e := &estimator{g: g, estMemo: pr.memo}
 
 	var (
 		acc *sparql.RowSet

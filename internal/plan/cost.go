@@ -25,17 +25,24 @@ import (
 	"repro/internal/sparql"
 )
 
-// estimator is a memoizing cardinality oracle for one Prepare.
-// Triple-pattern counts come from the exact sorted indexes and are
-// memoized by pattern value; composite estimates are memoized by
-// pattern text.  A plan served after the graph changed keeps this memo:
-// its estimates stay the counts it was prepared on (correct plans,
-// possibly not optimal ones) until Prepared.Drifted calls for a new
-// Prepare.  The mutex makes it safe for the adaptive executor to
-// re-plan concurrently running queries that share one cached plan.
+// estimator is a memoizing cardinality oracle: a store to probe and
+// the memo the probes fill.  Triple-pattern counts come from the exact
+// sorted indexes and are memoized by pattern value; composite
+// estimates are memoized by pattern text.  A Prepared plan keeps the
+// memo but not the store: its estimates stay the counts it was
+// prepared on (correct plans, possibly not optimal ones) until
+// Prepared.Drifted calls for a new Prepare, and the chain driver's
+// re-plan probes go to the store Run is given, never to the one the
+// plan was prepared on — a cached plan pins no store.
 type estimator struct {
 	g rdf.Store
+	*estMemo
+}
 
+// estMemo is the estimator's memo.  The mutex makes it safe for the
+// adaptive executor to re-plan concurrently running queries that
+// share one cached plan.
+type estMemo struct {
 	mu      sync.Mutex
 	triples map[sparql.TriplePattern]float64
 	comps   map[string]float64
@@ -43,11 +50,10 @@ type estimator struct {
 }
 
 func newEstimator(g rdf.Store) *estimator {
-	return &estimator{
-		g:       g,
+	return &estimator{g: g, estMemo: &estMemo{
 		triples: make(map[sparql.TriplePattern]float64),
 		comps:   make(map[string]float64),
-	}
+	}}
 }
 
 // Probes returns how many CountMatch index probes the estimator has

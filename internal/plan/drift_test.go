@@ -3,7 +3,9 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/parser"
 	"repro/internal/rdf"
@@ -215,4 +217,53 @@ func TestDriftedZeroPrepared(t *testing.T) {
 	if (Prepared{}).Drifted(driftGraph(3)) {
 		t.Fatal("a zero Prepared drifted")
 	}
+}
+
+// TestPreparedPinsNoStore: a plan kept after Prepare — as a plan cache
+// keeps it — holds its estimates but not the store it was prepared
+// on.  It answers on a second store, the adaptive chain's re-plan
+// probes included, and the first store is collectable while the plan
+// is alive.  (A finalizer stands in for a weak pointer, which needs a
+// newer Go than go.mod asks for.)
+func TestPreparedPinsNoStore(t *testing.T) {
+	q := parser.MustParsePattern("(?x p ?y) AND (?y q ?z) AND (?z r ?w) AND (?w s ?v)")
+	build := func(fan int) *rdf.Graph {
+		g := rdf.NewGraph()
+		for i := 0; i < 6; i++ {
+			for j := 0; j < fan; j++ {
+				g.Add(rdf.IRI(fmt.Sprintf("a%d", i)), "p", rdf.IRI(fmt.Sprintf("b%d", j)))
+				g.Add(rdf.IRI(fmt.Sprintf("b%d", j)), "q", rdf.IRI(fmt.Sprintf("c%d", i)))
+			}
+			g.Add(rdf.IRI(fmt.Sprintf("c%d", i)), "r", rdf.IRI(fmt.Sprintf("d%d", i)))
+			g.Add(rdf.IRI(fmt.Sprintf("d%d", i)), "s", "e")
+		}
+		return g
+	}
+	collected := make(chan struct{})
+	pr := func() Prepared {
+		g1 := build(1)
+		runtime.SetFinalizer(g1, func(*rdf.Graph) { close(collected) })
+		return PrepareOpts(g1, q, PlannerOptions{})
+	}()
+	if !pr.adaptiveArmed() {
+		t.Fatal("the chain does not arm the adaptive driver")
+	}
+	g2 := build(20) // the p ⋈ q prefix is 20× the estimate: a re-plan
+	want := sparql.Eval(g2, q)
+	for _, o := range []Options{{Parallel: 1}, {Parallel: 4, MinParallelEstimate: 1}} {
+		if got := run(t, g2, pr, o); !sameRows(got, want) {
+			t.Fatalf("Parallel %d: answer on the second store differs from the reference", o.Parallel)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(pr)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(pr)
+	t.Fatal("the prepared plan keeps the store it was prepared on alive")
 }

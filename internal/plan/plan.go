@@ -118,7 +118,8 @@ type Prepared struct {
 	popts   PlannerOptions
 	explain *Explain
 	hints   *sparql.EvalHints
-	estr    *estimator
+	// memo is the estimator's memo without its store (see estimator).
+	memo *estMemo
 	// chain is the ordered flat operand list when the whole pattern is
 	// an AND chain (components concatenated), nil otherwise;
 	// chainEsts[i] is the estimated cardinality after joining
@@ -149,7 +150,7 @@ func Prepare(g rdf.Store, p sparql.Pattern) Prepared {
 func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	pc := &planCtx{g: g, e: newEstimator(g), po: po}
 	opt := pc.optimize(sparql.SimplifyPattern(p))
-	pr := Prepared{pattern: opt, popts: po, estr: pc.e}
+	pr := Prepared{pattern: opt, popts: po, memo: pc.e.estMemo}
 	if _, ok := opt.(sparql.And); ok {
 		// andOperands of the rebuilt tree recovers the planner's full
 		// chain order (left-deep within components, concatenated across).

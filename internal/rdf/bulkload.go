@@ -34,29 +34,44 @@ func NewGraphFromSnapshot(iris []IRI, spo []IDTriple) (*Graph, error) {
 	// A stable reordering by one component keeps the order the input
 	// had among triples that agree on it: (S,P,O) order stably keyed by
 	// O is (O,S,P) order, and that stably keyed by P is (P,O,S) order.
+	next := make([]int, len(iris)+1)
 	g.base[permSPO] = spo
-	g.base[permOSP] = stableByKey(spo, len(iris), func(t IDTriple) ID { return t.O })
-	g.base[permPOS] = stableByKey(g.base[permOSP], len(iris), func(t IDTriple) ID { return t.P })
+	g.base[permOSP] = stableByKey(make([]IDTriple, len(spo)), spo, next, func(t IDTriple) ID { return t.O })
+	g.base[permPOS] = stableByKey(make([]IDTriple, len(spo)), g.base[permOSP], next, func(t IDTriple) ID { return t.P })
 	g.n = len(spo)
 	return g, nil
 }
 
-// stableByKey returns a copy of src ordered by ascending key, equal
-// keys in their src order: one counting sort over the dense ID space
-// [0, ids), O(len(src) + ids) with no comparisons.
-func stableByKey(src []IDTriple, ids int, key func(IDTriple) ID) []IDTriple {
-	next := make([]int, ids+1) // next[k+1] counts key k, then next[k] is where key k goes
+// stableByKey writes src into dst (len(src) long) ordered by
+// ascending key, equal keys in their src order: one counting sort over
+// the dense ID space [0, len(next)-1), O(len(src) + len(next)) with no
+// comparisons.  next is its counter array; its contents are
+// overwritten.
+func stableByKey(dst, src []IDTriple, next []int, key func(IDTriple) ID) []IDTriple {
+	clear(next) // next[k+1] counts key k, then next[k] is where key k goes
 	for _, t := range src {
 		next[key(t)+1]++
 	}
-	for k := 1; k <= ids; k++ {
+	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
-	dst := make([]IDTriple, len(src))
 	for _, t := range src {
 		k := key(t)
 		dst[next[k]] = t
 		next[k]++
 	}
 	return dst
+}
+
+// CountingSortSPO orders ts by (S, P, O) over the dense ID space
+// [0, ids) with three stable counting passes — by O, then P, then S —
+// and no comparisons: O(len(ts) + ids).  Repeats are kept.  ts is
+// overwritten (it is the middle pass's output); the result is a new
+// slice of the same length.
+func CountingSortSPO(ts []IDTriple, ids int) []IDTriple {
+	next := make([]int, ids+1)
+	tmp := make([]IDTriple, len(ts))
+	stableByKey(tmp, ts, next, func(t IDTriple) ID { return t.O })
+	stableByKey(ts, tmp, next, func(t IDTriple) ID { return t.P })
+	return stableByKey(tmp, ts, next, func(t IDTriple) ID { return t.S })
 }
