@@ -41,7 +41,8 @@ race:
 	for procs in 1 4; do \
 		GOMAXPROCS=$$procs go test -race -count=1 -timeout 10m \
 			./internal/rdf/... ./internal/sparql/ ./internal/plan/ ./internal/exec/ ./internal/views/ \
-			./internal/cluster/ ./internal/workload/ ./internal/obs/ ./cmd/nsserve/ ./cmd/nscoord/ \
+			./internal/cluster/ ./internal/workload/ ./internal/obs/ ./internal/serve/ \
+			./cmd/nsserve/ ./cmd/nscoord/ \
 			|| exit 1; \
 	done
 
@@ -296,7 +297,7 @@ governor-race:
 		-run 'TestBudget|TestUnknownPattern|TestSearcherFault|TestEvalRowsFault|TestEvalBudgetFault|TestEvalCompatibleFault|TestDeadlineStops' \
 		./internal/sparql/
 	go test -race -timeout 5m -run 'Governor|Fault|Budget|Ctx|Insert' ./internal/exec/ ./internal/views/
-	go test -race -timeout 5m ./cmd/nsserve/
+	go test -race -timeout 5m ./internal/serve/ ./cmd/nsserve/
 
 build:
 	go build ./...

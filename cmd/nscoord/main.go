@@ -9,25 +9,25 @@
 //
 // Endpoints:
 //
-//	GET  /query?q=<query>[&syntax=paper|sparql][&timeout=<dur|ms>]
+//	GET  /query?q=<query>[&syntax=paper|sparql][&timeout=<dur|ms>][&profile=1]
 //	     SELECT/pattern → SPARQL 1.1 JSON results, extended with
 //	     "partial": bool and, when partial, a per-shard "shards" error
-//	     block.  ASK → {"boolean": ..., "partial": ...}.  CONSTRUCT →
+//	     block (then the "profile" and "plan" blocks with profile=1).
+//	     ASK → {"boolean": ..., "partial": ...}.  CONSTRUCT →
 //	     N-Triples (text/plain) with an X-Partial: true header when
 //	     degraded.  502 when no shard is reachable at all.  Bodies
-//	     come from the writer nsserve uses (exec.ResultWriter): the
-//	     same order and bytes as a single node holding the triples,
-//	     with a Content-Length.
+//	     are exec.ResultWriter's: the same order and bytes as a single
+//	     node holding the triples, with a Content-Length.
 //	POST /insert       N-Triples body, partitioned by subject hash and
 //	     forwarded to the owning shards; response {"added": N,
-//	     "partial": bool[, "shards": [...]]}.  A body over 16 MiB (nsserve's
-//	     -max-insert-bytes default) is refused with 413.
+//	     "partial": bool[, "shards": [...]]}.  A body over 16 MiB is
+//	     refused with 413.
 //	GET  /healthz      liveness (always 200 while the process runs)
 //	GET  /readyz       readiness: 503 once graceful shutdown began
 //	GET  /metrics      process metrics plus the "cluster" block:
 //	     per-shard scan/retry/hedge/ejection counters, scan_bytes
 //	     (response bytes read off the wire) and latency histograms,
-//	     and query/partial/failed totals; and nsserve's "plan_cache"
+//	     and query/partial/failed totals; and the "plan_cache"
 //	     block (size, hits, misses, refreshes, evictions).  JSON by
 //	     default; Prometheus text exposition with Accept: text/plain
 //	     or ?format=prometheus.
@@ -39,22 +39,27 @@
 //	     patterns/triples/dict/bytes) merged with the span segments fetched
 //	     from every shard's /debug/traces for that trace ID.
 //
-// Queries go through nsserve's parse/plan cache (exec.PlanCache, 256
-// entries keyed on syntax and query text): a repeated query skips the
-// parse and the cost-based DP planner.  A plan is correct on any
+// The coordinator is the serving front of internal/serve over its
+// Cluster backend, the same front nsserve runs over its locked store:
+// query IDs, tracing, metrics, admission (at most 64 concurrent
+// queries; the excess gets 503), the deadline and timeout=, the
+// -max-steps / -max-rows budget, profile=1, the engine-error → HTTP
+// mapping, the slow-query line and panic recovery are one code path
+// for both.  Queries go through the parse/plan cache (exec.PlanCache,
+// 256 entries keyed on syntax and query text): a repeated query skips
+// the parse and the cost-based DP planner.  A plan is correct on any
 // gathered subgraph; the cached one is revalidated on each query's
 // gathered store (plan.Prepared.Drifted) and re-prepared from its
-// cached parse only when a leaf count left the re-plan band.  Plans
-// run the way nsserve runs its queries (adaptive AND chains staged
-// across the worker pool).  The planner ablations are nsbench
-// experiments (E28, E30), not coordinator settings.  A panicking
-// handler answers 500 and ticks the panics metric, as in nsserve.
+// cached parse only when a leaf count left the re-plan band.  The
+// planner ablations are nsbench experiments (E28, E30), not
+// coordinator settings.
 //
 // # Tracing
 //
 // Every request starts a trace whose ID rides to the shards in the
 // NS-Trace-Id/NS-Parent-Span headers (and back to the client in the
-// response's NS-Trace-Id), and whose query ID is forwarded as
+// response's NS-Trace-Id), and whose query ID — adopted from the
+// request's NS-Query-Id header, generated otherwise — is forwarded as
 // NS-Query-Id so shard logs correlate with the coordinator's.
 // Completed traces are kept tail-based: slow (-slow-query), errored
 // and partial traces always, the rest sampled at -trace-sample.
@@ -80,27 +85,30 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 )
 
-func parseLogLevel(s string) (slog.Level, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(s)); err != nil {
-		return 0, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", s)
-	}
-	return lvl, nil
+// The coordinator's fixed governance: nsserve's -max-concurrent,
+// -plan-cache and -max-insert-bytes defaults, with no flags of their
+// own.
+const (
+	maxConcurrent    = 64
+	planCacheEntries = 256
+	maxInsertBytes   = 16 << 20
+)
+
+// newCoordServer returns the serving front over the coordinator with
+// cfg's knobs and the fixed ones above.
+func newCoordServer(coord *cluster.Coordinator, cfg serve.Config) *serve.Front {
+	cfg.MaxConcurrent, cfg.PlanCache, cfg.MaxInsertBytes = maxConcurrent, planCacheEntries, maxInsertBytes
+	return serve.New(cfg, serve.NewCluster(coord))
 }
 
 func main() {
@@ -140,12 +148,11 @@ func main() {
 			"completed traces retained for /debug/traces (negative disables tracing)")
 	)
 	flag.Parse()
-	lvl, err := parseLogLevel(*logLevel)
+	logger, err := serve.NewLogger(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nscoord:", err)
 		os.Exit(1)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 	var shards []string
 	for _, s := range strings.Split(*shardsFlag, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -172,30 +179,19 @@ func main() {
 	}
 	coord.Start()
 
-	cfg := coordConfig{
-		queryTimeout: *queryTimeout,
-		maxSteps:     *maxSteps,
-		maxRows:      *maxRows,
-		logger:       logger,
-		slowQuery:    *slowQuery,
-		traceSample:  *traceSample,
-		traceBuffer:  *traceBuffer,
-	}
-	s := newCoordServer(coord, cfg)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      *queryTimeout + 30*time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	s := newCoordServer(coord, serve.Config{
+		QueryTimeout: *queryTimeout,
+		MaxSteps:     *maxSteps,
+		MaxRows:      *maxRows,
+		Logger:       logger,
+		SlowQuery:    *slowQuery,
+		TraceSample:  *traceSample,
+		TraceBuffer:  *traceBuffer,
+	})
 	logger.Info("nscoord listening", "addr", *addr, "shards", len(shards),
 		"query_timeout", *queryTimeout, "retries", *retries, "hedging", !*disableHedging)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	err = run(srv, stop, *drainTimeout, s.BeginDrain)
+	err = s.ListenAndServe(*addr, *drainTimeout)
 	// Close after the drain: no in-flight request holds the coordinator
 	// once Shutdown returns, so Close's leak-proof wait terminates.
 	coord.Close()
@@ -204,25 +200,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained, bye")
-}
-
-// run serves until the listener fails or a stop signal arrives, then
-// flips readiness via onStop and drains in-flight requests.
-func run(srv *http.Server, stop <-chan os.Signal, drain time.Duration, onStop func()) error {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-stop:
-		if onStop != nil {
-			onStop()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
 }

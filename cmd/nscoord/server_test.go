@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/serve"
 )
 
 // fakeShard mounts the real scan protocol plus /insert and /readyz
@@ -61,7 +61,7 @@ func newTestCoord(t *testing.T, urls []string) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(newCoordServer(coord, coordConfig{queryTimeout: 5 * time.Second}))
+	srv := httptest.NewServer(newCoordServer(coord, serve.Config{QueryTimeout: 5 * time.Second}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -204,7 +204,7 @@ func TestCoordMetricsAndReadyz(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	s := newCoordServer(coord, coordConfig{queryTimeout: time.Second})
+	s := newCoordServer(coord, serve.Config{QueryTimeout: time.Second})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
@@ -272,25 +272,5 @@ func TestCoordInsertBodyCap(t *testing.T) {
 	coordInsert(t, coord.URL, line)
 	if g0.Len()+g1.Len() != 1 {
 		t.Fatalf("small insert after the 413: %d + %d triples", g0.Len(), g1.Len())
-	}
-}
-
-// TestCoordPanicRecovery: a /query handler that panics (here: a server
-// with no coordinator behind it) answers 500 instead of dropping the
-// connection, and ticks the panics metric.
-func TestCoordPanicRecovery(t *testing.T) {
-	s := newCoordServer(nil, coordConfig{logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + "/query?syntax=paper&q=" + urlQueryEscape("(?x p ?y)"))
-	if err != nil {
-		t.Fatalf("panicking /query dropped the connection: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking /query: status %d, want 500", resp.StatusCode)
-	}
-	if got := s.metrics.Snapshot().Panics; got != 1 {
-		t.Fatalf("panics = %d, want 1", got)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/serve"
 )
 
 // tracedFakeShard is fakeShard plus the shard-side tracing envelope:
@@ -39,7 +40,7 @@ func tracedFakeShard(t *testing.T, g *rdf.Graph) *httptest.Server {
 }
 
 // newTracedCoord builds a coordinator server with tracing fully on.
-func newTracedCoord(t *testing.T, urls []string, mutate func(*coordConfig)) *httptest.Server {
+func newTracedCoord(t *testing.T, urls []string, mutate func(*serve.Config)) *httptest.Server {
 	t.Helper()
 	coord, err := cluster.New(cluster.Options{
 		Shards:         urls,
@@ -53,7 +54,7 @@ func newTracedCoord(t *testing.T, urls []string, mutate func(*coordConfig)) *htt
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	cfg := coordConfig{queryTimeout: 5 * time.Second, traceSample: 1}
+	cfg := serve.Config{QueryTimeout: 5 * time.Second, TraceSample: 1}
 	if mutate != nil {
 		mutate(&cfg)
 	}

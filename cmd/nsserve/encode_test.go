@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/rdf"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -100,9 +101,9 @@ func socialQueries(s *workload.Social, mix int) (mixQs, analytic []string) {
 	return mixQs, analytic
 }
 
-func quietServer(g rdf.Store, mutate func(*config)) *server {
+func quietServer(g rdf.Store, mutate func(*config)) *serve.Front {
 	cfg := defaultConfig()
-	cfg.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -111,7 +112,7 @@ func quietServer(g rdf.Store, mutate func(*config)) *server {
 
 // serve runs one paper-syntax query through the whole handler stack,
 // without a socket.
-func serve(s *server, text string) *httptest.ResponseRecorder {
+func serveQuery(s *serve.Front, text string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/query?syntax=paper&q="+url.QueryEscape(text), nil))
 	return rec
@@ -126,7 +127,7 @@ func TestServedBytesMatchOracle(t *testing.T) {
 	mix, analytic := socialQueries(social, 120)
 	kinds := map[string]int{}
 	for _, q := range append(mix, analytic...) {
-		rec := serve(s, q)
+		rec := serveQuery(s, q)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", q, rec.Code, rec.Body)
 		}
@@ -138,7 +139,7 @@ func TestServedBytesMatchOracle(t *testing.T) {
 			t.Fatalf("%s: Content-Length %q for %d bytes", q, cl, len(want))
 		}
 		switch {
-		case rec.Header().Get("Content-Type") != sparqlJSON:
+		case rec.Header().Get("Content-Type") != "application/sparql-results+json":
 			kinds["construct"]++
 		case strings.Contains(rec.Body.String(), `"bindings":[]`):
 			kinds["empty"]++
@@ -155,7 +156,7 @@ func TestServedBytesMatchOracle(t *testing.T) {
 // JSON wants an array), where a nil slice through encoding/json used to
 // make it null.
 func TestEmptyAnswerVarsIsArray(t *testing.T) {
-	rec := serve(quietServer(chainGraph(3), nil), "(?x q ?y)")
+	rec := serveQuery(quietServer(chainGraph(3), nil), "(?x q ?y)")
 	if want := `{"head":{"vars":[]},"results":{"bindings":[]}}` + "\n"; rec.Body.String() != want {
 		t.Fatalf("got %s", rec.Body)
 	}
@@ -180,7 +181,7 @@ func TestStalledClientDoesNotHoldLock(t *testing.T) {
 	}
 	defer conn.Close() // unblocks the server's Write, so ts.Close can return
 	fmt.Fprintf(conn, "GET /query?syntax=paper&q=%s HTTP/1.1\r\nHost: nsserve\r\n\r\n", url.QueryEscape("(?x p ?y)"))
-	for deadline := time.Now().Add(20 * time.Second); s.metrics.Snapshot().QueryEncode.Count == 0; {
+	for deadline := time.Now().Add(20 * time.Second); s.Snapshot().QueryEncode.Count == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the large answer was never encoded")
 		}
@@ -213,12 +214,12 @@ func TestStalledClientDoesNotHoldLock(t *testing.T) {
 func TestServedAllocations(t *testing.T) {
 	const rows = 1000
 	g := chainGraph(rows)
-	s := quietServer(g, func(c *config) { c.traceBuffer = -1 })
+	s := quietServer(g, func(c *config) { c.TraceBuffer = -1 })
 	for _, q := range []string{"(?x p ?y)", "CONSTRUCT {(?y q ?x), (?x r new)} WHERE (?x p ?y)"} {
-		if rec := serve(s, q); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), oracleBody(t, g, q)) {
+		if rec := serveQuery(s, q); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), oracleBody(t, g, q)) {
 			t.Fatalf("%s: status %d, %.200s", q, rec.Code, rec.Body)
 		}
-		served := testing.AllocsPerRun(5, func() { serve(s, q) })
+		served := testing.AllocsPerRun(5, func() { serveQuery(s, q) })
 		oracle := testing.AllocsPerRun(5, func() { oracleBody(t, g, q) })
 		t.Logf("%s: served %.0f allocations, old path %.0f", q, served, oracle)
 		if served > rows/4 {
@@ -247,11 +248,11 @@ func BenchmarkServeQuery(b *testing.B) {
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			social := workload.NewSocial(workload.SocialOpts{People: wl.people, Seed: 9})
-			s := quietServer(social.G, func(c *config) { c.traceBuffer = -1 })
+			s := quietServer(social.G, func(c *config) { c.TraceBuffer = -1 })
 			queries := wl.queries(socialQueries(social, 200))
 			var respBytes int
 			for _, q := range queries { // warm the plan cache
-				if rec := serve(s, q); rec.Code != http.StatusOK {
+				if rec := serveQuery(s, q); rec.Code != http.StatusOK {
 					b.Fatalf("%s: %d %s", q, rec.Code, rec.Body)
 				}
 			}
@@ -260,7 +261,7 @@ func BenchmarkServeQuery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				respBytes = 0
 				for _, q := range queries {
-					respBytes += serve(s, q).Body.Len()
+					respBytes += serveQuery(s, q).Body.Len()
 				}
 			}
 			n := float64(b.N * len(queries))

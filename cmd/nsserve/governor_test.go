@@ -12,12 +12,11 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/rdf"
+	"repro/internal/serve"
 )
 
 // testLogWriter routes slog output into the test log.
@@ -32,19 +31,6 @@ func (w testLogWriter) Write(p []byte) (int, error) {
 func testLogger(t *testing.T) *slog.Logger {
 	return slog.New(slog.NewTextHandler(testLogWriter{t: t},
 		&slog.HandlerOptions{Level: slog.LevelDebug}))
-}
-
-// lockedWriter serializes writes into a shared buffer so tests can
-// read it while handlers are still logging.
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (l lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }
 
 // chainGraph returns x0 -p-> x1 -p-> ... -p-> xn: no cycles, so a
@@ -70,7 +56,7 @@ const expensiveAskQuery = "ASK { ?a p ?b . ?c p ?d . ?e p ?f . ?g p ?h . ?h p ?g
 func governedTestServer(t *testing.T, g *rdf.Graph, mutate func(*config)) *httptest.Server {
 	t.Helper()
 	cfg := defaultConfig()
-	cfg.logger = testLogger(t)
+	cfg.Logger = testLogger(t)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -96,7 +82,10 @@ func TestQueryTimeout504(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("504 took %v for a 50ms deadline", elapsed)
 	}
-	var je jsonError
+	var je struct {
+		Error   string `json:"error"`
+		Partial bool   `json:"partial"`
+	}
 	if err := json.Unmarshal([]byte(body), &je); err != nil {
 		t.Fatalf("error body not JSON: %v\n%s", err, body)
 	}
@@ -136,7 +125,7 @@ func TestQueryTimeoutParam(t *testing.T) {
 		t.Fatalf("timeout=5000: %d %s", resp.StatusCode, body)
 	}
 	// The parameter lowers the server deadline; it cannot raise it.
-	ts2 := governedTestServer(t, chainGraph(300), func(c *config) { c.queryTimeout = 50 * time.Millisecond })
+	ts2 := governedTestServer(t, chainGraph(300), func(c *config) { c.QueryTimeout = 50 * time.Millisecond })
 	resp, _ = get(t, ts2, "/query?timeout=1h&q="+url.QueryEscape(expensiveAskQuery))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("timeout=1h did not stay capped by the server deadline: %d", resp.StatusCode)
@@ -147,7 +136,7 @@ func TestQueryTimeoutParam(t *testing.T) {
 // refused with 503 while the first is running, and admitted again once
 // the slot frees up.
 func TestConcurrentQueryLimit(t *testing.T) {
-	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.maxConcurrent = 1 })
+	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.MaxConcurrent = 1 })
 	cheap := "/query?q=" + url.QueryEscape("ASK { x0 p x1 }")
 
 	// Occupy the only slot with a long-running query we can cancel.
@@ -212,7 +201,7 @@ func TestConcurrentQueryLimit(t *testing.T) {
 // TestMaxStepsBudget: a per-query step budget turns a runaway query
 // into a fast 503 — and /healthz stays lock-free throughout.
 func TestMaxStepsBudget(t *testing.T) {
-	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.maxSteps = 10_000 })
+	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.MaxSteps = 10_000 })
 	resp, body := get(t, ts, "/query?q="+url.QueryEscape(expensiveAskQuery))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503; body %s", resp.StatusCode, body)
@@ -226,71 +215,13 @@ func TestMaxStepsBudget(t *testing.T) {
 	}
 }
 
-// TestInsertTooLarge: /insert beyond -max-insert-bytes is 413; a body
-// within the cap still lands.
-func TestInsertTooLarge(t *testing.T) {
-	ts := governedTestServer(t, rdf.NewGraph(), func(c *config) { c.maxInsertBytes = 64 })
-	big := strings.Repeat("subject predicate object .\n", 100)
-	resp, err := http.Post(ts.URL+"/insert", "text/plain", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized insert: status %d, want 413", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/insert", "text/plain", strings.NewReader("a b c .\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("small insert after 413: status %d", resp.StatusCode)
-	}
-	if _, body := get(t, ts, "/stats"); !strings.Contains(body, `"triples": 1`) {
-		t.Fatalf("stats = %s", body)
-	}
-}
-
-// TestPanicRecovery: a panicking handler yields 500 and the server
-// keeps serving other requests on the same process.
-func TestPanicRecovery(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("kaboom") })
-	mux.HandleFunc("/fine", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "still here") })
-	var mu sync.Mutex
-	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(lockedWriter{mu: &mu, w: &logBuf}, nil))
-	m := obs.NewMetrics()
-	ts := httptest.NewServer(obs.RecoverPanics(logger, m, mux))
-	t.Cleanup(ts.Close)
-
-	resp, _ := get(t, ts, "/boom")
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panic handler: status %d, want 500", resp.StatusCode)
-	}
-	mu.Lock()
-	logged := logBuf.String()
-	mu.Unlock()
-	if !strings.Contains(logged, "kaboom") {
-		t.Fatalf("panic was not logged: %q", logged)
-	}
-	if got := m.Snapshot().Panics; got != 1 {
-		t.Fatalf("panic counter = %d, want 1", got)
-	}
-	resp, body := get(t, ts, "/fine")
-	if resp.StatusCode != http.StatusOK || body != "still here" {
-		t.Fatalf("server dead after panic: %d %q", resp.StatusCode, body)
-	}
-}
-
 // TestGracefulShutdownDrains: Shutdown waits for an in-flight governed
 // query (here: one that runs into its own deadline) instead of cutting
 // the connection.
 func TestGracefulShutdownDrains(t *testing.T) {
 	cfg := defaultConfig()
-	cfg.logger = testLogger(t)
-	srv := newHTTPServer("127.0.0.1:0", newServerWith(chainGraph(300), cfg), cfg)
+	cfg.Logger = testLogger(t)
+	srv := serve.NewHTTPServer("127.0.0.1:0", newServerWith(chainGraph(300), cfg), cfg.QueryTimeout)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

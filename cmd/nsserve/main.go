@@ -52,7 +52,9 @@
 //
 // The default query syntax is the W3C-style surface syntax; pass
 // syntax=paper for the paper notation (with parenthesized triples and
-// the NS(...) operator).
+// the NS(...) operator).  Everything but /stats, /scan and pprof is the
+// serving front nscoord runs too (internal/serve), over this server's
+// locked store.
 //
 // # Observability
 //
@@ -64,8 +66,8 @@
 // no JSON envelope; use nsq -stats for profiled CONSTRUCT runs).
 //
 // Requests are logged as one structured line each (log/slog) carrying
-// a generated query ID; -log-level sets the threshold and -pprof
-// opt-in exposes /debug/pprof.
+// a query ID (NS-Query-Id's, or generated); -log-level sets the
+// threshold and -pprof opt-in exposes /debug/pprof.
 //
 // Every request also runs under a distributed-tracing span.  A trace
 // context arriving in NS-Trace-Id/NS-Parent-Span headers (set by the
@@ -136,29 +138,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/rdf/durable"
+	"repro/internal/serve"
 )
-
-// parseLogLevel maps the -log-level flag onto a slog level.
-func parseLogLevel(s string) (slog.Level, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(s)); err != nil {
-		return 0, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", s)
-	}
-	return lvl, nil
-}
 
 func main() {
 	var (
@@ -201,24 +189,24 @@ func main() {
 			"completed-trace ring buffer capacity for /debug/traces (negative disables tracing)")
 	)
 	flag.Parse()
-	lvl, err := parseLogLevel(*logLevel)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "nsserve:", err)
 		os.Exit(1)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
+	logger, err := serve.NewLogger(*logLevel)
+	if err != nil {
+		fail(err)
+	}
 	var store rdf.Store = rdf.NewStore()
 	backend := "memstore"
 	if *dataDir != "" {
 		pol, err := durable.ParseFsyncPolicy(*fsyncPolicy)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		ds, err := durable.Open(*dataDir, durable.Options{Fsync: pol, SnapshotEvery: *snapshotEvery})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		rs := ds.DurableStats()
 		logger.Info("durable store recovered", "dir", *dataDir, "generation", rs.Generation,
@@ -230,14 +218,12 @@ func main() {
 	if *graphPath != "" {
 		f, err := os.Open(*graphPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		g, err := rdf.ReadGraph(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		// AddAll skips triples already present, so re-seeding a durable
 		// store from the same -graph file on every boot is idempotent:
@@ -245,41 +231,36 @@ func main() {
 		store.BeginBatch()
 		store.AddAll(g)
 		if err := store.CommitBatch(); err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve: seeding graph:", err)
-			os.Exit(1)
+			fail(fmt.Errorf("seeding graph: %w", err))
 		}
 	}
 	cfg := defaultConfig()
-	cfg.queryTimeout = *queryTimeout
-	cfg.maxConcurrent = *maxConcurrent
-	cfg.maxInsertBytes = *maxInsertBytes
-	cfg.maxSteps = *maxSteps
-	cfg.maxRows = *maxRows
-	cfg.parallel = *parallel
-	cfg.planCache = *planCacheSize
+	cfg.QueryTimeout = *queryTimeout
+	cfg.MaxConcurrent = *maxConcurrent
+	cfg.MaxInsertBytes = *maxInsertBytes
+	cfg.MaxSteps = *maxSteps
+	cfg.MaxRows = *maxRows
+	cfg.Parallel = *parallel
+	cfg.PlanCache = *planCacheSize
 	cfg.pprof = *pprofFlag
-	cfg.logger = logger
-	cfg.slowQuery = *slowQuery
-	cfg.traceSample = *traceSample
-	cfg.traceBuffer = *traceBuffer
+	cfg.Logger = logger
+	cfg.SlowQuery = *slowQuery
+	cfg.TraceSample = *traceSample
+	cfg.TraceBuffer = *traceBuffer
 	if *shardSpec != "" {
 		idx, n, err := parseShardSpec(*shardSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsserve:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		cfg.shardIndex, cfg.shardCount = idx, n
 	}
 
 	s := newServerWith(store, cfg)
-	srv := newHTTPServer(*addr, s, cfg)
 	logger.Info("nsserve listening", "addr", *addr, "triples", store.Len(),
 		"backend", backend, "shard", *shardSpec, "query_timeout", *queryTimeout,
 		"max_concurrent", *maxConcurrent, "pprof", *pprofFlag)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	err = run(srv, stop, *drainTimeout, s.BeginDrain)
+	err = s.ListenAndServe(*addr, *drainTimeout)
 	// Close after the drain: no in-flight request can touch the store
 	// once Shutdown returns, and Close flushes the final WAL records.
 	if cerr := store.Close(); cerr != nil {
@@ -295,25 +276,6 @@ func main() {
 	logger.Info("drained, bye")
 }
 
-// newHTTPServer configures the http.Server around the handler: header
-// and body read timeouts bound slow clients, the write timeout leaves
-// room for the query deadline plus serialization, and idle keep-alive
-// connections are reaped.
-func newHTTPServer(addr string, h http.Handler, cfg config) *http.Server {
-	writeTimeout := 2 * time.Minute
-	if cfg.queryTimeout > 0 && cfg.queryTimeout+30*time.Second > writeTimeout {
-		writeTimeout = cfg.queryTimeout + 30*time.Second
-	}
-	return &http.Server{
-		Addr:              addr,
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       1 * time.Minute,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
 // parseShardSpec parses the -shard "i/N" flag.
 func parseShardSpec(spec string) (index, count int, err error) {
 	if _, serr := fmt.Sscanf(spec, "%d/%d", &index, &count); serr != nil {
@@ -323,27 +285,4 @@ func parseShardSpec(spec string) (index, count int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q (need 0 <= i < N)", spec)
 	}
 	return index, count, nil
-}
-
-// run serves until the listener fails or a stop signal arrives, then
-// shuts down gracefully: onStop flips readiness (so probers stop
-// routing here), the listener closes immediately (new connections are
-// refused) and in-flight requests get up to drain to finish.
-func run(srv *http.Server, stop <-chan os.Signal, drain time.Duration, onStop func()) error {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-stop:
-		if onStop != nil {
-			onStop()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
 }

@@ -88,7 +88,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // counter ends exactly equal to the number of failed queries — one
 // trip per query, no double counting across the engine's workers.
 func TestGovernorTripCountsExactlyOnce(t *testing.T) {
-	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.maxSteps = 10_000 })
+	ts := governedTestServer(t, chainGraph(300), func(c *config) { c.MaxSteps = 10_000 })
 
 	const budgetTrips = 6
 	var wg sync.WaitGroup
@@ -144,9 +144,9 @@ func TestGovernorTripCountsExactlyOnce(t *testing.T) {
 // exactly once per such query.
 func TestPoolSaturationCounter(t *testing.T) {
 	ts := governedTestServer(t, chainGraph(50), func(c *config) {
-		c.parallel = 2
-		c.minParallelEstimate = -1
-		c.minPartition = 1
+		c.Parallel = 2
+		c.MinParallelEstimate = -1
+		c.MinPartition = 1
 	})
 	q := "/query?syntax=paper&q=" + url.QueryEscape(
 		"((?a p ?b) AND (?b p ?c)) AND ((?c p ?d) AND (?d p ?e))")

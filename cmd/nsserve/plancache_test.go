@@ -27,7 +27,7 @@ func cacheTestServer(t *testing.T, capacity int) *httptest.Server {
 		rdf.T("juan", "was_born_in", "chile"),
 		rdf.T("ana", "was_born_in", "chile"),
 	)
-	return governedTestServer(t, g, func(c *config) { c.planCache = capacity })
+	return governedTestServer(t, g, func(c *config) { c.PlanCache = capacity })
 }
 
 func queryOK(t *testing.T, ts *httptest.Server, q string) string {
@@ -93,8 +93,8 @@ func TestPlanCacheSurvivesInsert(t *testing.T) {
 		rdf.T("ana", "was_born_in", "chile"),
 	)
 	ts := governedTestServer(t, g, func(c *config) {
-		c.planCache = 16
-		c.traceSample = 1
+		c.PlanCache = 16
+		c.TraceSample = 1
 	})
 	const q = "SELECT ?x WHERE { ?x was_born_in chile }"
 	if body := queryOK(t, ts, q); strings.Contains(body, "maria") {
@@ -209,7 +209,7 @@ func TestPlanCacheReadersDuringCommit(t *testing.T) {
 	g.SetCompactionThreshold(3)
 	s := quietServer(g, nil)
 	for _, q := range queries { // cache every plan before the writer starts
-		if rec := serve(s, q); rec.Code != http.StatusOK {
+		if rec := serveQuery(s, q); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", q, rec.Code)
 		}
 	}
@@ -224,7 +224,7 @@ func TestPlanCacheReadersDuringCommit(t *testing.T) {
 			for round := 0; !done.Load() || round < 3; round++ {
 				for i := range queries {
 					q := queries[(i+r)%len(queries)]
-					rec := serve(s, q)
+					rec := serveQuery(s, q)
 					if rec.Code != http.StatusOK {
 						t.Errorf("reader %d, %s: status %d", r, q, rec.Code)
 						return
@@ -258,7 +258,7 @@ func TestPlanCacheReadersDuringCommit(t *testing.T) {
 	}
 	done.Store(true)
 	wg.Wait()
-	pc := s.plans.Stats()
+	pc := s.Snapshot().PlanCache
 	if pc.Refreshes == 0 || pc.Hits == 0 || pc.Size != int64(len(queries)) {
 		t.Fatalf("the batches never exercised both revalidation outcomes: %+v", pc)
 	}
@@ -338,8 +338,8 @@ func TestPlanCacheParseErrorsNotCached(t *testing.T) {
 func TestPlanCacheGovernorTrip(t *testing.T) {
 	g := chainGraph(300)
 	ts := governedTestServer(t, g, func(c *config) {
-		c.planCache = 16
-		c.maxSteps = 10
+		c.PlanCache = 16
+		c.MaxSteps = 10
 	})
 	q := "SELECT ?a ?b WHERE { ?a p ?b . ?b p ?c . ?c p ?d }"
 	for i := 0; i < 2; i++ {

@@ -9,7 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/serve"
 )
+
+// newServer returns the server for a graph with the default
+// governance configuration.
+func newServer(g rdf.Store) *serve.Front {
+	return newServerWith(g, defaultConfig())
+}
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()

@@ -21,7 +21,7 @@ import (
 // exec with what it wrote.
 func TestQueryTraceEndToEnd(t *testing.T) {
 	ts := governedTestServer(t, chainGraph(20), func(c *config) {
-		c.traceSample = 1
+		c.TraceSample = 1
 	})
 	q := "/query?syntax=paper&q=" + url.QueryEscape("(?x p ?y) AND (?y p ?z)")
 	resp, body := get(t, ts, q)
@@ -119,8 +119,8 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 // trace (shard mode) and is always retained despite SampleRate 0.
 func TestRemoteTraceAdoption(t *testing.T) {
 	ts := governedTestServer(t, chainGraph(5), func(c *config) {
-		c.traceSample = 0
-		c.slowQuery = -1 // disable the slow criterion: only remote adoption keeps it
+		c.TraceSample = 0
+		c.SlowQuery = -1 // disable the slow criterion: only remote adoption keeps it
 	})
 	req, err := http.NewRequest("GET", ts.URL+"/query?syntax=paper&q="+url.QueryEscape("(?x p ?y)"), nil)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestRemoteTraceAdoption(t *testing.T) {
 // traces block.
 func TestTracingDisabled(t *testing.T) {
 	ts := governedTestServer(t, chainGraph(5), func(c *config) {
-		c.traceBuffer = -1
+		c.TraceBuffer = -1
 	})
 	resp, _ := get(t, ts, "/query?syntax=paper&q="+url.QueryEscape("(?x p ?y)"))
 	if resp.Header.Get("NS-Trace-Id") != "" {
@@ -180,9 +180,9 @@ func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	ts := governedTestServer(t, chainGraph(10), func(c *config) {
-		c.logger = logger
-		c.slowQuery = time.Nanosecond // everything is slow
-		c.traceSample = 1
+		c.Logger = logger
+		c.SlowQuery = time.Nanosecond // everything is slow
+		c.TraceSample = 1
 	})
 
 	resp, body := get(t, ts, "/query?syntax=paper&q="+url.QueryEscape("(?x p ?y)"))
