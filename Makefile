@@ -117,6 +117,16 @@ obs-smoke:
 		|| { echo "obs-smoke: Prometheus exposition missing latency histogram" >&2; exit 1; }; \
 		echo "$$prom" | grep -q '^# TYPE ns_traces_started_total counter' \
 		|| { echo "obs-smoke: Prometheus exposition missing traces counters" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=ASK { ?x p ?y . ?y p ?z }' http://127.0.0.1:18321/query \
+		| jq -e '.boolean == true' > /dev/null \
+		|| { echo "obs-smoke: true ASK not answered true" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=ASK { ?x p a }' http://127.0.0.1:18321/query \
+		| jq -e '.boolean == false' > /dev/null \
+		|| { echo "obs-smoke: false ASK not answered false" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=ASK { ?x p ?y . ?y p ?z }' \
+			--data-urlencode 'profile=1' http://127.0.0.1:18321/query \
+		| jq -e '[.profile | .. | objects | select(has("op")) | .op] as $$ops | ($$ops | index("search")) == null and ($$ops | index("triple")) != null' > /dev/null \
+		|| { echo "obs-smoke: ASK profile is not a row-operator tree" >&2; exit 1; }; \
 		kill $$pid; \
 	else \
 		echo "jq not installed; skipping obs smoke" >&2; \
@@ -294,7 +304,7 @@ load-smoke:
 # mirrors the governor-race CI job.
 governor-race:
 	go test -race -timeout 5m \
-		-run 'TestBudget|TestUnknownPattern|TestSearcherFault|TestEvalRowsFault|TestEvalBudgetFault|TestEvalCompatibleFault|TestDeadlineStops' \
+		-run 'TestBudget|TestUnknownPattern|TestCappedEvalRowsFault|TestEvalRowsFault|TestEvalBudgetFault|TestDeadlineStops' \
 		./internal/sparql/
 	go test -race -timeout 5m -run 'Governor|Fault|Budget|Ctx|Insert' ./internal/exec/ ./internal/views/
 	go test -race -timeout 5m ./internal/serve/ ./cmd/nsserve/

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/fol"
 	"repro/internal/parser"
 	"repro/internal/plan"
@@ -341,22 +340,26 @@ func BenchmarkE22_IncrementalView(b *testing.B) {
 	})
 }
 
+// BenchmarkE23_EarlyTermination compares capped runs (ASK, LIMIT 10)
+// with the uncapped run of the same prepared plan; "reference" is the
+// string evaluator on the same pattern.
 func BenchmarkE23_EarlyTermination(b *testing.B) {
 	g := workload.University(workload.UniversityOpts{People: 2000, OptionalPct: 50, Seed: 1})
-	p := parser.MustParsePattern(`(?p name ?n) AND (?p works_at ?u)`)
-	b.Run("full-eval", func(b *testing.B) {
+	p := parser.MustParsePattern(`(?p name ?n) AND (?p works_at ?u) AND (?u type University)`)
+	pr := plan.Prepare(g, p)
+	b.Run("reference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sparql.Eval(g, p)
 		}
 	})
-	b.Run("ask", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exec.Run(g, exec.Compile(g, p, nil, true), nil, plan.Options{})
-		}
-	})
-	b.Run("limit-10", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			exec.Limit(g, p, 10, nil, plan.Options{})
-		}
-	})
+	for _, c := range []struct {
+		name string
+		cap  int
+	}{{"full-run", 0}, {"ask", 1}, {"limit-10", 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan.Run(g, pr, nil, plan.Options{Cap: c.cap})
+			}
+		})
+	}
 }

@@ -18,8 +18,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
+	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/serve"
+	"repro/internal/sparql"
 	"repro/internal/workload"
 )
 
@@ -268,5 +272,35 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/req")
 			b.ReportMetric(float64(respBytes)/float64(len(queries)), "respB/op")
 		})
+	}
+}
+
+// TestWrappedAnalyticAskWithinSelect: ASK below the root.  Each of the
+// 14 OPT/NS analytic templates under a root FILTER (bound(?x)) — where
+// no cap reaches the subtree — takes no more budget steps as an ASK
+// than as a SELECT on the same plan.
+func TestWrappedAnalyticAskWithinSelect(t *testing.T) {
+	s := workload.NewSocial(workload.SocialOpts{People: 4000, Seed: 9})
+	for i, q := range analyticQueries(string(s.City(3)), string(s.Org(3)))[:14] {
+		parsed, err := parser.ParseAny("paper", q)
+		if err != nil {
+			t.Fatalf("template %d: %v", i, err)
+		}
+		p := sparql.Filter{P: parsed.Pattern, Cond: sparql.Bound{X: "x"}}
+		c := exec.Compile(s.G, p, nil, true)
+		sb := sparql.NewBudget(nil)
+		rows, err := plan.Run(s.G, c.Prepared, sb, plan.Options{})
+		if err != nil {
+			t.Fatalf("template %d SELECT: %v", i, err)
+		}
+		ab := sparql.NewBudget(nil)
+		a, err := exec.Run(s.G, c, ab, plan.Options{})
+		if err != nil {
+			t.Fatalf("template %d ASK: %v", i, err)
+		}
+		if *a.Bool != (rows.Len() > 0) || ab.Steps() > sb.Steps() {
+			t.Errorf("template %d: ASK %v in %d steps, SELECT %d rows in %d: %s",
+				i, *a.Bool, ab.Steps(), rows.Len(), sb.Steps(), p)
+		}
 	}
 }

@@ -45,24 +45,24 @@ type Answer struct {
 }
 
 // Run executes c against g under the budget and planner options and
-// returns the answer without materialising it: ASK through the
-// early-terminating search, everything else through plan.Run.  g may
-// hold other contents than the store c was prepared against — the plan
+// returns the answer without materialising it: everything through
+// plan.Run, ASK with a cap of one row.  g may hold other contents
+// than the store c was prepared against — the plan
 // embeds index cardinalities, not data, so it answers correctly on any
 // contents (plan.Prepared.Drifted tells when it is no longer a cheap
 // plan) — and Rows may be read only while g may be.  Servers hand the
 // Answer to a ResultWriter; EvalCompiled materialises it.
 func Run(g rdf.Store, c Compiled, b *sparql.Budget, o plan.Options) (Answer, error) {
 	if c.Ask {
-		ok, err := askPrepared(g, c.Prepared, b, o)
-		if err != nil {
-			return Answer{}, err
-		}
-		return Answer{Bool: &ok}, nil
+		o.Cap = 1
 	}
 	rows, err := plan.Run(g, c.Prepared, b, o)
 	if err != nil {
 		return Answer{}, err
+	}
+	if c.Ask {
+		ok := rows.Len() > 0
+		return Answer{Bool: &ok}, nil
 	}
 	a := Answer{Rows: rows}
 	if c.Construct != nil {

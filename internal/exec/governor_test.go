@@ -15,7 +15,7 @@ import (
 var errInjectedExec = errors.New("fault: injected governor stop")
 
 // TestAskCtxCanceled: a dead context aborts Ask with the typed error
-// instead of burning the full search.
+// instead of burning the full evaluation.
 func TestAskCtxCanceled(t *testing.T) {
 	g := workload.Figure1()
 	p := sparql.TP(sparql.V("X"), sparql.V("P"), sparql.V("Y"))
@@ -126,7 +126,8 @@ func TestExecFaultInjection(t *testing.T) {
 }
 
 // TestConstructContainsFaultInjection covers the remaining governed
-// entry point, including its seeded-searcher path.
+// entry point: a capped run of the WHERE pattern under the template
+// FILTER.
 func TestConstructContainsFaultInjection(t *testing.T) {
 	g := workload.Figure1()
 	q := sparql.ConstructQuery{
@@ -160,7 +161,7 @@ func TestConstructContainsFaultInjection(t *testing.T) {
 		fb.InjectFault(n, errInjectedExec)
 		got, err := ConstructContains(g, q, target, fb, plan.Options{})
 		if err == nil {
-			// Like Ask, the search may find its witness before step n.
+			// Like Ask, the capped run may find its witness before step n.
 			if !want || !got {
 				t.Fatalf("fault@%d/%d: completed with %v, want fault or early witness", n, total, got)
 			}
@@ -176,5 +177,41 @@ func TestConstructContainsFaultInjection(t *testing.T) {
 	cancel()
 	if _, err := ConstructContains(g, q, target, sparql.NewBudget(ctx), plan.Options{}); !errors.Is(err, sparql.ErrCanceled) {
 		t.Fatalf("canceled ctx: %v", err)
+	}
+}
+
+// TestCappedChainFaultInjection sweeps injected faults through capped
+// runs on the chain driver — ASK and LIMIT 3 over the social star,
+// chain, tree and flower shapes, whose morsels nest bind joins inside
+// the first operand's index scan: the sentinel must surface, and a run
+// that finishes under the fault step must keep the cap's contract.
+func TestCappedChainFaultInjection(t *testing.T) {
+	s := workload.NewSocial(workload.SocialOpts{People: 200, Seed: 7})
+	for i, p := range s.MixedQueries(rand.New(rand.NewSource(7)), 12, nil) {
+		full := selectRows(t, s.G, p)
+		for _, k := range []int{1, 3} {
+			b := sparql.NewBudget(context.Background())
+			if _, err := Limit(s.G, p, k, b, plan.Options{}); err != nil {
+				t.Fatalf("query %d: governed Limit(%d) failed: %v", i, k, err)
+			}
+			total := b.Steps()
+			for n := int64(0); n <= total; n += 1 + total/16 {
+				fb := sparql.NewBudget(nil)
+				fb.InjectFault(n, errInjectedExec)
+				got, err := Limit(s.G, p, k, fb, plan.Options{})
+				if err != nil {
+					if !errors.Is(err, errInjectedExec) {
+						t.Fatalf("query %d Limit(%d) fault@%d/%d: err = %v", i, k, n, total, err)
+					}
+					continue
+				}
+				if got.Len() != min(k, full.Len()) {
+					t.Fatalf("query %d Limit(%d) fault@%d/%d: completed with %d rows of %d", i, k, n, total, got.Len(), full.Len())
+				}
+			}
+		}
+		if got := mustAsk(t, s.G, p); got != (full.Len() > 0) {
+			t.Fatalf("query %d: ASK changed after faults: %v", i, got)
+		}
 	}
 }

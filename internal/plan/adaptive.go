@@ -40,6 +40,10 @@
 // strategy, rows).  PlannerOptions.NoReplan disarms the driver
 // entirely, which routes parallel queries to the static tree: the E30
 // "static-parallel" baseline nsbench constructs.
+//
+// A capped run (Options.Cap: ASK, LIMIT) drives any AND chain, however
+// short, through runChainCapped instead: morsels of the first
+// operand's rows, bind joins, and a stop at the cap.
 package plan
 
 import (
@@ -64,7 +68,7 @@ func (pr Prepared) adaptiveArmed() bool {
 // "staged") with more.  ok = false means the chain's schema exceeds
 // the row engine's width and nothing was evaluated (the caller falls
 // back to the string algebra, like the other row-engine entry points).
-func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition int, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
+func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition, limit int, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
 	x, ok := sparql.NewStagedExec(g, pr.pattern, b, sparql.ParOptions{
 		Workers:      workers,
 		MinPartition: minPartition,
@@ -74,13 +78,22 @@ func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition
 		return nil, false, nil
 	}
 	staged, detail := workers > 1, "adaptive"
-	if staged {
+	switch {
+	case limit > 0:
+		detail = "capped"
+	case staged:
 		detail = "staged"
 	}
 	node := prof.Child("and", detail)
 	start := time.Now()
 	steps0, rows0, bytes0 := b.Counters()
-	rs, err := runChain(g, pr, x, staged, node, span)
+	var rs *sparql.RowSet
+	var err error
+	if limit > 0 {
+		rs, err = runChainCapped(pr, x, limit, node)
+	} else {
+		rs, err = runChain(g, pr, x, staged, node, span)
+	}
 	if node != nil {
 		node.AddWall(time.Since(start))
 		steps1, rows1, bytes1 := b.Counters()
@@ -166,7 +179,7 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 		// make, because it depends on the prefix's actual row count.
 		if t, isTriple := chain[i].(sparql.TriplePattern); isTriple &&
 			bindJoinCost(obsCard) < hashJoinCost(obsCard, est) {
-			out, err := x.BindJoin(acc, t, node)
+			out, err := x.BindJoin(acc, t, node.Child("bindjoin", t.String()))
 			if err != nil {
 				return nil, err
 			}
@@ -188,6 +201,72 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 	}
 	return acc, nil
 }
+
+// runChainCapped is the chain driver under a cap of k rows (ASK,
+// LIMIT): the first operand's rows go through the remaining operands
+// in plan order in morsels of k, 2k, 4k, … rows, and the drive stops
+// once k distinct answers exist.  A triple operand is bind-joined with
+// every morsel: across all morsels that charges one probe per row that
+// reaches it plus its matches, which a hash join of the same rows
+// charges too, on top of scanning the operand — so a capped run that
+// finds nothing costs no more steps than the full run, give or take
+// the full run's merge join of the first pair.  Any other operand is
+// evaluated on first use and kept, so every later morsel probes the
+// same rows and the same chain index.  Morsels are too small to
+// observe a cardinality on, so there is no drift checkpoint.
+func runChainCapped(pr Prepared, x *sparql.StagedExec, k int, node *obs.Node) (*sparql.RowSet, error) {
+	chain := pr.chain
+	operands := make([]*sparql.RowSet, len(chain))
+	nodes := make([]*obs.Node, len(chain))
+	out := sparql.NewRowSet(x.Schema())
+	// drive joins morsel m with chain[i] and hands the result on in
+	// windows of at least minWindow rows, so that a stage that fans out
+	// is cut up again instead of flooding the rest of the chain.
+	var drive func(i int, m *sparql.RowSet) (bool, error)
+	drive = func(i int, m *sparql.RowSet) (bool, error) {
+		if i == len(chain) {
+			for j := 0; j < m.Len() && out.Len() < k; j++ {
+				out.AddRow(m.Row(j))
+			}
+			return out.Len() < k, nil
+		}
+		var next *sparql.RowSet
+		var err error
+		if t, isTriple := chain[i].(sparql.TriplePattern); isTriple {
+			if nodes[i] == nil && node != nil {
+				nodes[i] = node.Child("bindjoin", t.String())
+			}
+			next, err = x.BindJoin(m, t, nodes[i])
+		} else {
+			if operands[i] == nil {
+				if operands[i], err = x.EvalOperand(chain[i], node); err != nil {
+					return false, err
+				}
+				nodes[i] = node.Child("join", "")
+			}
+			next, err = x.Probe(m, operands[i], nodes[i])
+		}
+		if err != nil {
+			return false, err
+		}
+		defer next.Release()
+		for lo, size := 0, max(k, minWindow); lo < next.Len(); lo, size = lo+size, 2*size {
+			if more, err := drive(i+1, next.Window(lo, min(lo+size, next.Len()))); err != nil || !more {
+				return more, err
+			}
+		}
+		return true, nil
+	}
+	if err := x.Morsels(chain[0], k, node, func(m *sparql.RowSet) (bool, error) { return drive(1, m) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// minWindow is the smallest window a capped chain cuts a stage's output
+// into: below it, driving the rows on one by one costs more in
+// per-join overhead than it can save.
+const minWindow = 64
 
 // step ends one join step: the inputs the output is not (a join with
 // an empty side returns that side) are released.

@@ -70,6 +70,14 @@ type Options struct {
 	// only root-level totals.  A nil Prof disables all instrumentation
 	// at the cost of one nil check per operator node.
 	Prof *obs.Node
+	// Cap, when positive, asks for any Cap rows of the answer instead
+	// of all of it: ASK is Cap 1, LIMIT k is Cap k.  A capped run is
+	// serial and stops early where it can — the chain driver drives
+	// the first operand's rows through the chain in growing morsels and
+	// stops at Cap answers (runChainCapped), UNION skips its right side
+	// once the left one fills the cap — and materialises where it must
+	// (OPT, NS, FILTER).
+	Cap int
 	// Trace, when non-nil, is the live execution span of the query's
 	// distributed trace: the adaptive chain executor records each
 	// mid-query replan checkpoint as a child span (position, observed
@@ -204,14 +212,15 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 		err error
 	)
 	workers := o.workers()
-	if pr.est < o.minEstimate() {
+	if pr.est < o.minEstimate() || o.Cap > 0 {
 		workers = 1
 	}
-	if pr.adaptiveArmed() {
+	if pr.adaptiveArmed() || (o.Cap > 0 && len(pr.chain) >= 2) {
 		// The chain driver: operand by operand on one worker; with more,
 		// morsel-style staged fan-out that observes materialized prefix
 		// cardinalities and re-plans the tail between stages (staged.go).
-		rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Prof, o.Trace)
+		// A capped run drives any AND chain, however short, in morsels.
+		rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Cap, o.Prof, o.Trace)
 	} else {
 		// The tree evaluator: non-chain plans and the Greedy and NoReplan
 		// ablations.  With more than one worker the whole plan fans out
@@ -221,6 +230,7 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 			MinPartition: o.MinPartition,
 			Prof:         o.Prof,
 			Hints:        pr.hints,
+			Cap:          o.Cap,
 		})
 	}
 	recordRoot := func(resultRows int) {
@@ -238,6 +248,9 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 	} else if err == nil {
 		var ms *sparql.MappingSet
 		if ms, err = sparql.EvalBudget(g, opt, b); err == nil { // wider than MaxSchemaVars
+			if o.Cap > 0 && ms.Len() > o.Cap {
+				ms = sparql.NewMappingSet(ms.Mappings()[:o.Cap]...)
+			}
 			rows = sparql.RowsOf(ms)
 		}
 	}

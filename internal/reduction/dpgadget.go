@@ -84,9 +84,9 @@ func (d DPGadget) HoldsFast() bool {
 	return sparql.Member(d.Graph, d.Pattern, d.Mapping)
 }
 
-// HoldsFast is Holds with the early-terminating search of the exec
-// package (unify the target with the template, backtrack for a
-// witness).
+// HoldsFast is Holds with the exec package's early-terminating
+// membership test (the WHERE pattern filtered to the target, run with
+// a cap of one row).
 func (c ConstructGadget) HoldsFast() bool {
 	found, err := exec.ConstructContains(c.Graph, c.Query, c.Triple, nil, plan.Options{})
 	if err != nil {

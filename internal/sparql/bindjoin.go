@@ -22,7 +22,7 @@ import (
 // the probe (that row's probe degrades toward a wider scan, keeping
 // the join exact for heterogeneous masks).
 func BindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, parent *obs.Node) (*RowSet, error) {
-	return bindJoinScanPar(g, acc, t, b, nil, 0, parent)
+	return bindJoinScanPar(g, acc, t, b, nil, 0, parent.Child("bindjoin", t.String()))
 }
 
 // BindJoinScanPar is BindJoinScan with the accumulator's rows split
@@ -36,11 +36,12 @@ func BindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, parent *
 // and the pool drains before the error returns.
 func BindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, workers, minPart int, parent *obs.Node) (*RowSet, error) {
 	o := ParOptions{Workers: workers, MinPartition: minPart}
-	return bindJoinScanPar(g, acc, t, b, newPool(o.workers()-1), o.minPartition(), parent)
+	return bindJoinScanPar(g, acc, t, b, newPool(o.workers()-1), o.minPartition(), parent.Child("bindjoin", t.String()))
 }
 
-func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *pool, minPart int, parent *obs.Node) (*RowSet, error) {
-	node := parent.Child("bindjoin", t.String())
+// bindJoinScanPar records into node itself, so repeated bind joins of
+// one stage can share a profile node.
+func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
 	return evalInstrumented(node, b, func() (*RowSet, error) {
 		ts, ok := resolveTriple(t, acc.Schema, g.Dict())
 		if !ok {
@@ -77,11 +78,29 @@ func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, po *p
 func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *RowSet, distinct bool, b *Budget, node *obs.Node) error {
 	l := b.lease()
 	defer l.release()
+	// One probe buffer and one match callback serve every row.
+	var (
+		vals    [3]rdf.ID
+		probe   [3]*rdf.ID
+		row     []rdf.ID
+		rowMask uint64
+		err     error
+	)
+	match := func(tr rdf.IDTriple) bool {
+		if err = l.step(); err != nil {
+			return false
+		}
+		dst := out.next()
+		copy(dst, row)
+		if mask, ok := ts.bindTriple(dst, tr, rowMask); ok {
+			err = out.emit(mask, distinct, b)
+		}
+		return err == nil
+	}
 	for i := lo; i < hi; i++ {
-		row, rowMask := acc.RowIDs(i), acc.Mask(i)
-		var vals [3]rdf.ID
-		var probe [3]*rdf.ID
+		row, rowMask = acc.RowIDs(i), acc.Mask(i)
 		for j := 0; j < 3; j++ {
+			probe[j] = nil
 			if ts.isConst[j] {
 				vals[j] = ts.constID[j]
 				probe[j] = &vals[j]
@@ -90,24 +109,12 @@ func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *
 				probe[j] = &vals[j]
 			}
 		}
-		if err := l.step(); err != nil {
+		if err = l.step(); err != nil {
 			return err
 		}
 		node.AddRangeScans(1)
 		node.AddBindProbes(1)
-		var err error
-		g.MatchIDs(probe[0], probe[1], probe[2], func(tr rdf.IDTriple) bool {
-			if err = l.step(); err != nil {
-				return false
-			}
-			dst := out.next()
-			copy(dst, row)
-			if mask, ok := ts.bindTriple(dst, tr, rowMask); ok {
-				err = out.emit(mask, distinct, b)
-			}
-			return err == nil
-		})
-		if err != nil {
+		if g.MatchIDs(probe[0], probe[1], probe[2], match); err != nil {
 			return err
 		}
 	}

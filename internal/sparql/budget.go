@@ -294,8 +294,8 @@ func (b *Budget) recalcFrom(steps int64) {
 
 // Step charges one unit of search work: nil receiver and
 // non-checkpoint steps return after one atomic add.  Callers outside
-// the operators' row loops (the searcher, the string evaluator, one
-// charge per operator node) use it directly.
+// the operators' row loops (the string evaluator, one charge per
+// operator node) use it directly.
 func (b *Budget) Step() error {
 	if b == nil {
 		return nil

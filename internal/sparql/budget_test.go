@@ -186,10 +186,12 @@ type bogusPattern struct{}
 func (bogusPattern) String() string { return "BOGUS" }
 func (bogusPattern) isPattern()     {}
 
-// TestUnknownPatternIsTypedError: an unsupported pattern node must
-// surface as ErrUnsupportedPattern through every entry point — and the
-// legacy Iterate must report "stopped early" instead of panicking
-// (the old behavior crashed the caller, lock held and all).
+// TestUnknownPatternIsTypedError: an unsupported pattern node in a plan
+// must surface as ErrUnsupportedPattern through the row engine —
+// serial, parallel and capped — and the string algebra instead of
+// panicking (the old behavior crashed the caller, lock held and all).
+// The row engine is driven below EvalRows, whose schema is built from
+// var(P) and so panics on such a node first, like Eval.
 func TestUnknownPatternIsTypedError(t *testing.T) {
 	g := rdf.NewGraph()
 	g.Add("a", "p", "b")
@@ -197,24 +199,17 @@ func TestUnknownPatternIsTypedError(t *testing.T) {
 	if !ok {
 		t.Fatal("schema rejected")
 	}
-	s := NewSearcher(g, sc)
 	var up ErrUnsupportedPattern
-	if err := s.Search(bogusPattern{}, 0, func(uint64) bool { return true }); !errors.As(err, &up) {
-		t.Fatalf("Search: %v, want ErrUnsupportedPattern", err)
-	}
-	if s.Iterate(bogusPattern{}, 0, func(uint64) bool { return true }) {
-		t.Fatal("Iterate claimed completion on an unsupported pattern")
-	}
-	if _, err := EvalBudget(g, bogusPattern{}, nil); !errors.As(err, &up) {
-		t.Fatalf("EvalBudget: %v, want ErrUnsupportedPattern", err)
-	}
-	if _, err := EvalCompatibleBudget(g, bogusPattern{}, Mapping{}, nil); !errors.As(err, &up) {
-		t.Fatalf("EvalCompatibleBudget: %v, want ErrUnsupportedPattern", err)
-	}
-	// The nested case unwinds through the combinators too.
 	nested := And{L: TP(V("X"), I("p"), I("b")), R: bogusPattern{}}
-	if err := s.Search(nested, 0, func(uint64) bool { return true }); !errors.As(err, &up) {
-		t.Fatalf("nested Search: %v, want ErrUnsupportedPattern", err)
+	for _, p := range []Pattern{bogusPattern{}, nested} {
+		for _, o := range []ParOptions{{Workers: 1}, {Workers: 4, MinPartition: 1}, {Workers: 1, Cap: 1}} {
+			if _, err := newEvaluator(g, sc, nil, o).evalCap(p, o.Cap, nil); !errors.As(err, &up) {
+				t.Fatalf("row engine (%s, %+v): %v, want ErrUnsupportedPattern", p, o, err)
+			}
+		}
+		if _, err := EvalBudget(g, p, nil); !errors.As(err, &up) {
+			t.Fatalf("EvalBudget(%s): %v, want ErrUnsupportedPattern", p, err)
+		}
 	}
 	if up.Error() == "" {
 		t.Fatal("empty error text")

@@ -51,9 +51,10 @@ func randomChain(rng *rand.Rand) sparql.Pattern {
 }
 
 // TestNoOperatorOutputHoldsARowTwice: RandomPattern × RandomGraph over
-// the five fragments, plus random chains, 300 seeds each, on the four
+// the five fragments, plus random chains, 300 seeds each, on the five
 // execution paths — serial tree, static parallel tree with every
-// partitioned operator forced, serial adaptive chain, staged chain —
+// partitioned operator forced, serial adaptive chain, staged chain,
+// capped run —
 // with the duplicate check on every operator output and the answer
 // held to the reference evaluator.
 func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
@@ -77,6 +78,12 @@ func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
 		}},
 		{"staged chain", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
 			rows, err := plan.Run(g, plan.Prepare(g, p), nil, forcePar)
+			return rows.MappingSet(), err
+		}},
+		// A cap no answer reaches: every morsel and window of the
+		// capped chain, and every capped UNION, runs to the end.
+		{"capped run", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
+			rows, err := plan.Run(g, plan.Prepare(g, p), nil, plan.Options{Cap: 1 << 30})
 			return rows.MappingSet(), err
 		}},
 	}

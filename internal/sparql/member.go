@@ -6,14 +6,16 @@ import (
 
 // Member decides the evaluation problem of Section 7 — µ ∈ ⟦P⟧_G? —
 // without materializing the full answer set.  It runs the constrained
-// evaluation EvalCompatible with µ as the constraint, which substitutes
+// evaluation evalCompatible with µ as the constraint, which substitutes
 // µ's bindings into triple patterns as constants, pruning the search
-// space to mappings compatible with µ.
+// space to mappings compatible with µ.  It is the paper's membership
+// procedure, for the facade, E21 and the reduction gadgets; the
+// servers never run it.
 func Member(g rdf.Store, p Pattern, mu Mapping) bool {
-	return EvalCompatible(g, p, mu).Contains(mu)
+	return evalCompatible(g, p, mu).Contains(mu)
 }
 
-// EvalCompatible returns {ν ∈ ⟦P⟧_G | ν ∼ c}: exactly the answers
+// evalCompatible returns {ν ∈ ⟦P⟧_G | ν ∼ c}: exactly the answers
 // compatible with the constraint mapping c.  With c = µ∅ it coincides
 // with Eval.
 //
@@ -27,117 +29,40 @@ func Member(g rdf.Store, p Pattern, mu Mapping) bool {
 //     the sub-pattern constrained by the *candidate* mapping, since a
 //     blocking extension need not be compatible with c.
 //
-// EvalCompatible is the ungoverned wrapper; a malformed pattern yields
-// an empty set rather than a panic.  Use EvalCompatibleBudget to bound
-// the evaluation.
-func EvalCompatible(g rdf.Store, p Pattern, c Mapping) *MappingSet {
-	ms, err := EvalCompatibleBudget(g, p, c, nil)
-	if err != nil {
-		return NewMappingSet()
-	}
-	return ms
-}
-
-// EvalCompatibleBudget is EvalCompatible under a governor.  The OPT
-// difference loop and the NS maximality loop re-evaluate the
-// sub-pattern once per candidate — exactly the recursions that make
-// the non-monotone operators expensive (Theorems 7.2–7.4) — and each
-// iteration charges the budget, so cancellation propagates out of
-// arbitrarily nested OPT/NS within a bounded amount of work.
-func EvalCompatibleBudget(g rdf.Store, p Pattern, c Mapping, b *Budget) (*MappingSet, error) {
-	if err := b.Step(); err != nil {
-		return nil, err
-	}
+// The OPT difference loop and the NS maximality loop re-evaluate the
+// sub-pattern once per candidate — exactly the recursions that make the
+// non-monotone operators expensive (Theorems 7.2–7.4).  A pattern
+// outside the algebra has no answers.
+func evalCompatible(g rdf.Store, p Pattern, c Mapping) *MappingSet {
 	switch q := p.(type) {
 	case TriplePattern:
-		return evalTripleConstrainedB(g, q, c, b)
+		return evalTripleConstrained(g, q, c)
 	case And:
-		l, err := EvalCompatibleBudget(g, q.L, c, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := EvalCompatibleBudget(g, q.R, c, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.JoinHash(r), nil
+		return evalCompatible(g, q.L, c).JoinHash(evalCompatible(g, q.R, c))
 	case Union:
-		l, err := EvalCompatibleBudget(g, q.L, c, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := EvalCompatibleBudget(g, q.R, c, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(l.Len() + r.Len()); err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
+		return evalCompatible(g, q.L, c).Union(evalCompatible(g, q.R, c))
 	case Opt:
-		left, err := EvalCompatibleBudget(g, q.L, c, b)
-		if err != nil {
-			return nil, err
-		}
-		right, err := EvalCompatibleBudget(g, q.R, c, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(left.Len() + right.Len()); err != nil {
-			return nil, err
-		}
-		out := left.JoinHash(right)
+		left := evalCompatible(g, q.L, c)
+		out := left.JoinHash(evalCompatible(g, q.R, c))
 		for _, mu1 := range left.Mappings() {
 			// µ1 survives iff no mapping of ⟦P2⟧ is compatible with it —
 			// a check on the *unrestricted* right side, pruned by µ1.
-			blocked, err := EvalCompatibleBudget(g, q.R, mu1, b)
-			if err != nil {
-				return nil, err
-			}
-			if blocked.Len() == 0 {
+			if evalCompatible(g, q.R, mu1).Len() == 0 {
 				out.Add(mu1)
 			}
 		}
-		return out, nil
+		return out
 	case Filter:
-		inner, err := EvalCompatibleBudget(g, q.P, c, b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Filter(q.Cond), nil
+		return evalCompatible(g, q.P, c).Filter(q.Cond)
 	case Select:
-		inner, err := EvalCompatibleBudget(g, q.P, c.Restrict(q.Vars), b)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.StepN(inner.Len()); err != nil {
-			return nil, err
-		}
-		return inner.Project(q.Vars), nil
+		return evalCompatible(g, q.P, c.Restrict(q.Vars)).Project(q.Vars)
 	case NS:
-		cands, err := EvalCompatibleBudget(g, q.P, c, b)
-		if err != nil {
-			return nil, err
-		}
 		out := NewMappingSet()
-		for _, mu := range cands.Mappings() {
+		for _, mu := range evalCompatible(g, q.P, c).Mappings() {
 			// A proper subsumer of µ is compatible with µ but not
 			// necessarily with c, so re-evaluate constrained by µ.
-			subs, err := EvalCompatibleBudget(g, q.P, mu, b)
-			if err != nil {
-				return nil, err
-			}
 			maximal := true
-			for _, nu := range subs.Mappings() {
-				if err := b.Step(); err != nil {
-					return nil, err
-				}
+			for _, nu := range evalCompatible(g, q.P, mu).Mappings() {
 				if mu.ProperlySubsumedBy(nu) {
 					maximal = false
 					break
@@ -147,15 +72,15 @@ func EvalCompatibleBudget(g rdf.Store, p Pattern, c Mapping, b *Budget) (*Mappin
 				out.Add(mu)
 			}
 		}
-		return out, nil
+		return out
 	default:
-		return nil, ErrUnsupportedPattern{Pattern: p}
+		return NewMappingSet()
 	}
 }
 
-// evalTripleConstrainedB matches a triple pattern with the constraint's
-// bindings substituted as constants; each index match charges one step.
-func evalTripleConstrainedB(g rdf.Store, t TriplePattern, c Mapping, b *Budget) (*MappingSet, error) {
+// evalTripleConstrained matches a triple pattern with the constraint's
+// bindings substituted as constants.
+func evalTripleConstrained(g rdf.Store, t TriplePattern, c Mapping) *MappingSet {
 	bind := func(v Value) Value {
 		if v.IsVar() {
 			if iri, ok := c[v.Var()]; ok {
@@ -164,13 +89,8 @@ func evalTripleConstrainedB(g rdf.Store, t TriplePattern, c Mapping, b *Budget) 
 		}
 		return v
 	}
-	ground := TP(bind(t.S), bind(t.P), bind(t.O))
-	matches, err := evalTripleBudget(g, ground, b)
-	if err != nil {
-		return nil, err
-	}
 	out := NewMappingSet()
-	for _, mu := range matches.Mappings() {
+	for _, mu := range evalTriple(g, TP(bind(t.S), bind(t.P), bind(t.O))).Mappings() {
 		// Re-attach the substituted bindings, so that dom(ν) = var(t)
 		// as the semantics requires.  (A substituted variable cannot
 		// also be matched: it occurs only as a constant in ground.)
@@ -182,5 +102,5 @@ func evalTripleConstrainedB(g rdf.Store, t TriplePattern, c Mapping, b *Budget) 
 		}
 		out.Add(full)
 	}
-	return out, nil
+	return out
 }

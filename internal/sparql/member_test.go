@@ -60,7 +60,7 @@ func TestEvalCompatibleMatchesReferenceQuick(t *testing.T) {
 				want.Add(mu)
 			}
 		}
-		got := EvalCompatible(g, p, c)
+		got := evalCompatible(g, p, c)
 		if !got.Equal(want) {
 			t.Logf("pattern %s\nconstraint %s\ngraph\n%s\nwant %v\ngot  %v", p, c, g, want, got)
 			return false
@@ -108,8 +108,8 @@ func TestEvalCompatibleEmptyConstraintIsEval(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p := randomPatternLocal(rng, 3)
 		g := randomGraphLocal(rng, rng.Intn(20))
-		if !EvalCompatible(g, p, Mapping{}).Equal(Eval(g, p)) {
-			t.Fatalf("EvalCompatible(∅) ≠ Eval for %s", p)
+		if !evalCompatible(g, p, Mapping{}).Equal(Eval(g, p)) {
+			t.Fatalf("evalCompatible(∅) ≠ Eval for %s", p)
 		}
 	}
 }

@@ -70,6 +70,9 @@ type ParOptions struct {
 	// Hints carries the planner's per-node join-strategy decisions
 	// (nil = structural auto behaviour).  See EvalHints.
 	Hints *EvalHints
+	// Cap, when positive, keeps at most Cap rows of the answer: the
+	// capped run behind ASK and LIMIT (see evalOp's UNION and SELECT).
+	Cap int
 }
 
 func (o ParOptions) workers() int {
@@ -149,22 +152,39 @@ func newEvaluator(g rdf.Store, sc *VarSchema, b *Budget, o ParOptions) *evaluato
 // eval attaches a profile node for p under parent (nil disables
 // instrumentation) and evaluates.
 func (e *evaluator) eval(p Pattern, parent *obs.Node) (*RowSet, error) {
-	return e.evalInto(p, childNode(parent, p))
+	return e.evalCap(p, 0, parent)
+}
+
+// evalCap is eval keeping at most k rows of the answer (all of them
+// for k ≤ 0).
+func (e *evaluator) evalCap(p Pattern, k int, parent *obs.Node) (*RowSet, error) {
+	return e.evalInto(p, k, childNode(parent, p))
 }
 
 // evalInto evaluates p into an already-created profile node — evalBoth
 // creates both operand nodes before fanning out so the profile tree's
 // child order is deterministic (L, R) regardless of scheduling.
-func (e *evaluator) evalInto(p Pattern, node *obs.Node) (*RowSet, error) {
+func (e *evaluator) evalInto(p Pattern, k int, node *obs.Node) (*RowSet, error) {
 	return evalInstrumented(node, e.b, func() (*RowSet, error) {
-		return e.evalOp(p, node)
+		rs, err := e.evalOp(p, k, node)
+		if err != nil || k <= 0 || rs.Len() <= k {
+			return rs, err
+		}
+		return rs.Window(0, k), nil
 	})
 }
 
 // evalOp dispatches one operator, recursing through eval so the
 // children attach under node.  Rows-in is the operand total fed to the
 // operator (its own output is recorded by the wrapper).
-func (e *evaluator) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
+//
+// A cap k > 0 asks for any k rows of the answer.  Two operators can
+// stop early on it: UNION leaves its right side unevaluated once the
+// left one fills the cap, and SELECT hands a cap of one to its body,
+// since any answer projects to an answer.  Every other operator needs
+// its operands in full — a join or an NS over a prefix of an operand
+// is not a prefix of the answer — and the cap only cuts its output.
+func (e *evaluator) evalOp(p Pattern, k int, node *obs.Node) (*RowSet, error) {
 	if err := e.b.Step(); err != nil {
 		return nil, err
 	}
@@ -189,7 +209,18 @@ func (e *evaluator) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 		out, err := l.joinParB(r, e.b, e.po, e.minPart, node)
 		return finish(node, out, err, l, r)
 	case Union:
-		l, r, err := e.evalBoth(q.L, q.R, node)
+		var l, r *RowSet
+		var err error
+		if k > 0 {
+			// Capped: the right side runs only when the left one leaves
+			// the cap unfilled, and both run on this goroutine.
+			if l, err = e.evalCap(q.L, k, node); err != nil || l.Len() >= k {
+				return l, err
+			}
+			r, err = e.evalCap(q.R, k, node)
+		} else {
+			l, r, err = e.evalBoth(q.L, q.R, node)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +249,10 @@ func (e *evaluator) evalOp(p Pattern, node *obs.Node) (*RowSet, error) {
 		out, err := inner.FilterB(CompileCond(q.Cond, e.sc, e.g.Dict()), e.b)
 		return finish(node, out, err, inner)
 	case Select:
-		inner, err := e.eval(q.P, node)
+		if k != 1 {
+			k = 0
+		}
+		inner, err := e.evalCap(q.P, k, node)
 		if err != nil {
 			return nil, err
 		}
@@ -282,9 +316,9 @@ func (e *evaluator) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, 
 		go func() {
 			defer close(done)
 			defer e.po.release()
-			r, rerr = e.evalInto(pr, nr)
+			r, rerr = e.evalInto(pr, 0, nr)
 		}()
-		l, lerr := e.evalInto(pl, nl)
+		l, lerr := e.evalInto(pl, 0, nl)
 		<-done
 		if lerr != nil {
 			return nil, nil, lerr
@@ -297,11 +331,11 @@ func (e *evaluator) evalBoth(pl, pr Pattern, node *obs.Node) (*RowSet, *RowSet, 
 	if e.po != nil {
 		node.AddPoolInline(1)
 	}
-	l, err := e.evalInto(pl, nl)
+	l, err := e.evalInto(pl, 0, nl)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := e.evalInto(pr, nr)
+	r, err := e.evalInto(pr, 0, nr)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -197,10 +197,11 @@ func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 	}
 }
 
-// TestSearcherAgreesWithEvalQuick checks the streaming backtracking
-// searcher against the reference evaluator: collecting every emitted
-// row (deduplicated) must equal Eval up to multiplicity.
-func TestSearcherAgreesWithEvalQuick(t *testing.T) {
+// TestCappedEvalRowsAgreesWithEvalQuick checks capped runs
+// (ParOptions.Cap) against the reference evaluator, on the serial and
+// the parallel engine: k answers of Eval, or all of them when there are
+// fewer.
+func TestCappedEvalRowsAgreesWithEvalQuick(t *testing.T) {
 	for _, fc := range fragmentCases() {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
@@ -211,63 +212,19 @@ func TestSearcherAgreesWithEvalQuick(t *testing.T) {
 				if fc.ns == "wrap" {
 					p = sparql.NS{P: p}
 				}
-				sc, ok := sparql.SchemaFor(p)
-				if !ok {
-					t.Fatal("schema rejected small pattern")
-				}
-				s := sparql.NewSearcher(g, sc)
-				got := sparql.NewRowSet(sc)
-				s.Iterate(p, 0, func(m uint64) bool {
-					got.Add(s.IDs(), m)
-					return true
-				})
 				want := sparql.Eval(g, p)
-				if gs := got.MappingSet(g.Dict()); !gs.Equal(want) {
-					t.Fatalf("trial %d: searcher diverges on\n%s\ngot: %v\nwant:%v",
-						trial, p, gs, want)
+				for _, o := range []sparql.ParOptions{
+					{Workers: 1, Cap: 1 + rng.Intn(4)},
+					{Workers: 4, MinPartition: 1, Cap: 1 + rng.Intn(4)},
+				} {
+					rs, ok, err := sparql.EvalRows(g, p, nil, o)
+					if err != nil || !ok {
+						t.Fatalf("trial %d: EvalRows(%+v) = %v, %v", trial, o, ok, err)
+					}
+					checkCapped(t, rs.MappingSet(g.Dict()), want, o.Cap, p.String())
 				}
 			}
 		})
-	}
-}
-
-// TestSearcherSeededCompatible checks that seeding the searcher with an
-// environment row streams exactly the Eval answers compatible with it.
-func TestSearcherSeededCompatible(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	ops := []sparql.Op{sparql.OpAnd, sparql.OpUnion, sparql.OpFilter}
-	for trial := 0; trial < 150; trial++ {
-		g := workload.RandomGraph(rng, 2+rng.Intn(25), nil)
-		p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3, Ops: ops})
-		sc, _ := sparql.SchemaFor(p)
-		env := sparql.Mapping{}
-		for _, v := range sc.Vars() {
-			if rng.Intn(3) == 0 {
-				env[v] = workload.DefaultIRIs[rng.Intn(len(workload.DefaultIRIs))]
-			}
-		}
-		c := sparql.Codec{Schema: sc, Dict: g.Dict()}
-		row, ok := c.EncodeLookup(env)
-		if !ok {
-			continue // an env IRI is absent from the graph dictionary
-		}
-		s := sparql.NewSearcher(g, sc)
-		s.Seed(row)
-		got := sparql.NewRowSet(sc)
-		s.Iterate(p, row.Mask, func(m uint64) bool {
-			got.Add(s.IDs(), m)
-			return true
-		})
-		want := sparql.NewMappingSet()
-		for _, mu := range sparql.Eval(g, p).Mappings() {
-			if mu.CompatibleWith(env) {
-				want.Add(mu)
-			}
-		}
-		if gs := got.MappingSet(g.Dict()); !gs.Equal(want) {
-			t.Fatalf("trial %d: seeded searcher diverges on\n%s\nenv: %v\ngot: %v\nwant:%v",
-				trial, p, env, gs, want)
-		}
 	}
 }
 
@@ -324,16 +281,6 @@ func TestRepeatedVarTriple(t *testing.T) {
 			}
 			if got := rowEngine(t, g, tc.p); !got.Equal(tc.want) {
 				t.Errorf("row engine: got %v want %v", got, tc.want)
-			}
-			sc, _ := sparql.SchemaFor(tc.p)
-			s := sparql.NewSearcher(g, sc)
-			rs := sparql.NewRowSet(sc)
-			s.Iterate(tc.p, 0, func(m uint64) bool {
-				rs.Add(s.IDs(), m)
-				return true
-			})
-			if got := rs.MappingSet(g.Dict()); !got.Equal(tc.want) {
-				t.Errorf("searcher: got %v want %v", got, tc.want)
 			}
 		})
 	}

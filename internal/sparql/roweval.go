@@ -35,7 +35,7 @@ func EvalRows(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, bool, e
 	if !ok {
 		return nil, false, nil
 	}
-	rs, err := newEvaluator(g, sc, b, o).eval(p, o.Prof)
+	rs, err := newEvaluator(g, sc, b, o).evalCap(p, o.Cap, o.Prof)
 	if err != nil {
 		return nil, true, err
 	}
@@ -197,16 +197,11 @@ func (ts *tripleSlots) bindTriple(dst []rdf.ID, tr rdf.IDTriple, boundMask uint6
 	return written, true
 }
 
-// EvalTripleDelta computes the matches of t among a slice of delta
+// EvalTripleDeltaB computes the matches of t among a slice of delta
 // triples given in the dictionary's ID space — the Δ⟦t⟧ rule of
 // incremental view maintenance, evaluated without building a delta
-// graph (which would carry its own, incompatible dictionary).
-func EvalTripleDelta(t TriplePattern, sc *VarSchema, d *rdf.Dict, delta []rdf.IDTriple) *RowSet {
-	out, _ := EvalTripleDeltaB(t, sc, d, delta, nil)
-	return out
-}
-
-// EvalTripleDeltaB is EvalTripleDelta under a governor.
+// graph (which would carry its own, incompatible dictionary) — under a
+// governor.
 func EvalTripleDeltaB(t TriplePattern, sc *VarSchema, d *rdf.Dict, delta []rdf.IDTriple, b *Budget) (*RowSet, error) {
 	out := NewRowSet(sc)
 	ts, ok := resolveTriple(t, sc, d)

@@ -160,6 +160,17 @@ func (s *RowSet) RowIDs(i int) []rdf.ID {
 // Row returns row i.
 func (s *RowSet) Row(i int) Row { return Row{Mask: s.masks[i], IDs: s.RowIDs(i)} }
 
+// Window returns rows [lo, hi) of s as a set that shares s's arrays: a
+// morsel of s, or the first rows of a capped answer.  It is read-only
+// and good only while s is; sets built from it draw on s's free list,
+// and releasing it hands its share of s's arrays there, so release s
+// or its windows, never both.
+func (s *RowSet) Window(lo, hi int) *RowSet {
+	w := s.Schema.Len()
+	return &RowSet{Schema: s.Schema, masks: s.masks[lo:hi:hi], ids: s.ids[lo*w : hi*w : hi*w],
+		some: s.some, miss: s.miss, free: s.free}
+}
+
 // alwaysBoundMask returns the slots bound in every row (0 for the empty
 // set).
 func (s *RowSet) alwaysBoundMask() uint64 { return s.some &^ s.miss }
@@ -369,16 +380,22 @@ func (s *RowSet) joinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *o
 	if t.Len() == 0 {
 		return t, nil
 	}
-	distinct := s.uniform() && t.uniform()
 	build, probe := s, t
 	if build.Len() > probe.Len() {
 		build, probe = probe, build
 	}
-	key := build.alwaysBoundMask() & probe.alwaysBoundMask()
+	return build.probeJoin(probe, bud, po, minPart, node)
+}
+
+// probeJoin is the join with the build side fixed: s's chain index
+// (cached on s, see chainIndex) is probed with every row of probe.
+func (s *RowSet) probeJoin(probe *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
+	distinct := s.uniform() && probe.uniform()
+	key := s.alwaysBoundMask() & probe.alwaysBoundMask()
 	if probe.Len() < minPart {
 		po = nil
 	}
-	idx := build.chainIndex(key)
+	idx := s.chainIndex(key)
 	parts, err := parChunks(po, probe.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
 		out := s.like(hi - lo)
 		l := bud.lease()
@@ -392,7 +409,7 @@ func (s *RowSet) joinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *o
 				if err := l.step(); err != nil {
 					return nil, err
 				}
-				if _, err := out.joinPair(build.RowIDs(int(i)), build.masks[i], b, bm, distinct, bud); err != nil {
+				if _, err := out.joinPair(s.RowIDs(int(i)), s.masks[i], b, bm, distinct, bud); err != nil {
 					return nil, err
 				}
 			}

@@ -98,26 +98,6 @@ func (c Codec) Encode(mu Mapping) (Row, bool) {
 	return r, true
 }
 
-// EncodeLookup is Encode without interning: ok = false when µ binds a
-// variable outside the schema or an IRI outside the dictionary (such a
-// mapping cannot be an answer over the dictionary's graph).
-func (c Codec) EncodeLookup(mu Mapping) (Row, bool) {
-	r := Row{IDs: make([]rdf.ID, c.Schema.Len())}
-	for v, iri := range mu {
-		i, ok := c.Schema.Slot(v)
-		if !ok {
-			return Row{}, false
-		}
-		id, ok := c.Dict.Lookup(iri)
-		if !ok {
-			return Row{}, false
-		}
-		r.IDs[i] = id
-		r.Mask |= 1 << uint(i)
-	}
-	return r, true
-}
-
 // Decode converts a row back to a string mapping.
 func (c Codec) Decode(r Row) Mapping {
 	return c.DecodeMasked(r.IDs, r.Mask)

@@ -66,7 +66,79 @@ func (x *StagedExec) Join(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
 
 // BindJoin is the parallel bind join: acc's rows split into morsels
 // across the pool, each worker probing the sorted indexes with
-// row-bound constants (see BindJoinScanPar).
+// row-bound constants (see BindJoinScanPar).  It records into node
+// itself rather than into a child of it.
 func (x *StagedExec) BindJoin(acc *RowSet, t TriplePattern, node *obs.Node) (*RowSet, error) {
 	return bindJoinScanPar(x.e.g, acc, t, x.e.b, x.e.po, x.e.minPart, node)
+}
+
+// Probe joins acc with an operand evaluated earlier, always building on
+// the operand: a capped chain joins one operand with many small
+// morsels, and the operand's chain index, cached on it, is built once.
+// The output is a new set even when a side is empty.
+func (x *StagedExec) Probe(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
+	return evalInstrumented(node, x.e.b, func() (*RowSet, error) {
+		node.AddRowsIn(int64(acc.Len()))
+		if acc.Len() == 0 || r.Len() == 0 {
+			return acc.like(0), nil
+		}
+		return r.probeJoin(acc, x.e.b, x.e.po, x.e.minPart, node)
+	})
+}
+
+// Morsels hands the rows of ⟦p⟧_G to fn in morsels of first, 2·first,
+// 4·first, … rows until fn returns false or the rows run out: the
+// first stage of a capped chain.  A triple pattern is scanned lazily,
+// so the index scan stops where fn does; any other operand is
+// evaluated in full first.  A morsel is fn's only for the call.
+func (x *StagedExec) Morsels(p Pattern, first int, parent *obs.Node, fn func(*RowSet) (bool, error)) error {
+	e := x.e
+	var rs *RowSet
+	lo, size, more := 0, max(first, 1), true
+	var err error
+	emit := func(hi int) bool {
+		more, err = fn(rs.Window(lo, hi))
+		lo, size = hi, 2*size
+		return more && err == nil
+	}
+	t, ok := p.(TriplePattern)
+	if !ok {
+		if rs, err = e.eval(p, parent); err != nil {
+			return err
+		}
+		for lo < rs.Len() && emit(min(lo+size, rs.Len())) {
+		}
+		return err
+	}
+	node := childNode(parent, p)
+	ts, ok := resolveTriple(t, e.sc, e.g.Dict())
+	if !ok {
+		return nil
+	}
+	node.AddRangeScans(1)
+	rs = newRowSet(e.sc, &e.free, 0) // not size: a cap may be huge
+	l := e.b.lease()
+	sp, pp, op := ts.constants()
+	e.g.MatchIDs(sp, pp, op, func(tr rdf.IDTriple) bool {
+		if err = l.step(); err != nil {
+			return false
+		}
+		if _, ok := ts.bindTriple(rs.next(), tr, 0); !ok {
+			return true
+		}
+		rs.commit(ts.mask)
+		if err = e.b.chargeRow(e.sc.Len()); err != nil || rs.Len() < lo+size {
+			return err == nil
+		}
+		l.release() // fn steps on leases of its own
+		ok := emit(rs.Len())
+		l = e.b.lease()
+		return ok
+	})
+	l.release()
+	node.AddRowsOut(int64(rs.Len()))
+	if err == nil && more && lo < rs.Len() {
+		emit(rs.Len())
+	}
+	return err
 }

@@ -19,26 +19,27 @@
 //
 // which computes a superset of the genuinely new answers and a subset
 // of ⟦P⟧_G — exactly what is needed to extend the view.  The AND rule's
-// ⟦·⟧_G probes run as constrained evaluations seeded by the (small)
-// delta side, so an insert costs ~|Δ| index probes, independent of |G|.
+// ⟦·⟧_G sides are bind joins driven by the (small) delta side, so an
+// insert costs ~|Δ| index probes, independent of |G|.
 //
 // The delta rules run on the ID-native row runtime: the delta is a
 // slice of rdf.IDTriple in the base dictionary's ID space, Δ⟦t⟧ scans
-// it with sparql.EvalTripleDelta, and the ⟦·⟧_G probes seed a
-// sparql.Searcher with each delta row.  WHERE clauses wider than
-// sparql.MaxSchemaVars keep the original string-mapping path.
+// it with sparql.EvalTripleDeltaB, and the ⟦·⟧_G sides are
+// sparql.BindJoinScan joins.  A WHERE clause wider than
+// sparql.MaxSchemaVars is run again in full through plan.Run.
 package views
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/transform"
 )
 
 // View is a materialized monotone CONSTRUCT view over a base graph.
@@ -46,7 +47,7 @@ type View struct {
 	query sparql.ConstructQuery
 	base  rdf.Store
 	out   rdf.Store
-	sc    *sparql.VarSchema // nil: WHERE wider than MaxSchemaVars, string fallback
+	sc    *sparql.VarSchema // nil: WHERE wider than MaxSchemaVars, re-run in full
 }
 
 // New materializes a CONSTRUCT[AUF] view over a snapshot of the base
@@ -200,30 +201,27 @@ func (v *View) InsertObserved(b *sparql.Budget, prof *obs.Node, triples ...rdf.T
 	return added, nil
 }
 
-// deltaAnswers computes the delta answer set on the row runtime, or on
-// the string fallback for WHERE clauses wider than MaxSchemaVars.
-func (v *View) deltaAnswers(delta []rdf.Triple, b *sparql.Budget) (*sparql.MappingSet, error) {
-	if v.sc != nil {
-		return v.deltaEvalRows(delta, b)
-	}
-	dg := rdf.NewGraph()
-	for _, t := range delta {
-		dg.AddTriple(t)
-	}
-	return deltaEval(v.base, dg, v.query.Where, b)
-}
-
-// deltaEvalRows runs the delta rules on the row runtime.  AddTriple has
-// interned the delta's IRIs into the base dictionary, so the delta maps
-// losslessly into ID space.
+// deltaAnswers computes the delta answer set.  A WHERE clause wider
+// than the row engine is run again in full: it is monotone, so every
+// answer over the grown graph that is not new is already in the view,
+// and adding them all is exact.
 //
 // The probes may fan out across goroutines (see probe), all reading
 // the base graph; the read snapshot makes any concurrent mutation of
 // the base — which would corrupt an index under a worker — fail
 // loudly at the write site for the duration of the evaluation.
-func (v *View) deltaEvalRows(delta []rdf.Triple, b *sparql.Budget) (*sparql.MappingSet, error) {
+func (v *View) deltaAnswers(delta []rdf.Triple, b *sparql.Budget) (*sparql.MappingSet, error) {
 	release := v.base.AcquireRead()
 	defer release()
+	if v.sc == nil {
+		rows, err := plan.Run(v.base, plan.Prepare(v.base, v.query.Where), b, plan.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return rows.MappingSet(), nil
+	}
+	// AddTriple has interned the delta's IRIs into the base dictionary,
+	// so the delta maps losslessly into ID space.
 	d := v.base.Dict()
 	idDelta := make([]rdf.IDTriple, len(delta))
 	for i, t := range delta {
@@ -232,53 +230,51 @@ func (v *View) deltaEvalRows(delta []rdf.Triple, b *sparql.Budget) (*sparql.Mapp
 		o, _ := d.Lookup(t.O)
 		idDelta[i] = rdf.IDTriple{S: s, P: p, O: o}
 	}
-	s := sparql.NewSearcherBudget(v.base, v.sc, b)
-	rs, err := v.deltaRows(idDelta, v.query.Where, s)
+	rs, err := v.deltaRows(idDelta, v.query.Where, b)
 	if err != nil {
 		return nil, err
 	}
 	return rs.MappingSet(d), nil
 }
 
-func (v *View) deltaRows(delta []rdf.IDTriple, p sparql.Pattern, s *sparql.Searcher) (*sparql.RowSet, error) {
+func (v *View) deltaRows(delta []rdf.IDTriple, p sparql.Pattern, b *sparql.Budget) (*sparql.RowSet, error) {
 	switch q := p.(type) {
 	case sparql.TriplePattern:
-		return sparql.EvalTripleDeltaB(q, v.sc, v.base.Dict(), delta, s.Budget())
+		return sparql.EvalTripleDeltaB(q, v.sc, v.base.Dict(), delta, b)
 	case sparql.And:
-		dl, err := v.deltaRows(delta, q.L, s)
+		dl, err := v.deltaRows(delta, q.L, b)
 		if err != nil {
 			return nil, err
 		}
-		l, err := v.probe(dl, q.R, s)
+		l, err := v.probe(dl, q.R, b)
 		if err != nil {
 			return nil, err
 		}
-		dr, err := v.deltaRows(delta, q.R, s)
+		dr, err := v.deltaRows(delta, q.R, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := v.probe(dr, q.L, s)
+		r, err := v.probe(dr, q.L, b)
 		if err != nil {
 			return nil, err
 		}
-		return l.UnionB(r, s.Budget())
+		return l.UnionB(r, b)
 	case sparql.Union:
-		l, err := v.deltaRows(delta, q.L, s)
+		l, err := v.deltaRows(delta, q.L, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := v.deltaRows(delta, q.R, s)
+		r, err := v.deltaRows(delta, q.R, b)
 		if err != nil {
 			return nil, err
 		}
-		return l.UnionB(r, s.Budget())
+		return l.UnionB(r, b)
 	case sparql.Filter:
-		inner, err := v.deltaRows(delta, q.P, s)
+		inner, err := v.deltaRows(delta, q.P, b)
 		if err != nil {
 			return nil, err
 		}
-		return inner.FilterB(
-			sparql.CompileCond(q.Cond, v.sc, v.base.Dict()), s.Budget())
+		return inner.FilterB(sparql.CompileCond(q.Cond, v.sc, v.base.Dict()), b)
 	default:
 		// New() admits only CONSTRUCT[AUF]; reaching this means the
 		// pattern was mutated behind the view's back.
@@ -286,146 +282,60 @@ func (v *View) deltaRows(delta []rdf.IDTriple, p sparql.Pattern, s *sparql.Searc
 	}
 }
 
-// parProbeMin is the delta size (in rows) below which the probe loop
-// stays on one goroutine: spinning up per-worker searchers only pays
-// off once there are enough independent probes to share out.
+// parProbeMin is the delta size (in rows) below which a bind join stays
+// on one goroutine: splitting the probes only pays off once there are
+// enough of them to share out.
 const parProbeMin = 64
 
-// probe computes small ⋈ ⟦p⟧_G by seeding a searcher with each delta
-// row and streaming the compatible solutions of p — the
-// index-nested-loop delta join, without allocating a mapping per probe
-// step.
+// probe computes small ⋈ ⟦p⟧_G by index nested loops, recursing over
+// the AUF algebra: a triple bind-joins small against the indexes,
+// AND composes (small ⋈ ⟦P1⟧ ⋈ ⟦P2⟧), UNION unions.  Large deltas fan
+// the bind joins out across GOMAXPROCS goroutines sharing b, whose
+// accounting is atomic, so one governor bounds the whole insert.
 //
-// The probes are independent (each reads the base graph and writes
-// only its own output), so large deltas fan out across GOMAXPROCS
-// goroutines: each worker gets a contiguous chunk of delta rows and
-// its own Searcher, while all workers share s's Budget — safe, since
-// Budget accounting is atomic — so one governor bounds the whole
-// insert no matter how many workers it uses.
-func (v *View) probe(small *sparql.RowSet, p sparql.Pattern, s *sparql.Searcher) (*sparql.RowSet, error) {
-	workers := runtime.GOMAXPROCS(0)
-	if small.Len() >= parProbeMin && workers > 1 {
-		if workers > small.Len()/(parProbeMin/2) {
-			workers = small.Len() / (parProbeMin / 2)
-		}
-		return v.probeChunked(small, p, s.Budget(), workers)
-	}
-	return v.probeRange(small, 0, small.Len(), p, s)
-}
-
-// probeRange runs the probes for delta rows [lo, hi) on one searcher.
-func (v *View) probeRange(small *sparql.RowSet, lo, hi int, p sparql.Pattern, s *sparql.Searcher) (*sparql.RowSet, error) {
-	out := sparql.NewRowSet(v.sc)
-	for i := lo; i < hi; i++ {
-		r := small.Row(i)
-		s.Seed(r)
-		if err := s.Search(p, r.Mask, func(m uint64) bool {
-			out.Add(s.IDs(), r.Mask|m)
-			return true
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// probeChunked shares the delta rows across workers and merges the
-// per-worker results in chunk order.  Every worker is joined before
-// returning, error or not, so a governed abort drains cleanly and the
-// caller's rollback never races a live probe.
-func (v *View) probeChunked(small *sparql.RowSet, p sparql.Pattern, b *sparql.Budget, workers int) (*sparql.RowSet, error) {
-	outs := make([]*sparql.RowSet, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		lo, hi := w*small.Len()/workers, (w+1)*small.Len()/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			outs[w], errs[w] = v.probeRange(small, lo, hi, p, sparql.NewSearcherBudget(v.base, v.sc, b))
-		}(w, lo, hi)
-	}
-	outs[0], errs[0] = v.probeRange(small, 0, small.Len()/workers, p, sparql.NewSearcherBudget(v.base, v.sc, b))
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := outs[0]
-	for _, part := range outs[1:] {
-		for i := 0; i < part.Len(); i++ {
-			out.AddRow(part.Row(i))
-		}
-	}
-	return out, nil
-}
-
-// deltaEval returns a set Ω with ⟦P⟧_{G} ∖ ⟦P⟧_{G∖Δ} ⊆ Ω ⊆ ⟦P⟧_G,
-// where g is the already-updated base graph: every genuinely new
-// answer, and only valid answers.  Since the output is a set, the AND
-// rule may count an all-new join twice; deduplication makes that
-// harmless, and probing the updated graph on both sides avoids keeping
-// (or cloning) the pre-insert graph.
-func deltaEval(g, delta rdf.Store, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
+// A FILTER judges its pattern's own answers ν, not the merged rows
+// µ ∪ ν: a variable that µ binds and ν leaves unbound must read as
+// unbound.  So the probe goes in with small cut down to the variables
+// every ν binds (transform.CertainlyBound), where µ ∪ ν is ν itself; the
+// condition filters those, and they are joined back onto small.
+func (v *View) probe(small *sparql.RowSet, p sparql.Pattern, b *sparql.Budget) (*sparql.RowSet, error) {
 	switch q := p.(type) {
 	case sparql.TriplePattern:
-		return sparql.EvalBudget(delta, q, b)
+		return sparql.BindJoinScanPar(v.base, small, q, b, runtime.GOMAXPROCS(0), parProbeMin, nil)
 	case sparql.And:
-		// Index-nested-loop delta join: the delta side is small, so the
-		// other side is probed with each delta mapping as a constraint
-		// (sparql.EvalCompatible turns bound variables into index
-		// lookups) instead of being evaluated in full.
-		dl, err := deltaEval(g, delta, q.L, b)
+		l, err := v.probe(small, q.L, b)
 		if err != nil {
 			return nil, err
 		}
-		l, err := joinConstrained(g, dl, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		dr, err := deltaEval(g, delta, q.R, b)
-		if err != nil {
-			return nil, err
-		}
-		r, err := joinConstrained(g, dr, q.L, b)
-		if err != nil {
-			return nil, err
-		}
-		return l.Union(r), nil
+		return v.probe(l, q.R, b)
 	case sparql.Union:
-		l, err := deltaEval(g, delta, q.L, b)
+		l, err := v.probe(small, q.L, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := deltaEval(g, delta, q.R, b)
+		r, err := v.probe(small, q.R, b)
 		if err != nil {
 			return nil, err
 		}
-		return l.Union(r), nil
+		return l.UnionB(r, b)
 	case sparql.Filter:
-		inner, err := deltaEval(g, delta, q.P, b)
+		var cb []sparql.Var
+		for x := range transform.CertainlyBound(q.P) {
+			cb = append(cb, x)
+		}
+		keys, err := small.ProjectB(v.sc.SlotMask(cb), b)
 		if err != nil {
 			return nil, err
 		}
-		return inner.Filter(q.Cond), nil
+		own, err := v.probe(keys, q.P, b)
+		if err != nil {
+			return nil, err
+		}
+		if own, err = own.FilterB(sparql.CompileCond(q.Cond, v.sc, v.base.Dict()), b); err != nil {
+			return nil, err
+		}
+		return small.JoinB(own, b)
 	default:
 		return nil, sparql.ErrUnsupportedPattern{Pattern: p}
 	}
-}
-
-// joinConstrained computes small ⋈ ⟦p⟧_g by probing p with each
-// mapping of small as a compatibility constraint.
-func joinConstrained(g rdf.Store, small *sparql.MappingSet, p sparql.Pattern, b *sparql.Budget) (*sparql.MappingSet, error) {
-	out := sparql.NewMappingSet()
-	for _, mu := range small.Mappings() {
-		nus, err := sparql.EvalCompatibleBudget(g, p, mu, b)
-		if err != nil {
-			return nil, err
-		}
-		for _, nu := range nus.Mappings() {
-			out.Add(mu.Merge(nu))
-		}
-	}
-	return out, nil
 }

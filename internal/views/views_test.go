@@ -1,6 +1,7 @@
 package views
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,10 +85,19 @@ func TestViewMatchesRecomputeQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := workload.RandomPattern(rng, workload.PatternOpts{
-			Depth: 3,
-			Ops:   []sparql.Op{sparql.OpAnd, sparql.OpUnion, sparql.OpFilter},
-		})
+		auf := workload.PatternOpts{Depth: 3, Ops: []sparql.Op{sparql.OpAnd, sparql.OpUnion, sparql.OpFilter}}
+		p := workload.RandomPattern(rng, auf)
+		if rng.Intn(3) == 0 {
+			// A FILTER (bound(?v)) that the AND rule probes: one UNION
+			// branch may leave ?v unbound while the delta side binds it,
+			// and the condition must read it as unbound there.
+			auf.Depth = 2
+			v := workload.DefaultVars[rng.Intn(len(workload.DefaultVars))]
+			p = sparql.And{L: p, R: sparql.Filter{
+				P:    sparql.Union{L: workload.RandomPattern(rng, auf), R: workload.RandomPattern(rng, auf)},
+				Cond: sparql.Bound{X: v},
+			}}
+		}
 		vars := sparql.Vars(p)
 		tmpl := []sparql.TriplePattern{sparql.TP(sparql.I("s"), sparql.I("p"), sparql.I("o"))}
 		if len(vars) > 0 {
@@ -114,5 +124,51 @@ func TestViewMatchesRecomputeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWideViewMatchesRecompute: a WHERE clause wider than the row
+// engine (70 variables) is maintained by running it again in full;
+// across inserts the view must equal a recompute.
+func TestWideViewMatchesRecompute(t *testing.T) {
+	var ops []sparql.Pattern
+	g := rdf.NewGraph()
+	for i := 0; i < 35; i++ {
+		ops = append(ops, sparql.TP(
+			sparql.V(sparql.Var(fmt.Sprintf("v%d", 2*i))),
+			sparql.I(rdf.IRI(fmt.Sprintf("p%d", i))),
+			sparql.V(sparql.Var(fmt.Sprintf("v%d", 2*i+1)))))
+		g.Add(rdf.IRI(fmt.Sprintf("n%d", 2*i)), rdf.IRI(fmt.Sprintf("p%d", i)), rdf.IRI(fmt.Sprintf("n%d", 2*i+1)))
+	}
+	where := sparql.Union{
+		L: sparql.AndOf(ops...),
+		R: sparql.Filter{P: sparql.TP(sparql.V("v0"), sparql.I("q"), sparql.V("v69")), Cond: sparql.Bound{X: "v0"}},
+	}
+	if _, ok := sparql.SchemaFor(where); ok {
+		t.Fatal("pattern fits the row engine; the test needs a wider one")
+	}
+	q := sparql.ConstructQuery{
+		Template: []sparql.TriplePattern{sparql.TP(sparql.V("v0"), sparql.I("link"), sparql.V("v69"))},
+		Where:    where,
+	}
+	v, err := New(q, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, batch := range [][]rdf.Triple{
+		{rdf.T("m0", "p0", "m1")},
+		{rdf.T("m68", "p34", "m69"), rdf.T("x", "q", "y")},
+		{rdf.T("n0", "p0", "n1")}, // already there: no delta
+		{rdf.T("k2", "p1", "k3"), rdf.T("k68", "p34", "k69")},
+	} {
+		added := v.Insert(batch...)
+		want := sparql.EvalConstruct(v.Base(), q)
+		if !v.Graph().Equal(want) {
+			t.Fatalf("round %d: view\n%s\nrecompute\n%s", round, v.Graph(), want)
+		}
+		t.Logf("round %d: %d new triples, %d in the view", round, added, v.Graph().Len())
+	}
+	if v.Graph().Len() < 4 {
+		t.Fatalf("the inserts derived too little: %d triples", v.Graph().Len())
 	}
 }
