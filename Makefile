@@ -127,6 +127,13 @@ obs-smoke:
 			--data-urlencode 'profile=1' http://127.0.0.1:18321/query \
 		| jq -e '[.profile | .. | objects | select(has("op")) | .op] as $$ops | ($$ops | index("search")) == null and ($$ops | index("triple")) != null' > /dev/null \
 		|| { echo "obs-smoke: ASK profile is not a row-operator tree" >&2; exit 1; }; \
+		{ echo 's type T .'; for i in $$(seq 1 40); do echo "s p x$$i ."; done; } \
+		| curl -sf --data-binary @- http://127.0.0.1:18321/insert > /dev/null \
+		|| { echo "obs-smoke: bind-join /insert failed" >&2; exit 1; }; \
+		curl -sfG --data-urlencode 'q=SELECT * WHERE { ?x type T . ?x p ?y }' \
+			--data-urlencode 'profile=1' http://127.0.0.1:18321/query \
+		| jq -e '([.profile | .. | objects | select(.op? == "bindjoin")] | length >= 1) and (.results.bindings | length == 40)' > /dev/null \
+		|| { echo "obs-smoke: a typed subject against 43 p-triples did not bind-join to 40 rows" >&2; exit 1; }; \
 		kill $$pid; \
 	else \
 		echo "jq not installed; skipping obs smoke" >&2; \
@@ -304,7 +311,7 @@ load-smoke:
 # mirrors the governor-race CI job.
 governor-race:
 	go test -race -timeout 5m \
-		-run 'TestBudget|TestUnknownPattern|TestCappedEvalRowsFault|TestEvalRowsFault|TestEvalBudgetFault|TestDeadlineStops' \
+		-run 'TestBudget|TestUnknownPattern|TestCappedEvalRowsFault|TestEvalRowsFault|TestEvalBudgetFault|TestDeadlineStops|TestTreeBindFault' \
 		./internal/sparql/
 	go test -race -timeout 5m -run 'Governor|Fault|Budget|Ctx|Insert' ./internal/exec/ ./internal/views/
 	go test -race -timeout 5m ./internal/serve/ ./cmd/nsserve/

@@ -5,10 +5,12 @@ package main
 // the social workload's star/chain/mixed query shapes (the shape
 // distribution of real endpoint logs; see internal/workload).
 //
-// The three planner configurations differ only in PlannerOptions:
+// The three planner configurations differ only in PlannerOptions (the
+// engine picks every join with the same rule, sparql.BindPays, under
+// all three):
 //
-//	greedy       v1 heuristic order, structural join-strategy gate
-//	dp           DP order + cost-gated strategy, no re-optimization
+//	greedy       v1 heuristic order on leaf counts
+//	dp           DP order on pair-probed sizes, no re-optimization
 //	dp-adaptive  the shipped default: DP order + mid-query replanning
 //	             (and the empty-prefix short-circuit that lets a query
 //	             stop before scanning predicates it can no longer match)

@@ -25,9 +25,10 @@
 // timeouts are carved from it, transient failures (connection errors,
 // 5xx, torn streams) are retried under exponential backoff with
 // jitter, and a slow shard is hedged — a duplicate request launched
-// after the shard's observed latency quantile — with the first
-// response winning.  A health prober ejects shards that fail
-// consecutive readiness probes and readmits them when they recover.
+// after the shard's observed latency quantile, and never before twice
+// its median — with the first response winning.  A health prober
+// ejects shards that fail consecutive readiness probes and readmits
+// them when they recover.
 // When a shard stays unreachable within the deadline, the coordinator
 // degrades gracefully: the query is answered from the shards that did
 // respond, flagged partial with a per-shard error block, instead of
@@ -478,16 +479,16 @@ func (c *Coordinator) scanHedged(ctx context.Context, sh *shard, body string, pa
 	}
 }
 
-// hedgeDelay picks the delay before a duplicate request: the shard's
-// observed latency quantile once enough samples exist, the configured
-// default before that.
+// hedgeDelay picks the delay before a duplicate request: once the
+// shard has enough latency samples, the largest of its HedgeQuantile
+// latency, twice its median and 1 ms, the configured default before
+// that.  A hedge sent before a typical scan could have answered is
+// wasted: it doubles that scan's work and seldom wins.
 func (c *Coordinator) hedgeDelay(sh *shard) time.Duration {
 	if snap := sh.latency.Snapshot(); snap.Count >= int64(c.opts.HedgeMinSamples) {
 		if q, ok := sh.latency.Quantile(c.opts.HedgeQuantile); ok {
-			if q < time.Millisecond {
-				q = time.Millisecond
-			}
-			return q
+			p50, _ := sh.latency.Quantile(0.5)
+			return max(q, 2*p50, time.Millisecond)
 		}
 	}
 	return c.opts.HedgeDelay

@@ -357,6 +357,45 @@ func TestGatherDeadline(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayOnSeededHistogram: the hedge waits for the configured
+// default until a shard has HedgeMinSamples scans, then for the
+// largest of its HedgeQuantile latency, twice its median and 1 ms.
+func TestHedgeDelayOnSeededHistogram(t *testing.T) {
+	opts := fastOpts([]string{"http://127.0.0.1:1"})
+	opts.HedgeDelay = 40 * time.Millisecond
+	c := mustCoordinator(t, opts)
+	sh := c.shards[0]
+	rng := rand.New(rand.NewSource(7))
+	observe := func(n int, lo, hi time.Duration) {
+		for i := 0; i < n; i++ {
+			sh.latency.Observe(lo + time.Duration(rng.Int63n(int64(hi-lo))))
+		}
+	}
+	observe(15, 3*time.Millisecond, 4*time.Millisecond)
+	if d := c.hedgeDelay(sh); d != 40*time.Millisecond {
+		t.Fatalf("15 samples: delay %v, want the 40ms default", d)
+	}
+	// 16 scans in (2.5, 5] ms: median and p95 read 5 ms; twice the
+	// median wins.
+	observe(1, 3*time.Millisecond, 4*time.Millisecond)
+	if d := c.hedgeDelay(sh); d != 10*time.Millisecond {
+		t.Fatalf("tight latencies: delay %v, want 2×p50 = 10ms", d)
+	}
+	// A slow tail: 4 of 20 in (25, 50] ms put p95 at 50 ms.
+	observe(4, 30*time.Millisecond, 45*time.Millisecond)
+	if d := c.hedgeDelay(sh); d != 50*time.Millisecond {
+		t.Fatalf("slow tail: delay %v, want p95 = 50ms", d)
+	}
+	// Sub-millisecond scans: the 1 ms floor.
+	fast := mustCoordinator(t, opts)
+	for i := 0; i < 32; i++ {
+		fast.shards[0].latency.Observe(time.Duration(50+rng.Intn(40)) * time.Microsecond)
+	}
+	if d := fast.hedgeDelay(fast.shards[0]); d != time.Millisecond {
+		t.Fatalf("sub-ms latencies: delay %v, want the 1ms floor", d)
+	}
+}
+
 // TestHedgeWins makes the primary slow and checks a hedge fires and
 // wins, with the accounting to prove it.
 func TestHedgeWins(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // path and planner v2: the subgraph a coordinator gathers is evaluated
 // under every planner configuration (v1 greedy, DP, DP+adaptive), and
 // each must equal single-node reference evaluation over the full
-// graph — so cost-based ordering, cost-gated join strategies and
+// graph — so cost-based ordering, the engine's join rule and
 // mid-query re-planning cannot change answers on gathered subgraphs
 // either.
 func TestGatherPlannerDifferential(t *testing.T) {

@@ -21,13 +21,13 @@ import (
 const PlannerVersion = 2
 
 // PlannerOptions selects the planning algorithm.  The zero value is
-// the production default — DP join ordering with cost-gated join
-// strategies and adaptive mid-query re-optimization — and the only
+// the production default — DP join ordering over pair-probed
+// cardinalities with adaptive mid-query re-optimization — and the only
 // value the servers use; Greedy and NoReplan are the ablation
 // baselines nsbench (E28, E30) and the tests construct.
 type PlannerOptions struct {
-	// Greedy forces the v1 greedy ordering heuristic with the purely
-	// structural merge-join gate and no re-optimization — the ablation
+	// Greedy forces the v1 greedy ordering heuristic on leaf counts
+	// alone (no pair probes) and no re-optimization — the ablation
 	// baseline.
 	Greedy bool
 	// NoReplan keeps the v2 ordering but disables the adaptive
@@ -71,14 +71,16 @@ type ScanChoice struct {
 	Est     float64 `json:"est"`
 }
 
-// JoinChoice records the strategy decision for one binary node whose
-// operands are both index scans (the nodes where merge vs hash is a
-// real choice).
+// JoinChoice records, for one binary node whose operands are both
+// triple patterns, the join the engine's rule (sparql.BindPays) picks
+// on their leaf counts: bind when probing once per left row pays,
+// otherwise merge when both scans share their sort variable, otherwise
+// hash.  The engine decides again on the counts it sees when it runs.
 type JoinChoice struct {
 	Op       string  `json:"op"` // "and" | "opt"
 	Left     string  `json:"left"`
 	Right    string  `json:"right"`
-	Strategy string  `json:"strategy"` // "merge" | "hash"
+	Strategy string  `json:"strategy"` // "bind" | "merge" | "hash"
 	Est      float64 `json:"est"`      // estimated join output
 }
 
@@ -163,10 +165,10 @@ func wellDesigned(p sparql.Pattern) bool {
 	return false
 }
 
-// buildExplain assembles the plan record and the engine hints for an
-// optimized pattern: scan choices in execution order, and a cost-gated
-// merge/hash decision for every binary node over two index scans.
-func buildExplain(e *estimator, opt sparql.Pattern, po PlannerOptions, adaptive bool) (*Explain, *sparql.EvalHints) {
+// buildExplain assembles the plan record for an optimized pattern:
+// scan choices in execution order, and the join rule's pick for every
+// binary node over two triple patterns.
+func buildExplain(e *estimator, opt sparql.Pattern, po PlannerOptions, adaptive bool) *Explain {
 	ex := &Explain{
 		Planner:      po.name(),
 		Version:      PlannerVersion,
@@ -182,17 +184,14 @@ func buildExplain(e *estimator, opt sparql.Pattern, po PlannerOptions, adaptive 
 			Est:     e.tripleCount(t),
 		})
 	}
-	hints := &sparql.EvalHints{Join: make(map[string]sparql.JoinStrategy)}
-	collectJoins(e, opt, ex, hints)
+	collectJoins(e, opt, ex)
 	ex.Probes = e.Probes()
-	if po.Greedy || len(hints.Join) == 0 {
-		// The v1 baseline keeps the structural gate (hints off).
-		hints = nil
-	}
-	return ex, hints
+	return ex
 }
 
-func collectJoins(e *estimator, p sparql.Pattern, ex *Explain, hints *sparql.EvalHints) {
+// collectJoins records the join rule's pick, and the estimated join
+// output, at every And and Opt node over two triple patterns.
+func collectJoins(e *estimator, p sparql.Pattern, ex *Explain) {
 	switch q := p.(type) {
 	case sparql.And, sparql.Opt:
 		var l, r sparql.Pattern
@@ -208,29 +207,30 @@ func collectJoins(e *estimator, p sparql.Pattern, ex *Explain, hints *sparql.Eva
 		rt, rOK := r.(sparql.TriplePattern)
 		if lOK && rOK {
 			nl, nr := e.tripleCount(lt), e.tripleCount(rt)
-			card, _ := joinCard(nl, nr, leafDV(sparql.Vars(lt), nl), leafDV(sparql.Vars(rt), nr))
-			strategy := sparql.StrategyHash
+			strategy := "hash"
 			lv, okL := sparql.ScanLeadVar(lt)
 			rv, okR := sparql.ScanLeadVar(rt)
-			if okL && okR && lv == rv && mergeJoinCost(nl, nr) <= hashJoinCost(nl, nr) {
-				strategy = sparql.StrategyMerge
+			switch {
+			case sparql.BindPays(nl, nr):
+				strategy = "bind"
+			case okL && okR && lv == rv && sparql.MergeJoinEnabled:
+				strategy = "merge"
 			}
-			hints.Join[q.(sparql.Pattern).String()] = strategy
 			ex.Joins = append(ex.Joins, JoinChoice{
 				Op: op, Left: lt.String(), Right: rt.String(),
-				Strategy: strategy.String(), Est: card,
+				Strategy: strategy, Est: e.estimate(sparql.And{L: lt, R: rt}),
 			})
 		}
-		collectJoins(e, l, ex, hints)
-		collectJoins(e, r, ex, hints)
+		collectJoins(e, l, ex)
+		collectJoins(e, r, ex)
 	case sparql.Union:
-		collectJoins(e, q.L, ex, hints)
-		collectJoins(e, q.R, ex, hints)
+		collectJoins(e, q.L, ex)
+		collectJoins(e, q.R, ex)
 	case sparql.Filter:
-		collectJoins(e, q.P, ex, hints)
+		collectJoins(e, q.P, ex)
 	case sparql.Select:
-		collectJoins(e, q.P, ex, hints)
+		collectJoins(e, q.P, ex)
 	case sparql.NS:
-		collectJoins(e, q.P, ex, hints)
+		collectJoins(e, q.P, ex)
 	}
 }

@@ -6,12 +6,14 @@
 //   - AND chains are flattened, split into variable-connected
 //     components, and each component is ordered by a dynamic program
 //     over its connected subsets minimizing the C_out cost metric fed
-//     by exact index cardinalities (see cost.go and dp.go); components
-//     beyond DPMaxPatterns — and the v1 ablation baseline
-//     (PlannerOptions.Greedy) — use the greedy
+//     by exact index cardinalities and index-probed pair sizes (see
+//     cost.go and dp.go); components beyond DPMaxPatterns — and the v1
+//     ablation baseline (PlannerOptions.Greedy) — use the greedy
 //     smallest-connected-estimate heuristic;
-//   - merge vs hash join is chosen per binary node by estimated cost
-//     and passed to the row engine as sparql.EvalHints;
+//   - the join at each node is not planned: the row engine picks bind,
+//     merge or hash with one rule on the rows it sees
+//     (sparql.BindPays), and Explain reports what that rule picks on
+//     the leaf counts;
 //   - long AND chains run under the adaptive chain driver
 //     (adaptive.go): the serial path evaluates operand by operand and
 //     re-orders the remaining operands mid-query when observed
@@ -107,13 +109,11 @@ func (o Options) minEstimate() float64 {
 
 // Prepared is an optimized, ready-to-run query plan: the rewritten
 // pattern, the planner's cardinality estimate for the serial/parallel
-// cutover, the recorded plan (Explain), the engine hints, and — for
-// AND chains — the flattened operand order plus prefix estimates the
+// cutover, the recorded plan (Explain), and — for AND chains — the flattened operand order plus prefix estimates the
 // adaptive executor checkpoints against.
 //
 // A Prepared plan is correct on any graph contents: its rewrites are
-// equivalences, and the join order, join strategies and engine routing
-// it carries change only what evaluation costs, never what it returns
+// equivalences, and the join order and engine routing it carries change only what evaluation costs, never what it returns
 // (⟦P⟧_G depends on P and G alone).  It is optimal only near the index
 // counts (CountMatch) it was prepared with.  Those leaf counts are kept
 // on the plan, and Drifted re-counts them: a cache keyed by query text,
@@ -125,7 +125,6 @@ type Prepared struct {
 	est     float64
 	popts   PlannerOptions
 	explain *Explain
-	hints   *sparql.EvalHints
 	// memo is the estimator's memo without its store (see estimator).
 	memo *estMemo
 	// chain is the ordered flat operand list when the whole pattern is
@@ -157,15 +156,17 @@ func Prepare(g rdf.Store, p sparql.Pattern) Prepared {
 // construct, the DP cutoff and the re-plan factor.
 func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	pc := &planCtx{g: g, e: newEstimator(g), po: po}
+	pc.e.leavesOnly = po.Greedy
 	opt := pc.optimize(sparql.SimplifyPattern(p))
 	pr := Prepared{pattern: opt, popts: po, memo: pc.e.estMemo}
 	if _, ok := opt.(sparql.And); ok {
 		// andOperands of the rebuilt tree recovers the planner's full
 		// chain order (left-deep within components, concatenated across).
 		pr.chain = andOperands(opt)
-		pr.chainEsts = chainCards(buildCands(pc.e, pr.chain), identityOrder(len(pr.chain)))
+		cands := buildCands(pc.e, pr.chain)
+		pr.chainEsts = chainCards(cands, pc.e.pairSizes(cands), identityOrder(len(pr.chain)))
 	}
-	pr.explain, pr.hints = buildExplain(pc.e, opt, po, pr.adaptiveArmed())
+	pr.explain = buildExplain(pc.e, opt, po, pr.adaptiveArmed())
 	pr.est = pr.explain.Estimate
 	pr.leaves = pc.e.leafCounts()
 	return pr
@@ -229,7 +230,6 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 			Workers:      workers,
 			MinPartition: o.MinPartition,
 			Prof:         o.Prof,
-			Hints:        pr.hints,
 			Cap:          o.Cap,
 		})
 	}
@@ -279,8 +279,8 @@ func Optimize(g rdf.Store, p sparql.Pattern) sparql.Pattern {
 }
 
 // planCtx threads the shared estimator and planner options through one
-// optimization pass, so a k-pattern query costs O(k) index probes no
-// matter how many candidate orders the DP scores.
+// optimization pass, so a k-pattern query costs k leaf counts plus its
+// pair probes no matter how many candidate orders the DP scores.
 type planCtx struct {
 	g  rdf.Store
 	e  *estimator
@@ -331,6 +331,7 @@ func (pc *planCtx) optimizeAndChain(a sparql.And) sparql.Pattern {
 		ops[i] = pc.optimize(op)
 	}
 	cands := buildCands(pc.e, ops)
+	pairs := pc.e.pairSizes(cands)
 	comps := chainComponents(cands)
 	ordered := make([]sparql.Pattern, 0, len(cands))
 	starts := make([]int, 0, len(comps))
@@ -340,7 +341,7 @@ func (pc *planCtx) optimizeAndChain(a sparql.And) sparql.Pattern {
 		if pc.po.Greedy || len(members) > pc.po.dpMax() {
 			order = greedyOrderComponent(cands, members)
 		} else {
-			order = dpOrderComponent(cands, members)
+			order = dpOrderComponent(cands, pairs, members)
 		}
 		for _, i := range order {
 			ordered = append(ordered, cands[i].p)

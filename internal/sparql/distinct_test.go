@@ -51,10 +51,10 @@ func randomChain(rng *rand.Rand) sparql.Pattern {
 }
 
 // TestNoOperatorOutputHoldsARowTwice: RandomPattern × RandomGraph over
-// the five fragments, plus random chains, 300 seeds each, on the five
-// execution paths — serial tree, static parallel tree with every
-// partitioned operator forced, serial adaptive chain, staged chain,
-// capped run —
+// the five fragments, plus random chains, 300 seeds each, on the six
+// execution paths — serial tree, serial tree bind-joining every triple
+// right operand, static parallel tree with every partitioned operator
+// forced, serial adaptive chain, staged chain, capped run —
 // with the duplicate check on every operator output and the answer
 // held to the reference evaluator.
 func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
@@ -65,6 +65,11 @@ func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
 		eval func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error)
 	}{
 		{"serial tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
+			rs, _, err := sparql.EvalRows(g, p, nil, serialOpts)
+			return rs.MappingSet(g.Dict()), err
+		}},
+		{"tree bind", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
+			defer sparql.SetBindAlways()()
 			rs, _, err := sparql.EvalRows(g, p, nil, serialOpts)
 			return rs.MappingSet(g.Dict()), err
 		}},

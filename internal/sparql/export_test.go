@@ -10,7 +10,8 @@ import (
 // Test-only exports: the differential tests need to force the sharded
 // NS implementation on inputs far below DefaultMinPartition, the
 // distinctness suite needs to see every operator's output, and the
-// bind-join tests evaluate operands under a shared schema.
+// bind-join tests evaluate operands under a shared schema and force the
+// tree evaluator's bind paths.
 
 // MaximalParMin is MaximalParB with a tunable partition threshold.
 func (s *RowSet) MaximalParMin(bud *Budget, workers, minPart int) (*RowSet, error) {
@@ -58,3 +59,16 @@ func EvalPatternRows(g rdf.Store, p Pattern, sc *VarSchema) (*RowSet, error) {
 // Push appends a row with no membership check, as the operators do
 // when they have proved it new.
 func (s *RowSet) Push(ids []rdf.ID, mask uint64) { s.push(ids, mask) }
+
+// SetBindAlways makes the tree evaluator bind-join every triple right
+// operand of an And or Opt node, whatever the join rule says, and
+// returns the function that restores the rule.
+func SetBindAlways() (restore func()) {
+	bindAlways = true
+	return func() { bindAlways = false }
+}
+
+// BindLeftJoinScan is the bind left join acc ⟕ ⟦t⟧_G on one worker.
+func BindLeftJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget) (*RowSet, error) {
+	return bindJoinScanPar(g, acc, t, true, b, nil, 0, nil)
+}

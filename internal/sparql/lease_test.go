@@ -21,9 +21,9 @@ import (
 
 // leaseQueries is a pinned set over the university graph that reaches
 // every leased loop: scan, merge join and merge left join, hash join,
-// hash OPT, ∖ inside OPT, UNION (concatenated and looked up), NS over
-// two domains, FILTER, SELECT, and a four-pattern chain for the chain
-// drivers (bind join included).
+// hash OPT, ∖ inside OPT, bind join and bind left join, UNION
+// (concatenated and looked up), NS over two domains, FILTER, SELECT,
+// and a four-pattern chain for the chain drivers (bind join included).
 func leaseQueries() []sparql.Pattern {
 	v, i := sparql.V, sparql.I
 	name := sparql.TP(v("p"), i("name"), v("n"))
@@ -44,7 +44,15 @@ func leaseQueries() []sparql.Pattern {
 		sparql.NS{P: sparql.Union{L: sparql.And{L: name, R: works}, R: sparql.And{L: sparql.And{L: name, R: works}, R: email}}},
 		sparql.Filter{P: sparql.Opt{L: name, R: email}, Cond: sparql.Not{R: sparql.Bound{X: "e"}}},
 		sparql.NewSelect([]sparql.Var{"u", "c"}, sparql.And{L: works, R: born}),
-		sparql.And{L: sparql.And{L: sparql.And{L: sparql.TP(v("p"), i("was_born_in"), i("country_3")), R: works}, R: mission}, R: name},
+		// Both scans lead with ?u and neither is small: merge.
+		sparql.And{L: works, R: sparql.TP(v("u"), v("r"), v("s"))},
+		sparql.Opt{L: works, R: sparql.TP(v("u"), v("r"), v("s"))},
+		// A bind left join fanning out to every colleague.
+		sparql.Opt{L: sparql.And{L: sparql.TP(v("p"), i("was_born_in"), i("country_3")), R: works}, R: sparql.TP(v("q"), i("works_at"), v("u"))},
+		// Colleagues of the people born in one country: two bind joins
+		// (the second fans out to every colleague), then a hash join.
+		sparql.And{L: sparql.And{L: sparql.And{L: sparql.TP(v("p"), i("was_born_in"), i("country_3")), R: works},
+			R: sparql.TP(v("q"), i("works_at"), v("u"))}, R: sparql.TP(v("q"), i("name"), v("o"))},
 	}
 }
 
@@ -175,7 +183,7 @@ func (c *flipContext) Deadline() (time.Time, bool) { return time.Time{}, false }
 // its k-th poll is noticed at the (k+1)-th — on a serial path at
 // exactly k strides of work, leases or not.
 func TestLeasedCancellationWithinOneStride(t *testing.T) {
-	g := workload.University(workload.UniversityOpts{People: 600, OptionalPct: 50, FoundersPct: 10, Seed: 13})
+	g := workload.University(workload.UniversityOpts{People: 1200, OptionalPct: 50, FoundersPct: 10, Seed: 13})
 	const stride = 256
 	for qi, p := range leaseQueries()[1:] {
 		for _, path := range leasePaths {

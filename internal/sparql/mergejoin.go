@@ -61,6 +61,55 @@ func scanLeadSlot(ts *tripleSlots) (int, bool) {
 	return ts.slot[lead], true
 }
 
+// ScanLeadVar returns the variable whose values an index scan for t
+// emits in nondecreasing order — the leading free position of the
+// permutation the sorted store picks for t's constants.  ok = false
+// when the pattern has no variables or repeats one (mirroring
+// scanLeadSlot's run-soundness restriction).  It is purely structural
+// (no dictionary or schema needed), so the planner can reason about
+// merge-join eligibility before evaluation.
+func ScanLeadVar(t TriplePattern) (Var, bool) {
+	pos := [3]Value{t.S, t.P, t.O}
+	cbits := 0
+	nvars := 0
+	for i, v := range pos {
+		if !v.IsVar() {
+			cbits |= 1 << i
+		} else {
+			nvars++
+		}
+	}
+	if nvars == 0 {
+		return "", false
+	}
+	// Repeated variables filter rows, breaking run alignment.
+	seen := map[Var]bool{}
+	for _, v := range pos {
+		if v.IsVar() {
+			if seen[v.Var()] {
+				return "", false
+			}
+			seen[v.Var()] = true
+		}
+	}
+	if bits.OnesCount(uint(cbits))+nvars != 3 {
+		return "", false
+	}
+	// Mirror of scanLeadSlot / rdf's chooseIndex.
+	var lead int
+	switch cbits {
+	case 0b011: // S,P const -> SPO, ordered by O
+		lead = 2
+	case 0b110, 0b100, 0b000: // P,O / O / none -> ordered by S
+		lead = 0
+	case 0b101, 0b001: // S,O / S -> ordered by P
+		lead = 1
+	case 0b010: // P const -> POS, ordered by O
+		lead = 2
+	}
+	return pos[lead].Var(), true
+}
+
 // tryMergeScanJoin attempts the merge fast path for l ⋈ r (outer =
 // false) or l ⟕ r (outer = true).  handled = false means the operands
 // don't qualify — not both triple patterns, different lead variables, a

@@ -67,9 +67,6 @@ type ParOptions struct {
 	// node per operator, with pool and partition counters on top of
 	// the serial engine's metrics.  See EvalRows.
 	Prof *obs.Node
-	// Hints carries the planner's per-node join-strategy decisions
-	// (nil = structural auto behaviour).  See EvalHints.
-	Hints *EvalHints
 	// Cap, when positive, keeps at most Cap rows of the answer: the
 	// capped run behind ASK and LIMIT (see evalOp's UNION and SELECT).
 	Cap int
@@ -134,7 +131,6 @@ type evaluator struct {
 	b       *Budget
 	po      *pool // nil: serial
 	minPart int
-	hints   *EvalHints // the planner's join strategies; nil = structural auto
 	free    freeList
 }
 
@@ -145,7 +141,6 @@ func newEvaluator(g rdf.Store, sc *VarSchema, b *Budget, o ParOptions) *evaluato
 		b:       b,
 		po:      newPool(o.workers() - 1),
 		minPart: o.minPartition(),
-		hints:   o.Hints,
 	}
 }
 
@@ -196,18 +191,8 @@ func (e *evaluator) evalOp(p Pattern, k int, node *obs.Node) (*RowSet, error) {
 		}
 		return e.scan(&ts, node)
 	case And:
-		if e.hints.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := e.tryMergeScanJoin(q.L, q.R, node, false); handled {
-				return rs, err
-			}
-		}
-		l, r, err := e.evalBoth(q.L, q.R, node)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(l.Len() + r.Len()))
-		out, err := l.joinParB(r, e.b, e.po, e.minPart, node)
-		return finish(node, out, err, l, r)
+		out, _, err := e.join(q.L, q.R, false, node)
+		return out, err
 	case Union:
 		var l, r *RowSet
 		var err error
@@ -228,18 +213,8 @@ func (e *evaluator) evalOp(p Pattern, k int, node *obs.Node) (*RowSet, error) {
 		out, err := l.UnionB(r, e.b)
 		return finish(node, out, err, l, r)
 	case Opt:
-		if e.hints.JoinStrategyFor(p) != StrategyHash {
-			if rs, handled, err := e.tryMergeScanJoin(q.L, q.R, node, true); handled {
-				return rs, err
-			}
-		}
-		l, r, err := e.evalBoth(q.L, q.R, node)
-		if err != nil {
-			return nil, err
-		}
-		node.AddRowsIn(int64(l.Len() + r.Len()))
-		out, err := l.leftJoinParB(r, e.b, e.po, e.minPart, node)
-		return finish(node, out, err, l, r)
+		out, _, err := e.join(q.L, q.R, true, node)
+		return out, err
 	case Filter:
 		inner, err := e.eval(q.P, node)
 		if err != nil {
@@ -273,6 +248,94 @@ func (e *evaluator) evalOp(p Pattern, k int, node *obs.Node) (*RowSet, error) {
 	default:
 		return nil, ErrUnsupportedPattern{Pattern: p}
 	}
+}
+
+// join evaluates l ⋈ r, or l ⟕ r with outer set, under node — the
+// operator of an And or Opt node, and the first pair of a chain — and
+// names the strategy it ran.  When r is a triple pattern the join rule
+// (BindPays) decides between probing the index once per left row and
+// scanning r: on l's exact index count when l is a triple too, on the
+// rows l produced otherwise.  A scan of two triple patterns sharing
+// their sort variable merges; everything else evaluates both operands
+// (concurrently when a worker is free) and hash-joins.  Profile
+// children are created left before right; a bind join's right child is
+// its "bindjoin" node, which scans nothing.
+func (e *evaluator) join(lp, rp Pattern, outer bool, node *obs.Node) (*RowSet, string, error) {
+	rt, ok := rp.(TriplePattern)
+	if !ok {
+		return e.hashJoin(lp, rp, outer, node)
+	}
+	nr := e.count(rt)
+	if lt, ok := lp.(TriplePattern); ok && !e.binds(e.count(lt), nr) {
+		if rs, handled, err := e.tryMergeScanJoin(lp, rp, node, outer); handled {
+			return rs, "merge", err
+		}
+		return e.hashJoin(lp, rp, outer, node)
+	}
+	l, err := e.eval(lp, node)
+	if err != nil {
+		return nil, "", err
+	}
+	node.AddRowsIn(int64(l.Len()))
+	if e.binds(float64(l.Len()), nr) {
+		out, err := bindJoinScanPar(e.g, l, rt, outer, e.b, e.po, e.minPart, node.Child("bindjoin", rt.String()))
+		out, err = finish(node, out, err, l)
+		return out, "bind", err
+	}
+	r, err := e.eval(rp, node)
+	if err != nil {
+		return nil, "", err
+	}
+	node.AddRowsIn(int64(r.Len()))
+	return e.joinRows(l, r, outer, node)
+}
+
+// binds applies the join rule to a left side of nl rows and a right
+// triple of nr.
+func (e *evaluator) binds(nl, nr float64) bool {
+	return bindAlways || BindPays(nl, nr)
+}
+
+// bindAlways, when a test has set it (export_test.go), makes join
+// bind-join every triple right operand whatever the sizes: how the
+// differential and fault suites drive the bind paths through every
+// shape of left side on small random graphs.  Always false outside
+// tests.
+var bindAlways bool
+
+// hashJoin evaluates both operands, concurrently when a worker is
+// free, and hash-joins them.
+func (e *evaluator) hashJoin(lp, rp Pattern, outer bool, node *obs.Node) (*RowSet, string, error) {
+	l, r, err := e.evalBoth(lp, rp, node)
+	if err != nil {
+		return nil, "", err
+	}
+	node.AddRowsIn(int64(l.Len() + r.Len()))
+	return e.joinRows(l, r, outer, node)
+}
+
+// joinRows is the hash join or left join of two evaluated operands.
+func (e *evaluator) joinRows(l, r *RowSet, outer bool, node *obs.Node) (*RowSet, string, error) {
+	var out *RowSet
+	var err error
+	if outer {
+		out, err = l.leftJoinParB(r, e.b, e.po, e.minPart, node)
+	} else {
+		out, err = l.joinParB(r, e.b, e.po, e.minPart, node)
+	}
+	out, err = finish(node, out, err, l, r)
+	return out, "hash", err
+}
+
+// count is |⟦t⟧_G| from the index, ignoring repeated variables (which
+// only lower it); 0 when a constant of t is not in the dictionary.
+func (e *evaluator) count(t TriplePattern) float64 {
+	ts, ok := resolveTriple(t, e.sc, e.g.Dict())
+	if !ok {
+		return 0
+	}
+	sp, pp, op := ts.constants()
+	return float64(e.g.CountMatchIDs(sp, pp, op))
 }
 
 // finish ends one operator: the rows its membership table rejected go

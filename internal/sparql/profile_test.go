@@ -40,8 +40,12 @@ func profileKids(p sparql.Pattern) []sparql.Pattern {
 // answer sets: rows out is |⟦P⟧_G|, rows in is the sum of the operand
 // answer sets, and NS candidates/survivors are the inner answer set
 // before and after the maximality pass (with the per-mask buckets
-// summing to the totals).
-func checkProfileNode(t *testing.T, g *rdf.Graph, p sparql.Pattern, node *obs.Profile) {
+// summing to the totals).  An And or Opt node that bind-joined its
+// right triple took in only its left operand's rows L, and its right
+// child is the "bindjoin" node: L rows in, one probe and one range scan
+// per row of L, the join's rows out, and no scan of the triple.  It
+// returns the number of bind nodes in the subtree.
+func checkProfileNode(t *testing.T, g *rdf.Graph, p sparql.Pattern, node *obs.Profile) int {
 	t.Helper()
 	want := sparql.Eval(g, p)
 	if node.RowsOut != int64(want.Len()) {
@@ -49,6 +53,28 @@ func checkProfileNode(t *testing.T, g *rdf.Graph, p sparql.Pattern, node *obs.Pr
 			p, node.RowsOut, want.Len(), p)
 	}
 	kids := profileKids(p)
+	if len(node.Children) != len(kids) {
+		t.Fatalf("%T: %d profile children, want %d\npattern: %s",
+			p, len(node.Children), len(kids), p)
+	}
+	if len(kids) == 2 && node.Children[1].Op == "bindjoin" {
+		nl := int64(sparql.Eval(g, kids[0]).Len())
+		bind := node.Children[1]
+		switch {
+		case bind.Detail != kids[1].String():
+			t.Fatalf("bindjoin node for %q under %s", bind.Detail, p)
+		case node.RowsIn != nl || bind.RowsIn != nl:
+			t.Fatalf("%T: bind rows_in=%d (node) and %d (bindjoin), want |L|=%d\npattern: %s",
+				p, node.RowsIn, bind.RowsIn, nl, p)
+		case bind.BindProbes != nl || bind.RangeScans != nl:
+			t.Fatalf("%T: bind_probes=%d range_scans=%d, want |L|=%d\npattern: %s",
+				p, bind.BindProbes, bind.RangeScans, nl, p)
+		case bind.RowsOut != int64(want.Len()) || len(bind.Children) != 0:
+			t.Fatalf("%T: bindjoin rows_out=%d with %d children, want %d and none\npattern: %s",
+				p, bind.RowsOut, len(bind.Children), want.Len(), p)
+		}
+		return 1 + checkProfileNode(t, g, kids[0], node.Children[0])
+	}
 	var wantIn int64
 	for _, k := range kids {
 		wantIn += int64(sparql.Eval(g, k).Len())
@@ -77,13 +103,11 @@ func checkProfileNode(t *testing.T, g *rdf.Graph, p sparql.Pattern, node *obs.Pr
 				c, s, node.NSCandidates, node.NSSurvivors)
 		}
 	}
-	if len(node.Children) != len(kids) {
-		t.Fatalf("%T: %d profile children, want %d\npattern: %s",
-			p, len(node.Children), len(kids), p)
-	}
+	binds := 0
 	for i := range kids {
-		checkProfileNode(t, g, kids[i], node.Children[i])
+		binds += checkProfileNode(t, g, kids[i], node.Children[i])
 	}
+	return binds
 }
 
 // profileTrial draws one random graph × pattern for a fragment.
@@ -108,6 +132,7 @@ func TestProfileDifferentialSerial(t *testing.T) {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8017))
+			binds := 0
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
@@ -125,7 +150,10 @@ func TestProfileDifferentialSerial(t *testing.T) {
 				if len(snap.Children) != 1 {
 					t.Fatalf("trial %d: root has %d children, want 1", trial, len(snap.Children))
 				}
-				checkProfileNode(t, g, p, snap.Children[0])
+				binds += checkProfileNode(t, g, p, snap.Children[0])
+			}
+			if binds == 0 {
+				t.Error("no trial bind-joined: the bind node went unchecked")
 			}
 		})
 	}
@@ -141,6 +169,7 @@ func TestProfileDifferentialParallel(t *testing.T) {
 		fc := fc
 		t.Run(fc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8020))
+			binds := 0
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
@@ -159,7 +188,10 @@ func TestProfileDifferentialParallel(t *testing.T) {
 				if len(snap.Children) != 1 {
 					t.Fatalf("trial %d: root has %d children, want 1", trial, len(snap.Children))
 				}
-				checkProfileNode(t, g, p, snap.Children[0])
+				binds += checkProfileNode(t, g, p, snap.Children[0])
+			}
+			if binds == 0 {
+				t.Error("no trial bind-joined: the bind node went unchecked")
 			}
 		})
 	}

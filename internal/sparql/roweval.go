@@ -24,8 +24,8 @@ import (
 // surfaces as ErrUnsupportedPattern instead of panicking.  A non-nil
 // o.Prof gets one child node per operator (wall time, rows in/out,
 // dedup hits, NS pruning per mask bucket, budget consumption) at the
-// cost of one nil check per operator node when nil; o.Hints carries
-// the planner's join strategies.
+// cost of one nil check per operator node when nil.  Each And and Opt
+// node picks its join with the one rule, BindPays.
 //
 // The result decodes to exactly Eval(g, p) on every engine
 // (differentially tested); Eval stays the reference implementation and
