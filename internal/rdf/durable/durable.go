@@ -549,6 +549,11 @@ func (s *Store) CountMatchIDs(subj, pred, obj *rdf.ID) int {
 	return s.mem.CountMatchIDs(subj, pred, obj)
 }
 
+// SampleIDs calls fn for up to m evenly spaced matches.
+func (s *Store) SampleIDs(subj, pred, obj *rdf.ID, m int, fn func(rdf.IDTriple) bool) {
+	s.mem.SampleIDs(subj, pred, obj, m, fn)
+}
+
 // ForEach calls fn for every triple in ascending (S, P, O) ID order.
 func (s *Store) ForEach(fn func(rdf.Triple) bool) { s.mem.ForEach(fn) }
 

@@ -570,6 +570,50 @@ func (g *Graph) CountMatchIDs(s, p, o *ID) int {
 	return n
 }
 
+// SampleIDs calls fn for up to m matches of the given positions taken
+// at evenly spaced positions — every match when there are at most m —
+// until fn returns false.  Beyond m matches, with an empty overlay
+// sample j is the match at position ⌊j·n/m⌋ of MatchIDs' emission;
+// with one, positions run over the base range followed by the added
+// range, and a position holding a deleted triple yields nothing.  Each
+// sample is found by position, so the cost is O(m log n) however wide
+// the range is.
+func (g *Graph) SampleIDs(s, p, o *ID, m int, fn func(IDTriple) bool) {
+	if m <= 0 {
+		return
+	}
+	if s != nil && p != nil && o != nil {
+		g.MatchIDs(s, p, o, fn)
+		return
+	}
+	k, depth, a, b := chooseIndex(s, p, o)
+	lo, hi := rangeOf(g.base[k], k, depth, a, b)
+	base := g.base[k][lo:hi]
+	var add, del []IDTriple
+	if !g.ov.isEmpty() {
+		addV, delV := g.ov.views()
+		alo, ahi := rangeOf(addV[k], k, depth, a, b)
+		dlo, dhi := rangeOf(delV[k], k, depth, a, b)
+		add, del = addV[k][alo:ahi], delV[k][dlo:dhi]
+	}
+	n := len(base) + len(add)
+	if n-len(del) <= m {
+		mergeEmit(k, base, add, del, fn)
+		return
+	}
+	for j := 0; j < m; j++ {
+		var t IDTriple
+		if i := j * n / m; i >= len(base) {
+			t = add[i-len(base)]
+		} else if t = base[i]; len(del) > 0 && findTriple(del, k, t) {
+			continue
+		}
+		if !fn(t) {
+			return
+		}
+	}
+}
+
 // MatchScan is the unindexed counterpart of Match: it scans every triple
 // of the graph and filters.  It exists for the index-ablation benchmark
 // (E25) and as the oracle of the index property tests.

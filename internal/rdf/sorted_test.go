@@ -195,6 +195,78 @@ func TestMatchIDsSortedEmission(t *testing.T) {
 	check(permOSP, &sid, nil, &oid)
 }
 
+// TestSampleIDs: a sample is every match when there are at most m of
+// them, otherwise m distinct matches (fewer only where a live overlay
+// deleted the triple at a sampled position), and with no overlay it is
+// exactly the matches at MatchIDs positions ⌊j·n/m⌋.
+func TestSampleIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9003))
+	g := NewGraph()
+	g.SetCompactionThreshold(40)
+	for i := 0; i < 400; i++ {
+		tr := randomTriple(rng)
+		if rng.Intn(4) == 0 {
+			g.Remove(tr.S, tr.P, tr.O)
+		} else {
+			g.AddTriple(tr)
+		}
+	}
+	sid, _ := g.dict.Lookup("s1")
+	pid, _ := g.dict.Lookup("p1")
+	oid, _ := g.dict.Lookup("o1")
+	patterns := [][3]*ID{
+		{nil, nil, nil}, {&sid, nil, nil}, {nil, &pid, nil}, {nil, nil, &oid},
+		{&sid, &pid, nil}, {nil, &pid, &oid}, {&sid, nil, &oid}, {&sid, &pid, &oid},
+	}
+	check := func(overlay bool) {
+		for _, pt := range patterns {
+			var all []IDTriple
+			g.MatchIDs(pt[0], pt[1], pt[2], func(tr IDTriple) bool { all = append(all, tr); return true })
+			in := make(map[IDTriple]bool, len(all))
+			for _, tr := range all {
+				in[tr] = true
+			}
+			for _, m := range []int{1, 3, 8, len(all), len(all) + 5} {
+				var got []IDTriple
+				g.SampleIDs(pt[0], pt[1], pt[2], m, func(tr IDTriple) bool { got = append(got, tr); return true })
+				seen := make(map[IDTriple]bool, len(got))
+				for _, tr := range got {
+					if !in[tr] || seen[tr] {
+						t.Fatalf("pattern %v m=%d: sample %v is not a distinct match", pt, m, tr)
+					}
+					seen[tr] = true
+				}
+				switch {
+				case m >= len(all) && len(got) != len(all):
+					t.Fatalf("pattern %v m=%d: sampled %d of %d matches, want all", pt, m, len(got), len(all))
+				case len(got) > m:
+					t.Fatalf("pattern %v m=%d: sampled %d", pt, m, len(got))
+				case !overlay:
+					if len(got) != min(m, len(all)) {
+						t.Fatalf("pattern %v m=%d: sampled %d of %d", pt, m, len(got), len(all))
+					}
+					for j, tr := range got {
+						if want := all[j*len(all)/len(got)]; tr != want {
+							t.Fatalf("pattern %v m=%d: sample %d is %v, want %v", pt, m, j, tr, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if st := g.Stats(); st.OverlayAdds == 0 || st.OverlayDels == 0 {
+		t.Fatalf("test needs a live overlay with adds and dels: %+v", st)
+	}
+	check(true)
+	g.Compact()
+	check(false)
+	n := 0
+	g.SampleIDs(nil, nil, nil, 8, func(IDTriple) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("early stop visited %d samples", n)
+	}
+}
+
 // TestCompactDeferredUnderSnapshot: Compact refuses (and mutation
 // panics) while an AcquireRead snapshot is held, and compaction resumes
 // after release.

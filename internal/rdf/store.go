@@ -107,6 +107,11 @@ type Store interface {
 	// CountMatchIDs is the ID-native CountMatch: exact counts in
 	// O(log n), the planner's cardinality source.
 	CountMatchIDs(s, p, o *ID) int
+	// SampleIDs calls fn for up to m matches taken at evenly spaced
+	// positions of the index range — every match when there are at
+	// most m — until fn returns false, in O(m log n) whatever the
+	// range's size; the planner's pair probes bind such a sample.
+	SampleIDs(s, p, o *ID, m int, fn func(IDTriple) bool)
 	// ForEach calls fn for every triple until fn returns false, in
 	// ascending (S, P, O) ID order.
 	ForEach(fn func(Triple) bool)
