@@ -239,8 +239,10 @@ func TestServedAllocations(t *testing.T) {
 // cache, engine, result writer — over the two served workloads, one
 // pass over the workload's queries per iteration, each on a graph the
 // size the benchmark serves it on (bench/workloads.go: single_mix 2000
-// people, analytic_ns 4000).  Run it with -cpu 1,2: the second row is
-// the worker pool's.
+// people, analytic_ns 4000) and loaded the way it is served: through
+// 5 000-line /insert bodies, so the index layout (base and overlay) is
+// the served one.  Run it with -cpu 1,2: the second row is the worker
+// pool's.
 func BenchmarkServeQuery(b *testing.B) {
 	for _, wl := range []struct {
 		name    string
@@ -252,7 +254,8 @@ func BenchmarkServeQuery(b *testing.B) {
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			social := workload.NewSocial(workload.SocialOpts{People: wl.people, Seed: 9})
-			s := quietServer(social.G, func(c *config) { c.TraceBuffer = -1 })
+			s := quietServer(rdf.NewStore(), func(c *config) { c.TraceBuffer = -1 })
+			loadThroughInsert(b, s, insertBodies(social.G, 5000))
 			queries := wl.queries(socialQueries(social, 200))
 			var respBytes int
 			for _, q := range queries { // warm the plan cache

@@ -220,17 +220,15 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		g, err := rdf.ReadGraph(f)
+		ts, err := rdf.ReadTriples(f)
 		f.Close()
 		if err != nil {
 			fail(err)
 		}
-		// AddAll skips triples already present, so re-seeding a durable
-		// store from the same -graph file on every boot is idempotent:
-		// duplicates produce no WAL records.
-		store.BeginBatch()
-		store.AddAll(g)
-		if err := store.CommitBatch(); err != nil {
+		// AddTriples skips triples already present, so re-seeding a
+		// durable store from the same -graph file on every boot is
+		// idempotent: duplicates produce no WAL records.
+		if _, err := store.AddTriples(ts); err != nil {
 			fail(fmt.Errorf("seeding graph: %w", err))
 		}
 	}

@@ -45,3 +45,14 @@ func (d *Dict) IRI(id ID) IRI {
 
 // Len reports the number of interned IRIs.
 func (d *Dict) Len() int { return len(d.byID) }
+
+// truncate forgets every term interned after the first n: the undo of
+// a batch whose write-ahead log refused it, before any triple used
+// them.
+func (d *Dict) truncate(n int) {
+	for _, iri := range d.byID[n:] {
+		delete(d.byIRI, iri)
+	}
+	clear(d.byID[n:])
+	d.byID = d.byID[:n]
+}

@@ -173,6 +173,10 @@ type Store struct {
 	// failSnapAfter is the snapshot crash-injection hook (see
 	// writeSnapshot); -1 disables it.
 	failSnapAfter int64
+	// failAppend is the append-failure hook: when non-nil, the next WAL
+	// append writes its record and then fails with it, as a failed
+	// fsync would (see walWriter.append).  Tests only.
+	failAppend error
 }
 
 var _ rdf.Store = (*Store)(nil)
@@ -259,16 +263,30 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("durable: read WAL: %w", err)
 	}
+	// Runs of consecutive adds replay as AddTriples batches (bounded,
+	// so the decoded run stays small beside the WAL bytes); a remove
+	// flushes the run first, so the ops apply in log order.
+	var run []rdf.Triple
+	ops := 0
+	flush := func() {
+		s.mem.AddTriples(run)
+		run = run[:0]
+	}
 	records, validBytes := parseWAL(data, func(op walOp) {
+		ops++
 		if op.remove {
+			flush()
 			s.mem.Remove(op.s, op.p, op.o)
-		} else {
-			s.mem.Add(op.s, op.p, op.o)
+			return
+		}
+		if run = append(run, rdf.Triple{S: op.s, P: op.p, O: op.o}); len(run) >= replayRun {
+			flush()
 		}
 	})
+	flush()
 	s.recoveredRecords = int64(records)
 	s.truncatedBytes = int64(len(data)) - validBytes
-	s.mutsSinceSnap = records
+	s.mutsSinceSnap = ops // the snapshot schedule counts mutations, not records
 	if s.truncatedBytes > 0 {
 		if err := os.Truncate(walPath, validBytes); err != nil {
 			return nil, fmt.Errorf("durable: truncate torn WAL tail: %w", err)
@@ -306,9 +324,11 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// logOp records one mutation: staged if a batch is open, else
-// appended as its own WAL record (followed by a snapshot check).
+// logOp records one mutation Add or Remove has applied: staged if a
+// batch is open, else appended as its own WAL record (followed by a
+// snapshot check).
 func (s *Store) logOp(op walOp) {
+	s.mutsSinceSnap++
 	if s.batchOpen {
 		s.staged = append(s.staged, op)
 		return
@@ -317,12 +337,16 @@ func (s *Store) logOp(op walOp) {
 	s.maybeSnapshot()
 }
 
+// replayRun bounds the run of consecutive adds recovery applies as one
+// AddTriples batch.
+const replayRun = 1 << 16
+
 // appendRecord writes one WAL record under walMu, returning the
-// append error after folding it into the sticky error (the
-// interface's mutation methods cannot return one; callers needing a
-// hard guarantee check CommitBatch or Close).  Appending to a closed
-// store is an error, not a crash: a drain that loses the race with
-// shutdown surfaces as a failed commit.
+// append error after folding it into the sticky error (Add and Remove
+// cannot return one; callers needing a hard guarantee use AddTriples,
+// CommitBatch or Close).  Appending to a closed store is an error, not
+// a crash: a drain that loses the race with shutdown surfaces as a
+// failed commit.
 func (s *Store) appendRecord(ops []walOp) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
@@ -330,7 +354,8 @@ func (s *Store) appendRecord(ops []walOp) error {
 	if s.closed || s.wal == nil {
 		err = fmt.Errorf("durable: WAL append after Close")
 	} else {
-		err = s.wal.append(ops)
+		err = s.wal.append(ops, s.failAppend)
+		s.failAppend = nil
 	}
 	if err != nil {
 		addInt64(&s.walErrors, 1)
@@ -443,12 +468,38 @@ func (s *Store) Close() error {
 
 // --- mutation surface: delegate + log ---
 
-// Add inserts the triple and, if new, logs it.
+// AddTriples inserts a batch.  Outside an open batch it logs before
+// it publishes: the new triples are appended as one WAL record, and
+// only once that append — and any fsync the policy asks for — has
+// succeeded are they applied; a failed append applies nothing, not
+// even the epoch, and returns the error.  Inside a batch the new
+// triples are applied and staged, like Add.
+func (s *Store) AddTriples(ts []rdf.Triple) (int, error) {
+	n, err := s.mem.AddTriplesLogged(ts, func(fresh []rdf.Triple) error {
+		ops := make([]walOp, len(fresh))
+		for i, t := range fresh {
+			ops[i] = walOp{s: t.S, p: t.P, o: t.O}
+		}
+		if s.batchOpen {
+			s.staged = append(s.staged, ops...)
+			return nil
+		}
+		return s.appendRecord(ops)
+	})
+	s.mutsSinceSnap += n
+	s.maybeSnapshot()
+	return n, err
+}
+
+// Add inserts the triple and, if new, logs it.  Add cannot report a
+// failed append, and answering false would claim the triple was
+// already there, so it applies first and logs after: a failed append
+// leaves the triple in memory and the error sticky for Close.  Callers
+// that must know use AddTriples.
 func (s *Store) Add(subj, pred, obj rdf.IRI) bool {
 	if !s.mem.Add(subj, pred, obj) {
 		return false
 	}
-	s.mutsSinceSnap++
 	s.logOp(walOp{s: subj, p: pred, o: obj})
 	return true
 }
@@ -456,20 +507,22 @@ func (s *Store) Add(subj, pred, obj rdf.IRI) bool {
 // AddTriple inserts t; it reports whether the triple was new.
 func (s *Store) AddTriple(t rdf.Triple) bool { return s.Add(t.S, t.P, t.O) }
 
-// AddAll inserts every triple of h.
+// AddAll inserts every triple of h as one AddTriples batch.
 func (s *Store) AddAll(h rdf.Store) {
+	ts := make([]rdf.Triple, 0, h.Len())
 	h.ForEach(func(t rdf.Triple) bool {
-		s.AddTriple(t)
+		ts = append(ts, t)
 		return true
 	})
+	s.AddTriples(ts)
 }
 
-// Remove deletes the triple and, if present, logs the removal.
+// Remove deletes the triple and, if present, logs the removal, in
+// Add's order: applied first, a failed append kept for Close.
 func (s *Store) Remove(subj, pred, obj rdf.IRI) bool {
 	if !s.mem.Remove(subj, pred, obj) {
 		return false
 	}
-	s.mutsSinceSnap++
 	s.logOp(walOp{remove: true, s: subj, p: pred, o: obj})
 	return true
 }

@@ -9,11 +9,12 @@
 //	term    := uvarint-length bytes
 //
 // where crc is CRC-32 (IEEE) of the payload.  One record is one
-// atomic unit of durability: a single Add/Remove outside a batch, or
-// an entire batch (see the Store batch-staging contract).  Terms are
-// the IRI strings themselves, not dictionary IDs, so replay is plain
-// Add/Remove against a fresh graph and a WAL stays valid across
-// snapshots that re-intern the dictionary in a different order.
+// atomic unit of durability: a single Add/Remove outside a batch, one
+// AddTriples call, or an entire batch (see the Store batch-staging
+// contract).  Terms are the IRI strings themselves, not dictionary
+// IDs, so replay is plain AddTriples/Remove against a fresh graph and a
+// WAL stays valid across snapshots that re-intern the dictionary in a
+// different order.
 //
 // Replay scans records sequentially and stops at the first torn or
 // corrupt one — a short header, a length pointing past the file's
@@ -160,6 +161,10 @@ type walWriter struct {
 	// reports an injected I/O error, leaving a torn tail on disk
 	// exactly as a crash mid-write would.
 	failAfter int64
+
+	// broken is set when a failed append could not be cut off the file
+	// again; every later append returns it.
+	broken error
 }
 
 func newWALWriter(f *os.File, off int64, o Options, records, bytes, syncs *int64, hist *obs.Histogram) *walWriter {
@@ -178,8 +183,17 @@ func newWALWriter(f *os.File, off int64, o Options, records, bytes, syncs *int64
 	}
 }
 
-// append writes ops as one record and applies the fsync policy.
-func (w *walWriter) append(ops []walOp) error {
+// append writes ops as one record and applies the fsync policy.  When
+// the write or a sync the policy asks for fails, the record is cut off
+// the end of the file again, so an append its caller was told failed
+// is never replayed; if even the cut fails, the log's tail is unknown
+// and every later append fails too.  inject, when non-nil, is the
+// test hook's error, reported after the record is written as a failed
+// fsync would be.
+func (w *walWriter) append(ops []walOp, inject error) error {
+	if w.broken != nil {
+		return w.broken
+	}
 	rec := encodeRecord(ops)
 	if w.failAfter >= 0 {
 		cut := w.failAfter
@@ -190,15 +204,28 @@ func (w *walWriter) append(ops []walOp) error {
 		w.off += int64(n)
 		return fmt.Errorf("durable: injected WAL crash after %d bytes", n)
 	}
+	start, unsynced := w.off, w.unsynced
 	n, err := w.f.Write(rec)
 	w.off += int64(n)
 	if err != nil {
-		return fmt.Errorf("durable: WAL append: %w", err)
+		err = fmt.Errorf("durable: WAL append: %w", err)
+	} else if err = inject; err == nil {
+		w.unsynced++
+		err = w.maybeSync()
+	}
+	if err != nil {
+		w.unsynced = unsynced
+		if terr := w.f.Truncate(start); terr != nil {
+			w.broken = fmt.Errorf("durable: WAL tail unknown after a failed append: %w", terr)
+		} else if _, serr := w.f.Seek(start, 0); serr != nil {
+			w.broken = fmt.Errorf("durable: WAL tail unknown after a failed append: %w", serr)
+		}
+		w.off = start
+		return err
 	}
 	addInt64(w.records, 1)
 	addInt64(w.bytes, int64(len(rec)))
-	w.unsynced++
-	return w.maybeSync()
+	return nil
 }
 
 // maybeSync applies the fsync policy after a record write.

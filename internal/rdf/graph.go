@@ -79,9 +79,7 @@ func NewGraph() *Graph {
 // FromTriples builds a graph from the given triples.
 func FromTriples(ts ...Triple) *Graph {
 	g := NewGraph()
-	for _, t := range ts {
-		g.AddTriple(t)
-	}
+	g.AddTriples(ts)
 	return g
 }
 
@@ -173,12 +171,14 @@ func (g *Graph) Add(s, p, o IRI) bool {
 // AddTriple inserts t; it reports whether the triple was new.
 func (g *Graph) AddTriple(t Triple) bool { return g.Add(t.S, t.P, t.O) }
 
-// AddAll inserts every triple of h into g.
+// AddAll inserts every triple of h into g as one AddTriples batch.
 func (g *Graph) AddAll(h Store) {
+	ts := make([]Triple, 0, h.Len())
 	h.ForEach(func(t Triple) bool {
-		g.AddTriple(t)
+		ts = append(ts, t)
 		return true
 	})
+	g.AddTriples(ts)
 }
 
 // Remove deletes the triple (s, p, o); it reports whether it was present.
@@ -248,7 +248,7 @@ func (g *Graph) SetCompactionThreshold(n int) {
 // already proved reader-free.
 func (g *Graph) maybeCompact() {
 	if g.ov.size() >= g.compactThreshold() {
-		g.compact()
+		g.compact(nil)
 	}
 }
 
@@ -262,17 +262,20 @@ func (g *Graph) Compact() bool {
 		return false
 	}
 	if !g.ov.isEmpty() {
-		g.compact()
+		g.compact(nil)
 	}
 	return true
 }
 
-// compact merges adds and dels into the base arrays and resets the
-// overlay.  Callers guarantee no concurrent readers.
-func (g *Graph) compact() {
+// compact merges adds and dels, together with run — SPO-sorted
+// triples absent from both base and overlay, nil for none — into the
+// base arrays in one pass per permutation, and resets the overlay.
+// Callers guarantee no concurrent readers.
+func (g *Graph) compact(run []IDTriple) {
 	addV, delV := g.ov.views()
+	runs := sortedPerms(run, g.dict.Len())
 	for k := permSPO; k <= permOSP; k++ {
-		g.base[k] = mergeCompact(k, g.base[k], addV[k], delV[k])
+		g.base[k] = mergeCompact(k, g.base[k], mergeDisjoint(k, addV[k], runs[k]), delV[k])
 	}
 	g.ov.reset()
 	g.compactions.Add(1)

@@ -8,17 +8,30 @@ import (
 )
 
 // ReadGraph parses a graph in the line-oriented triple format produced
-// by Graph.String.  Each non-empty, non-comment line is
+// by Graph.String: ReadTriples, then one AddTriples batch.
+func ReadGraph(r io.Reader) (*Graph, error) {
+	ts, err := ReadTriples(r)
+	if err != nil {
+		return nil, err
+	}
+	g := NewGraph()
+	g.AddTriples(ts)
+	return g, nil
+}
+
+// ReadTriples parses the line-oriented triple format produced by
+// Graph.String into the triples it lists, in order and with repeats,
+// building no graph.  Each non-empty, non-comment line is
 //
 //	<s> <p> <o> .
 //
 // where each term is either an angle-bracketed IRI or a bare word (any
 // run of characters without whitespace, '<', '>' or '#').  The trailing
 // dot is optional.  Lines starting with '#' are comments.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	g := NewGraph()
+func ReadTriples(r io.Reader) ([]Triple, error) {
+	var ts []Triple
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024) // lines up to 16 MiB; the buffer starts small and grows only for long lines
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -30,12 +43,12 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		g.AddTriple(t)
+		ts = append(ts, t)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return ts, nil
 }
 
 // ParseGraphString parses a graph from a string; see ReadGraph.
@@ -86,15 +99,14 @@ func readTerm(s string) (IRI, string, error) {
 		}
 		return UnescapeIRI(s[1:end]), s[end+1:], nil
 	}
-	end := strings.IndexAny(s, " \t")
-	if end < 0 {
-		end = len(s)
+	end, reserved := 0, false
+	for ; end < len(s) && s[end] != ' ' && s[end] != '\t'; end++ {
+		reserved = reserved || s[end] == '<' || s[end] == '>' || s[end] == '#'
 	}
-	word := s[:end]
-	if strings.ContainsAny(word, "<>#") {
-		return "", "", fmt.Errorf("bare term %q contains reserved character", word)
+	if reserved {
+		return "", "", fmt.Errorf("bare term %q contains reserved character", s[:end])
 	}
-	return IRI(word), s[end:], nil
+	return IRI(s[:end]), s[end:], nil
 }
 
 // WriteGraph writes the store's contents in sorted N-Triples form.

@@ -52,6 +52,13 @@ package rdf
 // internal/views issues compensating Removes inside the same batch, so
 // a rolled-back insert leaves no committed WAL records).  Batches do
 // not nest; the in-memory backend implements all three as no-ops.
+//
+// Outside a batch, AddTriples on a durable backend logs before it
+// publishes: its one record is appended (and synced, when the fsync
+// policy asks) before any triple is applied, so a failed append leaves
+// the in-memory state untouched.  Add and Remove, which cannot return
+// an error, apply first and keep a failed append's error for
+// CommitBatch or Close.
 type Store interface {
 	// Dict returns the store's interning dictionary.  Callers may read
 	// it freely; interning new terms while other goroutines read the
@@ -60,8 +67,11 @@ type Store interface {
 	// Len reports the number of triples in the store.
 	Len() int
 	// Epoch returns the mutation epoch: a counter bumped on every
-	// successful Add or Remove, used to tell when caches derived from
-	// the store's contents need checking (nsserve's plan cache).
+	// successful Add or Remove and once per AddTriples batch that
+	// changed something, used to tell when caches derived from the
+	// store's contents need checking (nsserve's plan cache).  A batch
+	// a durable backend could not log changes nothing, the epoch
+	// included.
 	Epoch() uint64
 	// Stats returns a point-in-time snapshot of the index layout.
 	Stats() IndexStats
@@ -71,8 +81,17 @@ type Store interface {
 	Add(s, p, o IRI) bool
 	// AddTriple inserts t; it reports whether the triple was new.
 	AddTriple(t Triple) bool
-	// AddAll inserts every triple of h.
+	// AddAll inserts every triple of h, as one AddTriples batch.
 	AddAll(h Store)
+	// AddTriples inserts a batch of triples — repeats and triples
+	// already present are skipped — and reports how many were new.
+	// Every load goes through it: the memstore sorts the batch once
+	// and merges it into the sorted base (see Graph.AddTriplesLogged).
+	// Outside an open batch a durable backend logs the new triples as
+	// one WAL record before it publishes them: when the append fails,
+	// nothing is applied and the error is returned.  Inside a batch it
+	// applies and stages them like Add.  The memstore never fails.
+	AddTriples(ts []Triple) (added int, err error)
 	// Remove deletes the triple (s, p, o); it reports whether it was
 	// present.
 	Remove(s, p, o IRI) bool
@@ -158,9 +177,6 @@ func NewStore() Store { return NewGraph() }
 // the backend the caller hands them.
 func CloneStore(s Store) Store {
 	g := NewGraph()
-	s.ForEach(func(t Triple) bool {
-		g.AddTriple(t)
-		return true
-	})
+	g.AddAll(s)
 	return g
 }

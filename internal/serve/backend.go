@@ -25,8 +25,9 @@ type Backend interface {
 	// view hands a parsed query the store it runs on.  ok false means
 	// the backend has already answered w (no store to run on).
 	view(ctx context.Context, f *Front, w http.ResponseWriter, parsed parser.Parsed) (v view, ok bool)
-	// insert applies a parsed /insert body and writes the response.
-	insert(ctx context.Context, f *Front, w http.ResponseWriter, delta *rdf.Graph)
+	// insert applies a parsed /insert body — its triples in order,
+	// repeats included — and writes the response.
+	insert(ctx context.Context, f *Front, w http.ResponseWriter, ts []rdf.Triple)
 	// healthz serves the liveness probe, lock-free.
 	healthz(w http.ResponseWriter, r *http.Request)
 	// addMetrics adds the backend's blocks to a /metrics snapshot.
@@ -134,49 +135,41 @@ func (s *Store) refreshStats() {
 	})
 }
 
-func (s *Store) insert(ctx context.Context, f *Front, w http.ResponseWriter, delta *rdf.Graph) {
+func (s *Store) insert(ctx context.Context, f *Front, w http.ResponseWriter, ts []rdf.Triple) {
 	// In cluster mode the store owns one hash-by-subject partition.  A
 	// triple outside it fails the whole request (before any mutation):
 	// silently accepting it would break the partition-disjointness the
 	// coordinator's scatter-gather relies on, and silently dropping it
 	// would lie to the client about what was stored.
 	if s.shardCount > 1 {
-		var foreign *rdf.Triple
-		delta.ForEach(func(t rdf.Triple) bool {
-			if cluster.ShardOf(t.S, s.shardCount) != s.shardIndex {
-				foreign = &t
-				return false
+		for _, t := range ts {
+			if shard := cluster.ShardOf(t.S, s.shardCount); shard != s.shardIndex {
+				writeJSONError(w, http.StatusBadRequest, fmt.Sprintf(
+					"triple with subject %s belongs to shard %d, this server is shard %d/%d",
+					t.S, shard, s.shardIndex, s.shardCount))
+				return
 			}
-			return true
-		})
-		if foreign != nil {
-			writeJSONError(w, http.StatusBadRequest, fmt.Sprintf(
-				"triple with subject %s belongs to shard %d, this server is shard %d/%d",
-				foreign.S, cluster.ShardOf(foreign.S, s.shardCount), s.shardIndex, s.shardCount))
-			return
 		}
 	}
-	// The whole insert is one durability batch: on the durable backend
-	// it commits as a single atomic WAL record, so a crash never
-	// persists half a request body.  The commit span measures the batch
-	// under the write lock; on the durable backend its WAL/fsync work
-	// is attributed by before/after stat deltas (the stats are atomics,
-	// so reading them around the batch needs no storage-layer hooks),
-	// with a child span when the batch rolled a snapshot.
+	// The whole insert is one AddTriples batch: sorted once and merged
+	// into the store's sorted base, and on the durable backend one WAL
+	// record appended before any of it is published — a crash never
+	// persists half a body, and a failed append publishes nothing.  The
+	// commit span measures the batch under the write lock; on the
+	// durable backend its WAL/fsync work is attributed by before/after
+	// stat deltas (the stats are atomics, so reading them around the
+	// batch needs no storage-layer hooks), with a child span when the
+	// batch rolled a snapshot.
 	csp := obs.SpanFromContext(ctx).StartChild("commit", s.kind())
 	var durableBefore obs.DurableStats
 	if s.durable != nil {
 		durableBefore = s.durable.DurableStats()
 	}
 	s.mu.Lock()
-	before := s.g.Len()
-	s.g.BeginBatch()
-	s.g.AddAll(delta)
-	commitErr := s.g.CommitBatch()
+	added, commitErr := s.g.AddTriples(ts)
 	after := s.g.Len()
 	s.refreshStats()
 	s.mu.Unlock()
-	added := after - before
 	csp.SetAttr("added", added)
 	if s.durable != nil {
 		ds := s.durable.DurableStats()
@@ -197,12 +190,12 @@ func (s *Store) insert(ctx context.Context, f *Front, w http.ResponseWriter, del
 	}
 	csp.End()
 	if commitErr != nil {
-		// The triples are applied in memory but the log rejected them:
-		// the insert is NOT durable.  Fail the request loudly so the
-		// client knows a crash could lose it.
-		f.logger(ctx).Error("insert commit failed", "added", added, "err", commitErr)
+		// The log refused the batch, so none of it was applied: readers
+		// never saw it and a restart will not replay it.  The client may
+		// retry the whole body.
+		f.logger(ctx).Error("insert not applied", "triples", len(ts), "err", commitErr)
 		writeJSONError(w, http.StatusInternalServerError,
-			"insert applied in memory but not durable: "+commitErr.Error())
+			"insert not applied: "+commitErr.Error())
 		return
 	}
 	f.logger(ctx).Debug("insert applied", "added", added, "triples", after)
@@ -256,13 +249,13 @@ func (c *Cluster) view(ctx context.Context, f *Front, w http.ResponseWriter, par
 	return v, true
 }
 
-func (c *Cluster) insert(ctx context.Context, f *Front, w http.ResponseWriter, delta *rdf.Graph) {
+func (c *Cluster) insert(ctx context.Context, f *Front, w http.ResponseWriter, ts []rdf.Triple) {
 	if f.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.QueryTimeout)
 		defer cancel()
 	}
-	added, statuses, failed := c.coord.Insert(ctx, delta.Triples())
+	added, statuses, failed := c.coord.Insert(ctx, ts)
 	failedList := failedShards(statuses)
 	if failed && added == 0 && len(failedList) == len(statuses) {
 		writeJSONError(w, http.StatusBadGateway, "no shard accepted the insert", failedList...)

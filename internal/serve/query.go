@@ -281,10 +281,10 @@ func (f *Front) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read error: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	delta, err := rdf.ReadGraph(bytes.NewReader(data))
+	ts, err := rdf.ReadTriples(bytes.NewReader(data))
 	if err != nil {
 		http.Error(w, "parse error: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	f.backend.insert(r.Context(), f, w, delta)
+	f.backend.insert(r.Context(), f, w, ts)
 }
