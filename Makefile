@@ -348,7 +348,7 @@ governor-race:
 		./internal/sparql/
 	go test -race -timeout 5m -run 'Governor|Fault|Budget|Ctx|Insert' ./internal/exec/ ./internal/views/
 	go test -race -timeout 5m ./internal/serve/ ./cmd/nsserve/
-	go test -race -timeout 5m -run 'TestFailedAppend' ./internal/rdf/durable/
+	go test -race -timeout 5m -run 'TestFailedAppend|TestFailedSync' ./internal/rdf/durable/
 
 build:
 	go build ./...

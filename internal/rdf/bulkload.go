@@ -121,9 +121,8 @@ func (g *Graph) AddTriples(ts []Triple) (int, error) { return g.AddTriplesLogged
 // overlay is probed through its maps), cancelling pending deletes.
 // When the new triples and the overlay together reach the compaction
 // threshold, the run — sorted once per permutation — merges into the
-// base with the overlay in one pass; otherwise it joins the overlay
-// (merged into its sorted views, when a reader has built them), which
-// then compacts on the same amortised schedule as single Adds.
+// base with the overlay in one pass; otherwise it joins the overlay,
+// which then compacts on the same amortised schedule as single Adds.
 // The epoch moves once if anything changed.
 //
 // log, when non-nil, is the write-ahead hook: it receives the triples
@@ -168,14 +167,7 @@ func (g *Graph) AddTriplesLogged(ts []Triple, log func(fresh []Triple) error) (i
 		for _, t := range fresh {
 			g.ov.adds[t] = struct{}{}
 		}
-		// Sorted views a reader already built take the run by a merge,
-		// O(|overlay| + |run|), instead of a full re-sort on the next read.
-		if !g.ov.dirty.Load() {
-			runs := sortedPerms(fresh, g.dict.Len())
-			for k := permSPO; k <= permOSP; k++ {
-				g.ov.addV[k] = mergeDisjoint(k, g.ov.addV[k], runs[k])
-			}
-		}
+		g.ov.markDirty()
 	}
 	g.n += added
 	g.epoch.Add(1)

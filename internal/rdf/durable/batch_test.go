@@ -215,7 +215,7 @@ func sameStores(t *testing.T, where string, a, b rdf.Store) {
 
 // TestFailedAppendAppliesNothing: outside a batch AddTriples logs
 // before it publishes.  A failed append — here the injected failure
-// after the record is written, as a failed fsync reports — returns the
+// after the record is written, as a failed write reports — returns the
 // error and leaves the contents, Len, Epoch, Stats and dictionary as
 // they were; the record is cut off the log, so a restart does not
 // resurrect it, while the next batch commits and survives.
@@ -231,7 +231,7 @@ func TestFailedAppendAppliesNothing(t *testing.T) {
 	before, dict, walBytes := s.Stats(), s.Dict().Len(), s.DurableStats().WALBytes
 	want := rdf.CloneStore(s)
 
-	boom := errors.New("injected fsync failure")
+	boom := errors.New("injected write failure")
 	s.failAppend = boom
 	n, err := s.AddTriples([]rdf.Triple{rdf.T("bob", "born", "peru"), rdf.T("ana", "born", "chile"), rdf.T("bob", "born", "peru")})
 	if n != 0 || !errors.Is(err, boom) {
@@ -255,6 +255,43 @@ func TestFailedAppendAppliesNothing(t *testing.T) {
 	}
 	if ds := r.DurableStats(); ds.RecoveredTruncatedBytes != 0 {
 		t.Fatalf("the failed record left %d torn bytes", ds.RecoveredTruncatedBytes)
+	}
+}
+
+// TestFailedSyncStopsTheLog: a failed fsync applies nothing of the
+// batch it was syncing and stops the log — every later append fails
+// with it, and Close reports it — because what reached the disk is no
+// longer known.  A reopen recovers what was acknowledged before.
+func TestFailedSyncStopsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Fsync: FsyncAlways, SnapshotEvery: -1}
+	s := mustOpen(t, dir, opts)
+	if _, err := s.AddTriples([]rdf.Triple{rdf.T("ana", "works_at", "puc")}); err != nil {
+		t.Fatal(err)
+	}
+	want, epoch := rdf.CloneStore(s), s.Epoch()
+
+	boom := errors.New("injected fsync failure")
+	s.wal.failSync = boom
+	if n, err := s.AddTriples([]rdf.Triple{rdf.T("bob", "born", "peru")}); n != 0 || !errors.Is(err, boom) {
+		t.Fatalf("AddTriples under a failing fsync = %d, %v", n, err)
+	}
+	if n, err := s.AddTriples([]rdf.Triple{rdf.T("cat", "born", "peru")}); n != 0 || !errors.Is(err, boom) {
+		t.Fatalf("AddTriples after a failed fsync = %d, %v", n, err)
+	}
+	if !s.Equal(want) || s.Epoch() != epoch {
+		t.Fatalf("failed fsync changed the store:\n%s", s)
+	}
+	if err := s.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the fsync failure", err)
+	}
+	r := mustOpen(t, dir, opts)
+	defer r.Close()
+	if !r.Equal(want) {
+		t.Fatalf("recovered:\n%swant:\n%s", r, want)
+	}
+	if n, err := r.AddTriples([]rdf.Triple{rdf.T("cat", "born", "peru")}); n != 1 || err != nil {
+		t.Fatalf("AddTriples after reopening = %d, %v", n, err)
 	}
 }
 

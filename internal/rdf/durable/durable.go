@@ -175,7 +175,7 @@ type Store struct {
 	failSnapAfter int64
 	// failAppend is the append-failure hook: when non-nil, the next WAL
 	// append writes its record and then fails with it, as a failed
-	// fsync would (see walWriter.append).  Tests only.
+	// write would (see walWriter.append).  Tests only.
 	failAppend error
 }
 

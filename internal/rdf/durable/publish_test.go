@@ -47,7 +47,7 @@ func TestFailedAppendPublishesNothing(t *testing.T) {
 	}
 	n, epoch, answer := ds.Len(), ds.Epoch(), query()
 
-	durable.FailNextAppend(ds, errors.New("injected fsync failure"))
+	durable.FailNextAppend(ds, errors.New("injected write failure"))
 	rec := post("c p d .\nd p e .\na p b .\n")
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "insert not applied") {
 		t.Fatalf("/insert under a failing append: %d %s", rec.Code, rec.Body)

@@ -162,8 +162,13 @@ type walWriter struct {
 	// exactly as a crash mid-write would.
 	failAfter int64
 
-	// broken is set when a failed append could not be cut off the file
-	// again; every later append returns it.
+	// failSync is a test-only hook: when non-nil, the next sync
+	// reports it instead of calling fsync.
+	failSync error
+
+	// broken is set when the log's state is no longer known — an fsync
+	// failed, or a failed append could not be cut off the file — and
+	// every later append and sync returns it.
 	broken error
 }
 
@@ -183,13 +188,13 @@ func newWALWriter(f *os.File, off int64, o Options, records, bytes, syncs *int64
 	}
 }
 
-// append writes ops as one record and applies the fsync policy.  When
-// the write or a sync the policy asks for fails, the record is cut off
-// the end of the file again, so an append its caller was told failed
-// is never replayed; if even the cut fails, the log's tail is unknown
-// and every later append fails too.  inject, when non-nil, is the
-// test hook's error, reported after the record is written as a failed
-// fsync would be.
+// append writes ops as one record and applies the fsync policy.  A
+// failed append is cut off the end of the file again, so reopening the
+// store does not replay what its caller was told failed.  The cut is
+// not synced: after a power loss the record may be back.  A failed
+// write leaves the log usable; a failed fsync does not (see sync).
+// inject, when non-nil, is the test hook's error, reported after the
+// record is written as a failed write would be.
 func (w *walWriter) append(ops []walOp, inject error) error {
 	if w.broken != nil {
 		return w.broken
@@ -204,17 +209,19 @@ func (w *walWriter) append(ops []walOp, inject error) error {
 		w.off += int64(n)
 		return fmt.Errorf("durable: injected WAL crash after %d bytes", n)
 	}
-	start, unsynced := w.off, w.unsynced
+	start := w.off
 	n, err := w.f.Write(rec)
 	w.off += int64(n)
+	if err == nil {
+		err = inject
+	}
 	if err != nil {
 		err = fmt.Errorf("durable: WAL append: %w", err)
-	} else if err = inject; err == nil {
+	} else {
 		w.unsynced++
 		err = w.maybeSync()
 	}
 	if err != nil {
-		w.unsynced = unsynced
 		if terr := w.f.Truncate(start); terr != nil {
 			w.broken = fmt.Errorf("durable: WAL tail unknown after a failed append: %w", terr)
 		} else if _, serr := w.f.Seek(start, 0); serr != nil {
@@ -242,14 +249,28 @@ func (w *walWriter) maybeSync() error {
 }
 
 // sync fsyncs the WAL file, timing the call into the latency
-// histogram.
+// histogram.  A failed fsync stops the log: the kernel may already
+// have dropped the dirty pages it could not write, so a later fsync
+// can succeed without them, and records acknowledged under the batch
+// policy may never reach the disk.  Every later append and sync of
+// this file fails with the error; writes resume only in a new
+// generation, after a snapshot or a reopen.
 func (w *walWriter) sync() error {
+	if w.broken != nil {
+		return w.broken
+	}
 	if w.unsynced == 0 {
 		return nil
 	}
 	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: WAL fsync: %w", err)
+	err := w.failSync
+	w.failSync = nil
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		w.broken = fmt.Errorf("durable: WAL fsync failed, the log is stopped: %w", err)
+		return w.broken
 	}
 	w.hist.Observe(time.Since(start))
 	addInt64(w.syncs, 1)

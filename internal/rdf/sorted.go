@@ -143,26 +143,14 @@ func mergeEmit(k perm, base, add, del []IDTriple, fn func(IDTriple) bool) bool {
 }
 
 // mergeCompact materializes mergeEmit into a fresh exact-size array —
-// one compaction pass for one permutation.  With no deletes it copies
-// the base in the chunks between the added triples, found by galloping,
-// so a small delta into a large base costs a memmove and O(|add| log n)
-// comparisons rather than one comparison per base triple.
+// one compaction pass for one permutation.
 func mergeCompact(k perm, base, add, del []IDTriple) []IDTriple {
 	out := make([]IDTriple, 0, len(base)+len(add)-len(del))
-	if len(del) > 0 {
-		mergeEmit(k, base, add, del, func(t IDTriple) bool {
-			out = append(out, t)
-			return true
-		})
-		return out
-	}
-	i := 0
-	for _, t := range add {
-		j := gallop(k, base, i, t)
-		out = append(append(out, base[i:j]...), t)
-		i = j
-	}
-	return append(out, base[i:]...)
+	mergeEmit(k, base, add, del, func(t IDTriple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }
 
 // overlay is the graph's mutable delta on top of the sorted base

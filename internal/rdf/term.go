@@ -21,15 +21,13 @@ type IRI string
 func (i IRI) String() string { return string(i) }
 
 // iriEscaper and iriUnescaper are the two directions of the N-Triples
-// IRI escaping: '>' and newline, the only bytes that would end an
-// angle-bracketed term or a statement line early, and '%' itself, so
-// that every IRI — "a%3Eb" read from a bare word included — survives
-// a write and a read unchanged.  A Replacer is immutable once built and
-// safe for concurrent use; building one per call used to be the
-// hottest line of the N-Triples paths.
+// IRI escaping ('>' and newline, the only bytes that would end an
+// angle-bracketed term or a statement line early).  A Replacer is
+// immutable once built and safe for concurrent use; building one per
+// call used to be the hottest line of the N-Triples paths.
 var (
-	iriEscaper   = strings.NewReplacer("%", "%25", ">", "%3E", "\n", "%0A")
-	iriUnescaper = strings.NewReplacer("%25", "%", "%3E", ">", "%0A", "\n")
+	iriEscaper   = strings.NewReplacer(">", "%3E", "\n", "%0A")
+	iriUnescaper = strings.NewReplacer("%3E", ">", "%0A", "\n")
 )
 
 // NTriples returns the IRI in angle-bracket N-Triples form.  IRIs that
@@ -42,7 +40,7 @@ func (i IRI) NTriples() string {
 // nothing to escape — nearly every one — is copied without allocating.
 func (i IRI) AppendNTriples(dst []byte) []byte {
 	dst = append(dst, '<')
-	if strings.IndexAny(string(i), "%>\n") < 0 {
+	if strings.IndexByte(string(i), '>') < 0 && strings.IndexByte(string(i), '\n') < 0 {
 		dst = append(dst, i...)
 	} else {
 		dst = append(dst, iriEscaper.Replace(string(i))...)
