@@ -30,9 +30,9 @@ import (
 	"repro/internal/workload"
 )
 
-// e27Queries reuses the E20 join and the E21 wide union verbatim, so
-// the cluster rows sit next to single-node rows measured on the very
-// same query texts.
+// e27Queries are the E20 join and a wide UNION of joins, so the join
+// rows sit next to single-node rows measured on the very same query
+// text.
 var e27Queries = []struct {
 	name string
 	text string

@@ -66,7 +66,7 @@ func e28Eval(s *workload.Social, queries []sparql.Pattern, po plan.PlannerOption
 	rows := 0
 	for _, q := range queries {
 		pr := plan.PrepareOpts(s.G, q, po)
-		ans, err := plan.Run(s.G, pr, nil, plan.Options{Parallel: 1})
+		ans, err := plan.Run(s.G, pr, nil, plan.Options{})
 		if err != nil {
 			panic(fmt.Sprintf("nsbench: E28 eval failed: %v", err))
 		}

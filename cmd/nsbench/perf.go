@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -194,12 +193,6 @@ func init() {
 				rs.Maximal()
 			}
 		})
-		registerBenchStats("E17", "maximal-rows-parallel", parParams(params), rowStats, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs.MaximalPar(0)
-			}
-		})
 	}
 
 	// E20: the planner ablation — reference evaluator vs the optimized
@@ -234,37 +227,8 @@ func init() {
 				evalPlanned(g, p, plan.Options{})
 			}
 		})
-		registerBenchStats("E20", "planner-rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				evalPlanned(g, p, parOpts)
-			}
-		})
 	}
 
-	// E21: the parallel-engine ablation on workloads the serial engine
-	// cannot overlap — a wide UNION of joins (every branch is an
-	// independent fan-out unit) and an NS over a large answer set (mask
-	// buckets shard across workers).  Serial and parallel run the same
-	// plan; on a single-CPU host the two collapse to the same schedule,
-	// so the recorded gomaxprocs/num_cpu qualify every comparison.
-	e21 := []struct {
-		name string
-		text string
-	}{
-		{"union8", `((?p name ?n) AND (?p works_at ?u))
-			UNION ((?p email ?e) AND (?p works_at ?u))
-			UNION ((?p phone ?f) AND (?p works_at ?u))
-			UNION ((?p homepage ?h) AND (?p works_at ?u))
-			UNION ((?p founder ?u) AND (?u stands_for ?m))
-			UNION ((?p was_born_in ?c) AND (?p works_at ?u))
-			UNION ((?p name ?n) AND (?p founder ?u))
-			UNION ((?p email ?e) AND (?p was_born_in ?c))`},
-		{"ns-wide", `NS(((?p name ?n) AND (?p works_at ?u))
-			UNION ((?p name ?n) AND (?p works_at ?u) AND (?p email ?e))
-			UNION ((?p name ?n) AND (?p works_at ?u) AND (?p phone ?f))
-			UNION ((?p name ?n) AND (?p works_at ?u) AND (?p homepage ?h)))`},
-	}
 	// E24: observability overhead — identical plans with profiling off
 	// (nil node: one pointer check per operator) vs on (per-operator
 	// wall clocks, atomic row counters, NS bucket maps).  join3 is the
@@ -285,50 +249,15 @@ func init() {
 		registerBench("E24", "profile-off", params, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				evalPlanned(g, p, plan.Options{Parallel: 1})
+				evalPlanned(g, p, plan.Options{})
 			}
 		})
-		registerBenchStats("E24", "profile-on", params, planStats(g, p, plan.Options{Parallel: 1}), func(b *testing.B) {
+		registerBenchStats("E24", "profile-on", params, planStats(g, p, plan.Options{}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				prof := obs.NewNode("query", "")
-				evalPlanned(g, p, plan.Options{Parallel: 1, Prof: prof})
+				evalPlanned(g, p, plan.Options{Prof: prof})
 			}
 		})
 	}
-
-	for _, q := range e21 {
-		p := mustPattern(q.text)
-		params := map[string]interface{}{"query": q.name, "people": 1000}
-		registerBenchStats("E21", "rows-serial", params, planStats(g, p, plan.Options{Parallel: 1}), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				evalPlanned(g, p, plan.Options{Parallel: 1})
-			}
-		})
-		registerBenchStats("E21", "rows-parallel", parParams(params), planStats(g, p, parOpts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				evalPlanned(g, p, parOpts)
-			}
-		})
-	}
-}
-
-// parOpts forces the parallel engine on regardless of the planner's
-// cardinality estimate, so the benches measure the engine and not the
-// gate.
-var parOpts = plan.Options{MinParallelEstimate: -1}
-
-// parParams extends a bench's params with the host facts that qualify
-// a serial-vs-parallel comparison: a recorded speedup only means
-// something alongside the worker count the run actually had.
-func parParams(params map[string]interface{}) map[string]interface{} {
-	out := make(map[string]interface{}, len(params)+2)
-	for k, v := range params {
-		out[k] = v
-	}
-	out["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	out["num_cpu"] = runtime.NumCPU()
-	return out
 }

@@ -224,7 +224,7 @@ func init() {
 	// sort key (?p), so the merge-scan fast path applies; disabling it
 	// falls back to the general hash join on the identical plan.
 	joinPattern := mustPattern(`(?p works_at university_0) AND (?p was_born_in country_3)`)
-	serial := plan.Options{Parallel: 1}
+	serial := plan.Options{}
 	joinStats := func() profStats { return planStats(e25().g, joinPattern, serial)() }
 	registerBenchStats("E25", "join-merge", paramsFor("star-join"), joinStats, func(b *testing.B) {
 		fx := e25()

@@ -51,7 +51,7 @@
 // gathered subgraph; the cached one is revalidated on each query's
 // gathered store (plan.Prepared.Drifted) and re-prepared from its
 // cached parse only when a leaf count left the re-plan band.  The
-// planner ablations are nsbench experiments (E28, E30), not
+// planner ablations are nsbench experiment E28, not
 // coordinator settings.
 //
 // # Tracing

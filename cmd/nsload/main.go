@@ -177,10 +177,9 @@ func scrapeMetrics(client *http.Client, baseURL string) map[string]int64 {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Requests        map[string]int64 `json:"requests"`
-		GovernorTrips   int64            `json:"governor_trips"`
-		PoolSaturations int64            `json:"pool_saturations"`
-		PlannerReplans  int64            `json:"planner_replans"`
+		Requests       map[string]int64 `json:"requests"`
+		GovernorTrips  int64            `json:"governor_trips"`
+		PlannerReplans int64            `json:"planner_replans"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return out
@@ -189,7 +188,6 @@ func scrapeMetrics(client *http.Client, baseURL string) map[string]int64 {
 		out["requests_"+code] = n
 	}
 	out["governor_trips"] = doc.GovernorTrips
-	out["pool_saturations"] = doc.PoolSaturations
 	out["planner_replans"] = doc.PlannerReplans
 	return out
 }

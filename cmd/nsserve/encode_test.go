@@ -241,8 +241,9 @@ func TestServedAllocations(t *testing.T) {
 // size the benchmark serves it on (bench/workloads.go: single_mix 2000
 // people, analytic_ns 4000) and loaded the way it is served: through
 // 5 000-line /insert bodies, so the index layout (base and overlay) is
-// the served one.  Run it with -cpu 1,2: the second row is the worker
-// pool's.
+// the served one.  Run it with -cpu 1,2: a query runs on one goroutine
+// either way, and the second row shows what a spare processor gives
+// the runtime (the garbage collector, chiefly).
 func BenchmarkServeQuery(b *testing.B) {
 	for _, wl := range []struct {
 		name    string

@@ -36,7 +36,7 @@
 //	                   {"status": "draining"} once graceful shutdown began
 //	GET  /metrics      process metrics as JSON: request counts by status,
 //	                   per-endpoint latency histograms, in-flight gauge,
-//	                   governor-trip / pool-saturation / panic counters,
+//	                   governor-trip / panic counters,
 //	                   the query_encode histogram and response_bytes_total,
 //	                   triple-store index stats, plan-cache hit/miss
 //	                   counters, trace/sampler counters and (durable
@@ -59,8 +59,8 @@
 // # Observability
 //
 // Every query is evaluated under a per-operator profiler (wall time,
-// rows in/out, dedup hits, NS candidates vs survivors, hash-join
-// partitions, worker-pool tokens, budget consumption).  Pass profile=1
+// rows in/out, dedup hits, NS candidates vs survivors, index range
+// scans, merge runs, bind probes, re-plans, budget consumption).  Pass profile=1
 // on /query to receive the profile tree as a "profile" block in
 // SELECT and ASK responses (CONSTRUCT output is N-Triples text and has
 // no JSON envelope; use nsq -stats for profiled CONSTRUCT runs).
@@ -95,15 +95,12 @@
 //   - -max-steps / -max-rows bound a single query's search steps and
 //     result rows; exceeding them returns 503.
 //   - -max-insert-bytes caps the /insert body (413 beyond it).
-//   - -parallel sets the per-query worker count of the parallel row
-//     engine (0 = GOMAXPROCS, 1 = serial).  All workers of one query
-//     share its governor, so the limits above bound the query as a
-//     whole regardless of the worker count.  Queries are planned by
-//     the cost-based DP planner; adaptive-armed AND chains run
-//     morsel-style on the pool (staged fan-out with drift checkpoints
-//     and mid-query re-planning).  The planner ablations (greedy
-//     ordering, no re-planning, the static parallel tree) are nsbench
-//     experiments (E28, E30), not server settings.
+//   - Each query is evaluated on one goroutine; the server uses its
+//     cores across concurrent queries.  Queries are planned by the
+//     cost-based DP planner; adaptive-armed AND chains run operand by
+//     operand with drift checkpoints and mid-query re-planning.  The
+//     planner ablations (greedy ordering, no re-planning) are nsbench
+//     experiment E28, not server settings.
 //   - -plan-cache bounds the LRU parse/plan cache (entries; 0
 //     disables).  Entries are keyed by (syntax, query text) and
 //     survive inserts: a plan is correct on any graph
@@ -163,8 +160,6 @@ func main() {
 			"per-query engine step budget; exceeding it gets 503 (0 = unlimited)")
 		maxRows = flag.Int64("max-rows", 0,
 			"per-query result row budget; exceeding it gets 503 (0 = unlimited)")
-		parallel = flag.Int("parallel", 0,
-			"workers per query for the parallel row engine (0 = GOMAXPROCS, 1 = serial)")
 		planCacheSize = flag.Int("plan-cache", 256,
 			"parse/plan cache capacity in entries, keyed by query text; plans survive inserts and re-plan only when their index counts drift; 0 disables")
 		dataDir = flag.String("data-dir", "",
@@ -238,7 +233,6 @@ func main() {
 	cfg.MaxInsertBytes = *maxInsertBytes
 	cfg.MaxSteps = *maxSteps
 	cfg.MaxRows = *maxRows
-	cfg.Parallel = *parallel
 	cfg.PlanCache = *planCacheSize
 	cfg.pprof = *pprofFlag
 	cfg.Logger = logger

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// runSteps compiles one paper-syntax query and runs it on one worker,
+// runSteps compiles one paper-syntax query and runs it,
 // returning the budget steps it took: the engine's deterministic
 // measure of work (index entries read, probes, join candidates, rows).
 func runSteps(t *testing.T, s *workload.Social, q string) int64 {
@@ -23,7 +23,7 @@ func runSteps(t *testing.T, s *workload.Social, q string) int64 {
 	}
 	c := exec.Compile(s.G, parsed.Pattern, parsed.Construct, parsed.Ask)
 	b := sparql.NewBudget(nil)
-	if _, err := exec.Run(s.G, c, b, plan.Options{Parallel: 1}); err != nil {
+	if _, err := exec.Run(s.G, c, b, plan.Options{}); err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
 	return b.Steps()

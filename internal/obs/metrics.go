@@ -118,18 +118,17 @@ var metricsEndpoints = [...]string{"query", "insert", "stats", "scan"}
 
 // Metrics is the process-wide server metrics registry: request counts
 // by status, per-endpoint latency histograms, an in-flight gauge, and
-// counters for governor trips and pool saturation.  All methods are
-// safe for concurrent use and are no-ops on a nil receiver.
+// counters for governor trips.  All methods are safe for concurrent use
+// and are no-ops on a nil receiver.
 type Metrics struct {
 	codes      map[int]*atomic.Int64
 	codesOther atomic.Int64
 	latency    map[string]*Histogram
 
-	inFlight        atomic.Int64
-	governorTrips   atomic.Int64
-	poolSaturations atomic.Int64
-	plannerReplans  atomic.Int64
-	panics          atomic.Int64
+	inFlight       atomic.Int64
+	governorTrips  atomic.Int64
+	plannerReplans atomic.Int64
+	panics         atomic.Int64
 
 	// The result-encoding layer of /query: time spent turning an
 	// answer into a response body, and the bytes of every body sent.
@@ -188,15 +187,6 @@ func (m *Metrics) DecInFlight() {
 func (m *Metrics) GovernorTrip() {
 	if m != nil {
 		m.governorTrips.Add(1)
-	}
-}
-
-// PoolSaturation counts one query that wanted a parallel worker but
-// found the pool saturated at least once (it fell back to inline
-// evaluation; correct, but a sign the host is out of spare cores).
-func (m *Metrics) PoolSaturation() {
-	if m != nil {
-		m.poolSaturations.Add(1)
 	}
 }
 
@@ -309,20 +299,19 @@ type PlanCacheStats struct {
 // in by the server (they live outside this registry) and omitted when
 // the feature is off.
 type MetricsSnapshot struct {
-	Requests        map[string]int64             `json:"requests"`
-	InFlight        int64                        `json:"in_flight"`
-	GovernorTrips   int64                        `json:"governor_trips"`
-	PoolSaturations int64                        `json:"pool_saturations"`
-	PlannerReplans  int64                        `json:"planner_replans"`
-	Panics          int64                        `json:"panics"`
-	ResponseBytes   int64                        `json:"response_bytes_total"`
-	QueryEncode     HistogramSnapshot            `json:"query_encode"`
-	Store           *StoreStats                  `json:"store,omitempty"`
-	Durable         *DurableStats                `json:"durable,omitempty"`
-	PlanCache       *PlanCacheStats              `json:"plan_cache,omitempty"`
-	Cluster         *ClusterStats                `json:"cluster,omitempty"`
-	Traces          *TraceStats                  `json:"traces,omitempty"`
-	Latency         map[string]HistogramSnapshot `json:"latency"`
+	Requests       map[string]int64             `json:"requests"`
+	InFlight       int64                        `json:"in_flight"`
+	GovernorTrips  int64                        `json:"governor_trips"`
+	PlannerReplans int64                        `json:"planner_replans"`
+	Panics         int64                        `json:"panics"`
+	ResponseBytes  int64                        `json:"response_bytes_total"`
+	QueryEncode    HistogramSnapshot            `json:"query_encode"`
+	Store          *StoreStats                  `json:"store,omitempty"`
+	Durable        *DurableStats                `json:"durable,omitempty"`
+	PlanCache      *PlanCacheStats              `json:"plan_cache,omitempty"`
+	Cluster        *ClusterStats                `json:"cluster,omitempty"`
+	Traces         *TraceStats                  `json:"traces,omitempty"`
+	Latency        map[string]HistogramSnapshot `json:"latency"`
 }
 
 // Snapshot copies the registry into a plain, serializable value.
@@ -342,7 +331,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	s.InFlight = m.inFlight.Load()
 	s.GovernorTrips = m.governorTrips.Load()
-	s.PoolSaturations = m.poolSaturations.Load()
 	s.PlannerReplans = m.plannerReplans.Load()
 	s.Panics = m.panics.Load()
 	s.ResponseBytes = m.responseBytes.Load()

@@ -22,9 +22,10 @@ func TestNilNodeNoOps(t *testing.T) {
 	n.AddDedupHits(1)
 	n.AddNS(1, 1)
 	n.AddNSBucket(3, 1, 1)
-	n.AddPartitions(1)
-	n.AddPoolAcquired(1)
-	n.AddPoolInline(1)
+	n.AddRangeScans(1)
+	n.AddMergeRuns(1)
+	n.AddReplans(1)
+	n.AddBindProbes(1)
 	n.AddBudget(1, 1, 1)
 	if s := n.Snapshot(); s != nil {
 		t.Fatalf("nil.Snapshot = %v, want nil", s)
@@ -189,7 +190,6 @@ func TestMetricsConcurrent(t *testing.T) {
 				m.ObserveRequest("insert", 413, 2*time.Millisecond)
 				m.ObserveRequest("query", 418, 0) // unknown code
 				m.GovernorTrip()
-				m.PoolSaturation()
 				m.Panic()
 				m.DecInFlight()
 			}
@@ -210,9 +210,8 @@ func TestMetricsConcurrent(t *testing.T) {
 	if s.InFlight != 0 {
 		t.Errorf("in_flight = %d, want 0", s.InFlight)
 	}
-	if s.GovernorTrips != total || s.PoolSaturations != total || s.Panics != total {
-		t.Errorf("trips/saturations/panics = %d/%d/%d, want %d",
-			s.GovernorTrips, s.PoolSaturations, s.Panics, total)
+	if s.GovernorTrips != total || s.Panics != total {
+		t.Errorf("trips/panics = %d/%d, want %d", s.GovernorTrips, s.Panics, total)
 	}
 	if s.Latency["query"].Count != 2*total || s.Latency["insert"].Count != total {
 		t.Errorf("latency counts = %d/%d", s.Latency["query"].Count, s.Latency["insert"].Count)
@@ -223,6 +222,5 @@ func TestMetricsConcurrent(t *testing.T) {
 	mn.IncInFlight()
 	mn.DecInFlight()
 	mn.GovernorTrip()
-	mn.PoolSaturation()
 	mn.Panic()
 }

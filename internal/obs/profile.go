@@ -15,10 +15,11 @@
 //   - Every method on a nil *Node is a no-op, so the uninstrumented
 //     evaluation path pays one nil check per operator node (not per
 //     row) and nothing else.
-//   - Live counters are atomics: all workers of a parallel evaluation
-//     write the same tree without locks on the counter path.  Only
-//     child creation and NS bucket maps take a mutex, both of which
-//     happen once per operator, not per row.
+//   - Live counters are atomics and child creation and NS bucket maps
+//     take a mutex, so a snapshot may be taken from any goroutine.  A
+//     query's evaluation writes its tree from one goroutine, so none of
+//     them is contended, and the mutex is taken once per operator, not
+//     per row.
 //   - Snapshot decouples collection from reporting: the HTTP layer
 //     serializes a plain Profile value, never the live atomics.
 package obs
@@ -37,11 +38,11 @@ import (
 // code threads nodes unconditionally and profiling is enabled simply
 // by passing a non-nil root.
 //
-// Counters are atomic: the workers of a parallel evaluation may update
-// one node concurrently.  Children are created under a mutex; callers
-// that need a deterministic child order (the differential tests walk
-// the profile tree alongside the pattern tree) must create the
-// children before fanning out, which the evaluators do.
+// Counters are atomic and children are created under a mutex, so the
+// tree may be read while it is written; see the package comment.  The
+// evaluators create children in pattern order, which the differential
+// tests rely on when they walk the profile tree alongside the pattern
+// tree.
 type Node struct {
 	op     string
 	detail string
@@ -54,14 +55,9 @@ type Node struct {
 	nsCandidates atomic.Int64
 	nsSurvivors  atomic.Int64
 
-	partitions   atomic.Int64
-	poolAcquired atomic.Int64
-	poolInline   atomic.Int64
-
 	rangeScans atomic.Int64
 	mergeRuns  atomic.Int64
 	replans    atomic.Int64
-	stages     atomic.Int64
 	bindProbes atomic.Int64
 
 	budgetSteps atomic.Int64
@@ -160,34 +156,6 @@ func (n *Node) AddNSBucket(mask uint64, candidates, survivors int64) {
 	n.mu.Unlock()
 }
 
-// AddPartitions accumulates hash-join (or NS-shard) partitions this
-// operator spawned.
-func (n *Node) AddPartitions(v int64) {
-	if n == nil {
-		return
-	}
-	n.partitions.Add(v)
-}
-
-// AddPoolAcquired accumulates worker-pool tokens this operator
-// acquired for concurrent sub-evaluation.
-func (n *Node) AddPoolAcquired(v int64) {
-	if n == nil {
-		return
-	}
-	n.poolAcquired.Add(v)
-}
-
-// AddPoolInline accumulates the times this operator wanted a pool
-// worker but none was free, so it did the work inline (pool
-// saturation).
-func (n *Node) AddPoolInline(v int64) {
-	if n == nil {
-		return
-	}
-	n.poolInline.Add(v)
-}
-
 // AddRangeScans accumulates index range scans this operator issued
 // against the sorted permutation store (one per triple-pattern
 // evaluation; the merge-join fast path issues one per side).
@@ -218,19 +186,9 @@ func (n *Node) AddReplans(v int64) {
 	n.replans.Add(v)
 }
 
-// AddStages accumulates morsel-style execution stages: one parallel
-// fan-out (a join or bind-join step dispatched across the worker pool)
-// between two drift checkpoints of the staged chain executor.
-func (n *Node) AddStages(v int64) {
-	if n == nil {
-		return
-	}
-	n.stages.Add(v)
-}
-
 // AddBindProbes accumulates bind-join index probes: one per
 // accumulator row whose bindings were pinned as constants against the
-// sorted indexes (serial or morsel-parallel).
+// sorted indexes.
 func (n *Node) AddBindProbes(v int64) {
 	if n == nil {
 		return
@@ -241,8 +199,7 @@ func (n *Node) AddBindProbes(v int64) {
 // AddBudget accumulates governor consumption attributed to this node:
 // search steps, result rows and estimated bytes.  The evaluators
 // attribute by wall-clock window, so a node's numbers include its
-// children, and sibling windows may overlap under parallel
-// evaluation; the root's numbers are the query's exact totals.
+// children; the root's numbers are the query's exact totals.
 func (n *Node) AddBudget(steps, rows, bytes int64) {
 	if n == nil {
 		return
@@ -253,9 +210,9 @@ func (n *Node) AddBudget(steps, rows, bytes int64) {
 }
 
 // Snapshot copies the live tree into a plain, serializable Profile.
-// On a nil receiver it returns nil.  It is safe to call while workers
-// are still writing (counters are read atomically), though callers
-// normally snapshot after the evaluation returns.
+// On a nil receiver it returns nil.  It is safe to call while the
+// evaluation is still writing (counters are read atomically), though
+// callers normally snapshot after the evaluation returns.
 func (n *Node) Snapshot() *Profile {
 	if n == nil {
 		return nil
@@ -269,13 +226,9 @@ func (n *Node) Snapshot() *Profile {
 		DedupHits:    n.dedupHits.Load(),
 		NSCandidates: n.nsCandidates.Load(),
 		NSSurvivors:  n.nsSurvivors.Load(),
-		Partitions:   n.partitions.Load(),
-		PoolAcquired: n.poolAcquired.Load(),
-		PoolInline:   n.poolInline.Load(),
 		RangeScans:   n.rangeScans.Load(),
 		MergeRuns:    n.mergeRuns.Load(),
 		Replans:      n.replans.Load(),
-		Stages:       n.stages.Load(),
 		BindProbes:   n.bindProbes.Load(),
 		BudgetSteps:  n.budgetSteps.Load(),
 		BudgetRows:   n.budgetRows.Load(),
@@ -313,14 +266,9 @@ type Profile struct {
 	NSSurvivors  int64           `json:"ns_survivors,omitempty"`
 	NSBuckets    []NSBucketCount `json:"ns_buckets,omitempty"`
 
-	Partitions   int64 `json:"partitions,omitempty"`
-	PoolAcquired int64 `json:"pool_acquired,omitempty"`
-	PoolInline   int64 `json:"pool_inline,omitempty"`
-
 	RangeScans int64 `json:"range_scans,omitempty"`
 	MergeRuns  int64 `json:"merge_runs,omitempty"`
 	Replans    int64 `json:"replans,omitempty"`
-	Stages     int64 `json:"stages,omitempty"`
 	BindProbes int64 `json:"bind_probes,omitempty"`
 
 	BudgetSteps int64 `json:"budget_steps,omitempty"`
@@ -420,9 +368,6 @@ func (p *Profile) tree(sb *strings.Builder, depth int) {
 	if p.NSCandidates > 0 || p.NSSurvivors > 0 {
 		fmt.Fprintf(sb, " ns=%d->%d (%d buckets)", p.NSCandidates, p.NSSurvivors, len(p.NSBuckets))
 	}
-	if p.Partitions > 0 {
-		fmt.Fprintf(sb, " partitions=%d", p.Partitions)
-	}
 	if p.RangeScans > 0 {
 		fmt.Fprintf(sb, " range_scans=%d", p.RangeScans)
 	}
@@ -432,14 +377,8 @@ func (p *Profile) tree(sb *strings.Builder, depth int) {
 	if p.Replans > 0 {
 		fmt.Fprintf(sb, " replans=%d", p.Replans)
 	}
-	if p.Stages > 0 {
-		fmt.Fprintf(sb, " stages=%d", p.Stages)
-	}
 	if p.BindProbes > 0 {
 		fmt.Fprintf(sb, " bind_probes=%d", p.BindProbes)
-	}
-	if p.PoolAcquired > 0 || p.PoolInline > 0 {
-		fmt.Fprintf(sb, " pool=%d acquired/%d inline", p.PoolAcquired, p.PoolInline)
 	}
 	if p.BudgetSteps > 0 {
 		fmt.Fprintf(sb, " steps=%d", p.BudgetSteps)

@@ -45,7 +45,6 @@ func WritePrometheus(w io.Writer, s MetricsSnapshot) {
 
 	p.gauge("ns_in_flight", "Requests currently being served.", float64(s.InFlight))
 	p.counter("ns_governor_trips_total", "Queries stopped by the governor (deadline or budget).", float64(s.GovernorTrips))
-	p.counter("ns_pool_saturations_total", "Queries that found the parallel worker pool saturated.", float64(s.PoolSaturations))
 	p.counter("ns_planner_replans_total", "Mid-query re-optimizations by the adaptive executor.", float64(s.PlannerReplans))
 	p.counter("ns_panics_total", "Handler panics converted to 500s.", float64(s.Panics))
 	p.counter("ns_response_bytes_total", "Bytes of /query response bodies encoded.", float64(s.ResponseBytes))

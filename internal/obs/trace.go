@@ -446,9 +446,8 @@ func (s *Span) End() {
 // AttachProfile bridges a serialized execution profile into the trace
 // as completed child spans of s, one per operator node, so the
 // per-operator counters survive the request as span attributes.  Span
-// start times are approximated to the parent's (operator wall windows
-// overlap under parallel evaluation and the profile records only
-// durations); DurationNS is the operator's exact wall counter.  Safe
+// start times are approximated to the parent's (the profile records
+// only durations); DurationNS is the operator's exact wall counter.  Safe
 // to call after s.End() — the trace is finalized only when the root
 // span ends, and the servers attach the profile before that.
 func (s *Span) AttachProfile(p *Profile) {
@@ -486,9 +485,6 @@ func profileAttrs(p *Profile) map[string]any {
 	add("dedup_hits", p.DedupHits)
 	add("ns_candidates", p.NSCandidates)
 	add("ns_survivors", p.NSSurvivors)
-	add("partitions", p.Partitions)
-	add("pool_acquired", p.PoolAcquired)
-	add("pool_inline", p.PoolInline)
 	add("range_scans", p.RangeScans)
 	add("merge_runs", p.MergeRuns)
 	add("replans", p.Replans)

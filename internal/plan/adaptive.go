@@ -13,33 +13,29 @@
 //
 // The driver runs on the primitives of one sparql.StagedExec (join a
 // first pair of triples as the tree evaluator joins an And node,
-// evaluate an operand, hash-join, bind-join).  With one worker they
-// are the serial row operators.  With more, the chain runs staged —
-// morsel-style fan-out with the same mid-query re-planning — where the
-// static parallel engine (sparql.EvalRows) would commit the whole
-// DP-ordered chain to a plan-time tree no observation can change:
+// evaluate an operand, hash-join, bind-join), where the tree evaluator
+// (sparql.EvalRows) would commit the whole DP-ordered chain to a
+// plan-time tree no observation can change:
 //
-//   - each join step is one *stage*: the accumulated prefix and the
-//     next operand fan out across the pool in morsels (partitioned
-//     hash join, or the parallel bind join when the observed prefix
-//     is small enough that per-row index probes beat scanning the
-//     operand's full extension — sparql.BindJoinScanPar, chosen by the
-//     engine's one join rule, sparql.BindPays, on the observed prefix
-//     and the operand's leaf count);
+//   - each join step is one *stage*: the accumulated prefix is joined
+//     with the next operand by hash join, or by bind join when the
+//     observed prefix is small enough that per-row index probes beat
+//     scanning the operand's full extension (sparql.BindJoinScan,
+//     chosen by the engine's one join rule, sparql.BindPays, on the
+//     observed prefix and the operand's leaf count);
 //   - between stages the driver observes the materialized prefix
 //     cardinality at a drift checkpoint (the [est/factor, est·factor]
 //     confidence band) and re-plans the remaining operands against
-//     observed counts before the next fan-out;
-//   - an empty prefix short-circuits the whole tail: no dead morsels
-//     are dispatched for operands that can no longer contribute.
+//     observed counts before the next stage;
+//   - an empty prefix short-circuits the whole tail: operands that can
+//     no longer contribute are never evaluated.
 //
 // Replans are visible as `replans=N` on the query profile node and
-// aggregate into the server's planner_replans counter; stages as
-// `stages=N` and bind probes as `bind_probes=N` on the profile's
-// staged "and" node, and each stage records a trace span (position,
-// strategy, rows).  PlannerOptions.NoReplan disarms the driver
-// entirely, which routes parallel queries to the static tree: the E30
-// "static-parallel" baseline nsbench constructs.
+// aggregate into the server's planner_replans counter, and bind probes
+// as `bind_probes=N` on the profile's "and" node.
+// PlannerOptions.NoReplan disarms the driver entirely, which routes
+// the chain to the tree evaluator: the E28 "dp" baseline nsbench
+// constructs.
 //
 // A capped run (Options.Cap: ASK, LIMIT) drives any AND chain, however
 // short, through runChainCapped instead: morsels of the first
@@ -63,25 +59,18 @@ func (pr Prepared) adaptiveArmed() bool {
 }
 
 // evalChain runs the prepared AND chain with drift-triggered
-// re-planning: on the calling goroutine alone (profile detail
-// "adaptive") with one worker, morsel-style across the pool (detail
-// "staged") with more.  ok = false means the chain's schema exceeds
-// the row engine's width and nothing was evaluated (the caller falls
-// back to the string algebra, like the other row-engine entry points).
-func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition, limit int, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
-	x, ok := sparql.NewStagedExec(g, pr.pattern, b, sparql.ParOptions{
-		Workers:      workers,
-		MinPartition: minPartition,
-	})
+// re-planning (profile detail "adaptive"), or under a cap of limit rows
+// (detail "capped").  ok = false means the chain's schema exceeds the
+// row engine's width and nothing was evaluated (the caller falls back
+// to the string algebra, like the other row-engine entry points).
+func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, limit int, prof *obs.Node, span *obs.Span) (*sparql.RowSet, bool, error) {
+	x, ok := sparql.NewStagedExec(g, pr.pattern, b)
 	if !ok {
 		return nil, false, nil
 	}
-	staged, detail := workers > 1, "adaptive"
-	switch {
-	case limit > 0:
+	detail := "adaptive"
+	if limit > 0 {
 		detail = "capped"
-	case staged:
-		detail = "staged"
 	}
 	node := prof.Child("and", detail)
 	start := time.Now()
@@ -91,7 +80,7 @@ func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition
 	if limit > 0 {
 		rs, err = runChainCapped(pr, x, limit, node)
 	} else {
-		rs, err = runChain(g, pr, x, staged, node, span)
+		rs, err = runChain(g, pr, x, node, span)
 	}
 	if node != nil {
 		node.AddWall(time.Since(start))
@@ -114,7 +103,7 @@ func evalChain(g rdf.Store, pr Prepared, b *sparql.Budget, workers, minPartition
 // step consumed hand their arrays back to the evaluation's free list
 // as soon as the step has its output.  The plan's memo answers the
 // estimates it already holds; a re-plan's new probes count on g.
-func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
+func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, node *obs.Node, span *obs.Span) (*sparql.RowSet, error) {
 	factor := pr.popts.replanFactor()
 	chain := append([]sparql.Pattern(nil), pr.chain...)
 	targets := append([]float64(nil), pr.chainEsts...)
@@ -131,11 +120,9 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 	)
 	_, t0 := chain[0].(sparql.TriplePattern)
 	if _, t1 := chain[1].(sparql.TriplePattern); t0 && t1 {
-		var strategy string
-		if acc, strategy, err = x.JoinFirst(chain[0], chain[1], node); err != nil {
+		if acc, err = x.JoinFirst(chain[0], chain[1], node); err != nil {
 			return nil, err
 		}
-		recordStage(staged, node, span, 1, strategy, acc)
 		i = 2
 	} else if acc, err = x.EvalOperand(chain[0], node); err != nil {
 		return nil, err
@@ -146,8 +133,7 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 	accDV := prefixDV(e, chain[:i], float64(acc.Len()))
 	for ; i < len(chain); i++ {
 		// Drift checkpoint: the chain is all inner joins, so an empty
-		// prefix decides the query — return before evaluating (on the
-		// staged engine: before dispatching morsels for) the tail.
+		// prefix decides the query — return before evaluating the tail.
 		if acc.Len() == 0 {
 			if span != nil {
 				span.SetAttr("empty_prefix_at", i)
@@ -176,7 +162,6 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 				return nil, err
 			}
 			acc = step(out, acc)
-			recordStage(staged, node, span, i, "bind", acc)
 		} else {
 			r, err := x.EvalOperand(chain[i], node)
 			if err != nil {
@@ -187,7 +172,6 @@ func runChain(g rdf.Store, pr Prepared, x *sparql.StagedExec, staged bool, node 
 				return nil, err
 			}
 			acc = step(out, acc, r)
-			recordStage(staged, node, span, i, "hash", acc)
 		}
 		_, accDV = joinCardInto(float64(acc.Len()), accDV, leafDV(sparql.Vars(chain[i]), est))
 	}
@@ -269,25 +253,6 @@ func step(out *sparql.RowSet, inputs ...*sparql.RowSet) *sparql.RowSet {
 		}
 	}
 	return out
-}
-
-// recordStage accounts one completed morsel fan-out stage of the
-// staged parallel driver: a stage counter on the profile node and a
-// span carrying the stage's position, join strategy and output
-// cardinality.  Serial instantiations record nothing (their join steps
-// are not fan-outs).
-func recordStage(staged bool, node *obs.Node, span *obs.Span, position int, strategy string, acc *sparql.RowSet) {
-	if !staged {
-		return
-	}
-	node.AddStages(1)
-	if span != nil {
-		ssp := span.StartChild("stage", strategy)
-		ssp.SetAttr("position", position)
-		ssp.SetAttr("strategy", strategy)
-		ssp.SetAttr("rows", acc.Len())
-		ssp.End()
-	}
 }
 
 // drifted reports whether the observed prefix cardinality left the

@@ -54,16 +54,15 @@ func randomChain(rng *rand.Rand) sparql.Pattern {
 // the base arrays it was counted on are gone — returns exactly the
 // reference answer on the changed graph.  RandomPattern × RandomGraph
 // over the five fragments plus random chains, 300 seeds each, on the
-// serial tree, the adaptive chain and the staged chain.
+// tree evaluator and the adaptive chain.
 func TestStalePlanMatchesReference(t *testing.T) {
 	paths := []struct {
 		name string
 		po   PlannerOptions
 		o    Options
 	}{
-		{"serial tree", PlannerOptions{NoReplan: true}, Options{Parallel: 1}},
-		{"adaptive chain", PlannerOptions{}, Options{Parallel: 1}},
-		{"staged chain", PlannerOptions{}, forcePar},
+		{"tree", PlannerOptions{NoReplan: true}, Options{}},
+		{"adaptive chain", PlannerOptions{}, Options{}},
 	}
 	type gen struct {
 		name string
@@ -160,7 +159,7 @@ func TestDriftedBandEdges(t *testing.T) {
 		if got := pr.Drifted(g); got != tc.drifted {
 			t.Errorf("leaf count 12 → %d: Drifted = %t, want %t", tc.n, got, tc.drifted)
 		}
-		if got := run(t, g, pr, Options{Parallel: 1}); !sameRows(got, sparql.Eval(g, q)) {
+		if got := run(t, g, pr, Options{}); !sameRows(got, sparql.Eval(g, q)) {
 			t.Errorf("leaf count 12 → %d: answer differs from reference", tc.n)
 		}
 	}
@@ -205,7 +204,7 @@ func TestDriftedFromZero(t *testing.T) {
 		if !pr.Drifted(g) {
 			t.Errorf("%s: 0 → 2 did not drift", text)
 		}
-		got := run(t, g, pr, Options{Parallel: 1})
+		got := run(t, g, pr, Options{})
 		if want := sparql.Eval(g, q); !sameRows(got, want) || got.Len() != 2 {
 			t.Errorf("%s: stale plan answered %v, reference %v", text, rowKeys(got), mappingKeys(want))
 		}
@@ -250,10 +249,8 @@ func TestPreparedPinsNoStore(t *testing.T) {
 	}
 	g2 := build(20) // the p ⋈ q prefix is 20× the estimate: a re-plan
 	want := sparql.Eval(g2, q)
-	for _, o := range []Options{{Parallel: 1}, {Parallel: 4, MinParallelEstimate: 1}} {
-		if got := run(t, g2, pr, o); !sameRows(got, want) {
-			t.Fatalf("Parallel %d: answer on the second store differs from the reference", o.Parallel)
-		}
+	if got := run(t, g2, pr, Options{}); !sameRows(got, want) {
+		t.Fatal("answer on the second store differs from the reference")
 	}
 	for i := 0; i < 50; i++ {
 		runtime.GC()

@@ -24,7 +24,7 @@ const PlannerVersion = 2
 // the production default — DP join ordering over pair-probed
 // cardinalities with adaptive mid-query re-optimization — and the only
 // value the servers use; Greedy and NoReplan are the ablation
-// baselines nsbench (E28, E30) and the tests construct.
+// baselines nsbench (E28) and the tests construct.
 type PlannerOptions struct {
 	// Greedy forces the v1 greedy ordering heuristic on leaf counts
 	// alone (no pair probes) and no re-optimization — the ablation
@@ -88,21 +88,14 @@ type JoinChoice struct {
 // reader should believe it.  Serialized as the "plan" block of
 // profile=1 responses.
 type Explain struct {
-	Planner      string  `json:"planner"` // "dp" | "greedy"
-	Version      int     `json:"version"`
-	Estimate     float64 `json:"estimate"`
-	Probes       int     `json:"probes"` // index probes during Prepare
-	WellDesigned bool    `json:"well_designed"`
-	Adaptive     bool    `json:"adaptive"` // adaptive chain executor armed
-	// Staged marks the plan eligible for morsel-style staged parallel
-	// execution: when the evaluator routes it to the parallel engine
-	// (workers > 1, estimate over the cutover) the chain runs stage by
-	// stage with drift checkpoints instead of as a static tree.  Always
-	// equal to Adaptive today (both require an armed chain) but
-	// recorded separately so the decision shows up in Explain JSON.
-	Staged    bool         `json:"staged"`
-	JoinOrder []ScanChoice `json:"join_order,omitempty"`
-	Joins     []JoinChoice `json:"joins,omitempty"`
+	Planner      string       `json:"planner"` // "dp" | "greedy"
+	Version      int          `json:"version"`
+	Estimate     float64      `json:"estimate"`
+	Probes       int          `json:"probes"` // index probes during Prepare
+	WellDesigned bool         `json:"well_designed"`
+	Adaptive     bool         `json:"adaptive"` // adaptive chain executor armed
+	JoinOrder    []ScanChoice `json:"join_order,omitempty"`
+	Joins        []JoinChoice `json:"joins,omitempty"`
 }
 
 // Summary renders the plan as indented text for `nsq -stats`.
@@ -111,8 +104,8 @@ func (ex *Explain) Summary() string {
 		return ""
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "plan planner=%s version=%d est=%g probes=%d well_designed=%t adaptive=%t staged=%t\n",
-		ex.Planner, ex.Version, ex.Estimate, ex.Probes, ex.WellDesigned, ex.Adaptive, ex.Staged)
+	fmt.Fprintf(&sb, "plan planner=%s version=%d est=%g probes=%d well_designed=%t adaptive=%t\n",
+		ex.Planner, ex.Version, ex.Estimate, ex.Probes, ex.WellDesigned, ex.Adaptive)
 	for _, s := range ex.JoinOrder {
 		fmt.Fprintf(&sb, "  scan %s index=%s est=%g\n", s.Pattern, s.Index, s.Est)
 	}
@@ -175,7 +168,6 @@ func buildExplain(e *estimator, opt sparql.Pattern, po PlannerOptions, adaptive 
 		Estimate:     e.estimate(opt),
 		WellDesigned: wellDesigned(opt),
 		Adaptive:     adaptive,
-		Staged:       adaptive,
 	}
 	for _, t := range sparql.TriplePatterns(opt) {
 		ex.JoinOrder = append(ex.JoinOrder, ScanChoice{

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,15 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// forcePar bypasses both parallel gates: four workers regardless of
-// GOMAXPROCS, no estimate cutover, and single-row partitions so the
-// partitioned operators engage on tiny test inputs.
-var forcePar = Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 1}
+// parallelRuns is how many runs of one plan the tests start at once.
+const parallelRuns = 4
 
 // TestEvalOptsParallelMatchesReferenceQuick extends the planner's core
-// guarantee to the parallel engine: forced-parallel evaluation returns
-// exactly the reference answer on random patterns and random chains ×
-// graphs.
+// guarantee to plans served in parallel: one Prepared plan, run from
+// several goroutines at once over one graph — as the servers' plan
+// cache hands one plan to concurrent queries — returns exactly the
+// reference answer, every row once, every time, on random patterns and
+// random chains × graphs.
 func TestEvalOptsParallelMatchesReferenceQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64) bool {
@@ -26,15 +27,28 @@ func TestEvalOptsParallelMatchesReferenceQuick(t *testing.T) {
 		g := workload.RandomGraph(rng, rng.Intn(25), nil)
 		for _, p := range []sparql.Pattern{workload.RandomPattern(rng, workload.PatternOpts{Depth: 3}), randomChain(rng)} {
 			want := sparql.Eval(g, p)
-			got, err := Run(g, Prepare(g, p), nil, forcePar)
-			if err != nil {
-				t.Logf("pattern %s: parallel eval failed: %v", p, err)
-				return false
+			pr := Prepare(g, p)
+			got := make([]sparql.Rows, parallelRuns)
+			errs := make([]error, parallelRuns)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = Run(g, pr, nil, Options{})
+				}(i)
 			}
-			if !sameRows(got, want) {
-				t.Logf("pattern %s\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
-					p, Optimize(g, p), g, mappingKeys(want), rowKeys(got))
-				return false
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Logf("pattern %s, run %d: eval failed: %v", p, i, errs[i])
+					return false
+				}
+				if !sameRows(got[i], want) {
+					t.Logf("pattern %s, run %d\noptimized %s\ngraph\n%s\nwant %v\ngot  %v",
+						p, i, Optimize(g, p), g, mappingKeys(want), rowKeys(got[i]))
+					return false
+				}
 			}
 		}
 		return true
@@ -46,9 +60,8 @@ func TestEvalOptsParallelMatchesReferenceQuick(t *testing.T) {
 
 // TestAndComponentsSplit checks the connectivity analysis: an AND
 // chain over variable-disjoint groups must come out of the optimizer
-// as a balanced tree of per-component subplans (so the parallel
-// engine can fan the components out), and still evaluate to the
-// reference answers.
+// as a balanced tree of per-component subplans, and still evaluate to
+// the reference answers.
 func TestAndComponentsSplit(t *testing.T) {
 	g := workload.RandomGraph(rand.New(rand.NewSource(5)), 30, nil)
 	// Three components: {?x}, {?y, ?z}, {?w}.
@@ -69,7 +82,6 @@ func TestAndComponentsSplit(t *testing.T) {
 		t.Fatalf("root children share variables %v — components not split", shared)
 	}
 	checkRun(t, g, p, PlannerOptions{}, Options{})
-	checkRun(t, g, p, PlannerOptions{}, forcePar)
 }
 
 func sharedVars(l, r sparql.Pattern) []sparql.Var {

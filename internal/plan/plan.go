@@ -15,12 +15,9 @@
 //     (sparql.BindPays), and Explain reports what that rule picks on
 //     the leaf counts;
 //   - long AND chains run under the adaptive chain driver
-//     (adaptive.go): the serial path evaluates operand by operand and
-//     re-orders the remaining operands mid-query when observed
-//     cardinalities drift past ReplanFactor× the estimate; the
-//     parallel path runs the same driver morsel-style (staged.go),
-//     fanning each join stage out across the worker pool and
-//     re-planning between stages;
+//     (adaptive.go), which evaluates operand by operand and re-orders
+//     the remaining operands mid-query when observed cardinalities
+//     drift past ReplanFactor× the estimate;
 //   - conjunctive FILTER conditions are split and pushed down to the
 //     earliest operand that certainly binds their variables;
 //   - joins, differences and left-outer joins run hash-bucketed on the
@@ -32,13 +29,15 @@
 //     sparql.MaxSchemaVars fall back to the string algebra
 //     (sparql.EvalBudget).
 //
+// Every query is evaluated on the calling goroutine: the servers use
+// their cores across concurrent queries, not within one.
+//
 // Prepare (or PrepareOpts) plans and Run executes: Run is the one exit
 // every evaluation goes through, returning the answer in ID form.
-// These choices are ablated in the E20, E28 and E30 experiments.
+// These choices are ablated in the E20 and E28 experiments.
 package plan
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -48,23 +47,11 @@ import (
 )
 
 // Options tunes the evaluator.  The zero value is the production
-// default: the parallel row engine with one worker per CPU, engaging
-// only when the planner's cardinality estimate says the query is big
-// enough to amortize the fan-out.
+// default.
 type Options struct {
-	// Parallel is the worker count for the parallel row engine
-	// (including the calling goroutine): 0 means runtime.GOMAXPROCS(0),
-	// 1 forces the serial engine.
+	// Parallel is ignored: every query runs on the calling goroutine.
+	// It stays only because the benchmark module still sets it.
 	Parallel int
-	// MinParallelEstimate is the planner's estimated result
-	// cardinality below which evaluation stays serial even when
-	// Parallel > 1 (goroutine handoff would dominate on small
-	// queries).  0 means DefaultMinParallelEstimate; set it negative
-	// to parallelize unconditionally.
-	MinParallelEstimate float64
-	// MinPartition is passed through to the row engine's partitioned
-	// operators (0 = sparql.DefaultMinPartition).
-	MinPartition int
 	// Prof, when non-nil, collects a per-query execution profile: the
 	// evaluator attaches one obs child node per operator under it (see
 	// internal/obs and sparql.EvalRows).  The string-algebra
@@ -88,29 +75,10 @@ type Options struct {
 	Trace *obs.Span
 }
 
-// DefaultMinParallelEstimate is the default serial/parallel cutover
-// estimate: queries the planner expects to stay under this many
-// intermediate rows are evaluated serially.
-const DefaultMinParallelEstimate = 256
-
-func (o Options) workers() int {
-	if o.Parallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallel
-}
-
-func (o Options) minEstimate() float64 {
-	if o.MinParallelEstimate == 0 {
-		return DefaultMinParallelEstimate
-	}
-	return o.MinParallelEstimate
-}
-
 // Prepared is an optimized, ready-to-run query plan: the rewritten
-// pattern, the planner's cardinality estimate for the serial/parallel
-// cutover, the recorded plan (Explain), and — for AND chains — the flattened operand order plus prefix estimates the
-// adaptive executor checkpoints against.
+// pattern, the recorded plan (Explain), and — for AND chains — the
+// flattened operand order plus prefix estimates the adaptive executor
+// checkpoints against.
 //
 // A Prepared plan is correct on any graph contents: its rewrites are
 // equivalences, and the join order and engine routing it carries change only what evaluation costs, never what it returns
@@ -122,7 +90,6 @@ func (o Options) minEstimate() float64 {
 // for as long as the plan is served.
 type Prepared struct {
 	pattern sparql.Pattern
-	est     float64
 	popts   PlannerOptions
 	explain *Explain
 	// memo is the estimator's memo without its store (see estimator).
@@ -152,7 +119,7 @@ func Prepare(g rdf.Store, p sparql.Pattern) Prepared {
 }
 
 // PrepareOpts is Prepare with explicit planner options: the greedy and
-// no-replan ablation baselines that nsbench (E28, E30) and the tests
+// no-replan ablation baselines that nsbench (E28) and the tests
 // construct, the DP cutoff and the re-plan factor.
 func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 	pc := &planCtx{g: g, e: newEstimator(g), po: po}
@@ -167,7 +134,6 @@ func PrepareOpts(g rdf.Store, p sparql.Pattern, po PlannerOptions) Prepared {
 		pr.chainEsts = chainCards(cands, pc.e.pairSizes(cands), identityOrder(len(pr.chain)))
 	}
 	pr.explain = buildExplain(pc.e, opt, po, pr.adaptiveArmed())
-	pr.est = pr.explain.Estimate
 	pr.leaves = pc.e.leafCounts()
 	return pr
 }
@@ -212,26 +178,15 @@ func Run(g rdf.Store, pr Prepared, b *sparql.Budget, o Options) (sparql.Rows, er
 		ok  bool
 		err error
 	)
-	workers := o.workers()
-	if pr.est < o.minEstimate() || o.Cap > 0 {
-		workers = 1
-	}
 	if pr.adaptiveArmed() || (o.Cap > 0 && len(pr.chain) >= 2) {
-		// The chain driver: operand by operand on one worker; with more,
-		// morsel-style staged fan-out that observes materialized prefix
-		// cardinalities and re-plans the tail between stages (staged.go).
-		// A capped run drives any AND chain, however short, in morsels.
-		rs, ok, err = evalChain(g, pr, b, workers, o.MinPartition, o.Cap, o.Prof, o.Trace)
+		// The chain driver: operand by operand, re-planning the tail at
+		// drift checkpoints.  A capped run drives any AND chain, however
+		// short, in morsels.
+		rs, ok, err = evalChain(g, pr, b, o.Cap, o.Prof, o.Trace)
 	} else {
 		// The tree evaluator: non-chain plans and the Greedy and NoReplan
-		// ablations.  With more than one worker the whole plan fans out
-		// at once — the static parallel tree, with no drift checkpoint.
-		rs, ok, err = sparql.EvalRows(g, opt, b, sparql.ParOptions{
-			Workers:      workers,
-			MinPartition: o.MinPartition,
-			Prof:         o.Prof,
-			Cap:          o.Cap,
-		})
+		// ablations.
+		rs, ok, err = sparql.EvalRows(g, opt, b, sparql.EvalOptions{Prof: o.Prof, Cap: o.Cap})
 	}
 	recordRoot := func(resultRows int) {
 		if o.Prof == nil {
@@ -354,10 +309,10 @@ func (pc *planCtx) optimizeAndChain(a sparql.And) sparql.Pattern {
 // each connected component keeps its left-deep greedy order (good join
 // ordering), and the variable-disjoint components combine through a
 // balanced tree of cross products.  AND is associative and commutative,
-// so the reshaping is an equivalence; its point is structural — the
-// parallel engine fans out the operands of every AND node, and a
-// balanced tree over independent components exposes them as concurrent
-// sub-problems instead of hiding them down one left spine.
+// so the reshaping is an equivalence.  The balanced shape dates from
+// when the engine evaluated the operands of an AND node concurrently;
+// the serial engine keeps it, so that a query's budget charges stay
+// what they were.
 func andComponents(ordered []sparql.Pattern, starts []int) sparql.Pattern {
 	if len(starts) <= 1 {
 		return sparql.AndOf(ordered...)

@@ -36,8 +36,8 @@ import (
 // write a read may perform — rebuilding the overlay's sorted views
 // after a mutation — is double-checked under the overlay mutex and
 // published through an atomic flag, so racing readers stay safe.  The
-// parallel query engine relies on this — its workers probe the indexes
-// of one graph simultaneously.
+// servers rely on this: concurrent queries probe the indexes of one
+// graph simultaneously.
 //
 // Mutation (Add, AddTriple, AddAll, Remove, Compact) is not safe
 // concurrently with anything, readers included; callers serialize
@@ -87,9 +87,8 @@ func FromTriples(ts ...Triple) *Graph {
 // runs, any mutation of the graph panics and Compact defers.  It is a
 // guard, not a lock — readers are not serialized against each other
 // (they never need to be), and the cost is one atomic increment per
-// snapshot, not per read.  The parallel evaluation paths that fan a
-// graph out across worker goroutines (views delta maintenance) hold a
-// snapshot for the duration of the fan-out so that a misplaced write
+// snapshot, not per read.  Views delta maintenance holds a snapshot
+// for the duration of a delta evaluation so that a misplaced write
 // fails loudly at the write site instead of as index corruption in a
 // reader.
 func (g *Graph) AcquireRead() (release func()) {
@@ -103,7 +102,7 @@ func (g *Graph) AcquireRead() (release func()) {
 }
 
 // assertWritable panics when a mutation races an active read snapshot.
-// The message names the live holder count so the offending fan-out is
+// The message names the live holder count so the offending reader is
 // identifiable from the stack alone; the fix is always the same — run
 // the release func each AcquireRead returned (the snapshot's Release)
 // before mutating.
@@ -255,8 +254,8 @@ func (g *Graph) maybeCompact() {
 // Compact merges the overlay into the sorted base arrays now,
 // reporting whether the merge ran.  While an AcquireRead snapshot is
 // held the compaction is deferred (returns false) — the next mutation
-// or Compact call after the snapshots drain picks it up — so the
-// parallel engine's readers never observe the base arrays moving.
+// or Compact call after the snapshots drain picks it up — so a
+// snapshot's readers never observe the base arrays moving.
 func (g *Graph) Compact() bool {
 	if g.readers.Load() != 0 {
 		return false

@@ -34,9 +34,9 @@ package rdf
 // and until the returned release func runs, any mutation panics —
 // naming the live holder count — instead of corrupting an index under
 // a concurrent probe, and Compact defers (returns false) rather than
-// moving the base arrays a reader is scanning.  Parallel evaluation
-// paths that fan a store out across worker goroutines hold a snapshot
-// for the duration of the fan-out.  Release is idempotent; every
+// moving the base arrays a reader is scanning.  View maintenance holds
+// a snapshot for the duration of a delta evaluation.  Release is
+// idempotent; every
 // acquired snapshot must be released before the next mutation.
 //
 // # Batch staging

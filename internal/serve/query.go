@@ -97,9 +97,6 @@ func (f *Front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if out.profile == nil {
 		return
 	}
-	if out.profile.Sum(func(n *obs.Profile) int64 { return n.PoolInline }) > 0 {
-		f.metrics.PoolSaturation()
-	}
 	f.metrics.AddPlannerReplans(out.profile.Sum(func(n *obs.Profile) int64 { return n.Replans }))
 	if d := f.cfg.SlowQuery; d > 0 {
 		if elapsed := time.Since(start); elapsed >= d {
@@ -148,18 +145,12 @@ func (f *Front) evalQuery(ctx context.Context, w http.ResponseWriter, key string
 		bud.WithMaxRows(f.cfg.MaxRows)
 	}
 	// Every query is profiled: the per-operator counters cost one
-	// atomic add per operator (not per row), and the pool-saturation
-	// metric needs the pool counters even when the client did not ask
-	// for the profile block.
+	// atomic add per operator (not per row), and the planner_replans
+	// metric, the slow-query log and the trace read the profile even
+	// when the client did not ask for the profile block.
 	prof := obs.NewNode("query", obs.QueryIDFromContext(ctx))
 	esp := span.StartChild("exec", "")
-	ans, err := exec.Run(v.store, cp.Compiled, bud, plan.Options{
-		Parallel:            f.cfg.Parallel,
-		MinParallelEstimate: f.cfg.MinParallelEstimate,
-		MinPartition:        f.cfg.MinPartition,
-		Prof:                prof,
-		Trace:               esp,
-	})
+	ans, err := exec.Run(v.store, cp.Compiled, bud, plan.Options{Prof: prof, Trace: esp})
 	if err != nil {
 		esp.SetStatus("error")
 		esp.SetAttr("error", err.Error())

@@ -50,7 +50,6 @@ type Config struct {
 	MaxInsertBytes int64         // /insert body cap in bytes; overflow gets 413 (0 = unlimited)
 	MaxSteps       int64         // per-query engine step budget (0 = unlimited)
 	MaxRows        int64         // per-query result row budget (0 = unlimited)
-	Parallel       int           // workers per query (0 = GOMAXPROCS, 1 = serial)
 	PlanCache      int           // parse/plan cache capacity in entries (0 = disabled)
 	Logger         *slog.Logger  // structured logger; nil = slog.Default()
 
@@ -63,12 +62,6 @@ type Config struct {
 	SlowQuery   time.Duration
 	TraceSample float64
 	TraceBuffer int
-
-	// Engine tuning passed through to plan.Options; zero keeps the
-	// planner defaults.  Tests set these to force parallel code paths
-	// on small graphs.
-	MinParallelEstimate float64
-	MinPartition        int
 }
 
 // Front is one server: the shared envelope and query lifecycle over a

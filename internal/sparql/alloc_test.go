@@ -41,7 +41,7 @@ func TestOperatorAllocationsDoNotGrowWithRows(t *testing.T) {
 		for _, q := range queries {
 			rows := 0
 			allocs := testing.AllocsPerRun(10, func() {
-				rs, ok, err := sparql.EvalRows(g, q.p, sparql.NewBudget(nil), serialOpts)
+				rs, ok, err := sparql.EvalRows(g, q.p, sparql.NewBudget(nil), sparql.EvalOptions{})
 				if err != nil || !ok {
 					t.Fatalf("%s: ok=%v err=%v", q.name, ok, err)
 				}

@@ -47,28 +47,16 @@ func BindPays(nl, nr float64) bool {
 // the probe (that row's probe degrades toward a wider scan, keeping
 // the join exact for heterogeneous masks).
 func BindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, parent *obs.Node) (*RowSet, error) {
-	return bindJoinScanPar(g, acc, t, false, b, nil, 0, parent.Child("bindjoin", t.String()))
+	return bindJoinScan(g, acc, t, false, b, parent.Child("bindjoin", t.String()))
 }
 
-// BindJoinScanPar is BindJoinScan with the accumulator's rows split
-// into morsels dispatched across a bounded worker pool: each worker
-// probes the sorted indexes for a contiguous chunk of accumulator rows
-// into a private RowSet, and the per-morsel results are merged in
-// morsel order (mergeParts).  workers counts the calling goroutine;
-// minPart is the accumulator size below which the join stays serial
-// (0 = DefaultMinPartition).  The budget is shared and atomic, so a
-// governor trip or injected fault stops every morsel within a stride
-// and the pool drains before the error returns.
-func BindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget, workers, minPart int, parent *obs.Node) (*RowSet, error) {
-	o := ParOptions{Workers: workers, MinPartition: minPart}
-	return bindJoinScanPar(g, acc, t, false, b, newPool(o.workers()-1), o.minPartition(), parent.Child("bindjoin", t.String()))
-}
-
-// bindJoinScanPar is acc ⋈ ⟦t⟧_G, or with outer set the bind left join
+// bindJoinScan is acc ⋈ ⟦t⟧_G, or with outer set the bind left join
 // acc ⟕ ⟦t⟧_G: a row whose probe finds no compatible match is kept
-// alone.  It records into node itself, so repeated bind joins of one
-// stage can share a profile node.
-func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, outer bool, b *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
+// alone — at once when the output appends, and after the joined rows
+// otherwise, outside the membership table they need (as in LeftJoinB).
+// It records into node itself, so repeated bind joins of one stage can
+// share a profile node.
+func bindJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, outer bool, b *Budget, node *obs.Node) (*RowSet, error) {
 	return evalInstrumented(node, b, func() (*RowSet, error) {
 		node.AddRowsIn(int64(acc.Len()))
 		ts, ok := resolveTriple(t, acc.Schema, g.Dict())
@@ -80,89 +68,66 @@ func bindJoinScanPar(g rdf.Store, acc *RowSet, t TriplePattern, outer bool, b *B
 			}
 			return acc.like(0), nil
 		}
-		if acc.Len() < minPart {
-			po = nil
-		}
 		// ⟦t⟧_G has one domain and no two equal rows (see scan), so when
 		// the accumulator has one domain too the join appends (see
-		// joinParB); the rows a left join keeps alone are distinct left
+		// JoinB); the rows a left join keeps alone are distinct left
 		// rows compatible with no match, so they repeat no joined row
-		// (see leftJoinParB).
+		// (see LeftJoinB).
 		distinct := acc.uniform()
-		parts, err := parChunks(po, acc.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-			part := acc.like(hi - lo)
-			if err := bindProbeRange(g, acc, &ts, lo, hi, part, outer, distinct, b, node); err != nil {
+		out := acc.like(acc.Len())
+		l := b.lease()
+		defer l.release()
+		// One probe buffer and one match callback serve every row.
+		var (
+			vals      [3]rdf.ID
+			probe     [3]*rdf.ID
+			row       []rdf.ID
+			rowMask   uint64
+			matched   bool
+			unmatched []int32
+			err       error
+		)
+		match := func(tr rdf.IDTriple) bool {
+			if err = l.step(); err != nil {
+				return false
+			}
+			dst := out.next()
+			copy(dst, row)
+			if mask, ok := ts.bindTriple(dst, tr, rowMask); ok {
+				matched = true
+				err = out.emit(mask, distinct, b)
+			}
+			return err == nil
+		}
+		for i := 0; i < acc.Len(); i++ {
+			row, rowMask = acc.RowIDs(i), acc.Mask(i)
+			ts.bindProbe(row, rowMask, &vals, &probe)
+			if err = l.step(); err != nil {
 				return nil, err
 			}
-			return part, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return mergeParts(parts, distinct, po, b, node)
-	})
-}
-
-// bindProbeRange probes the sorted indexes for accumulator rows
-// [lo, hi), appending the join output to out — the per-morsel work of
-// the bind join, shared by the serial and parallel paths.  With outer
-// set, a row no match extends is appended alone: at once when out
-// appends, and after the joined rows otherwise, outside the membership
-// table they need (as in leftJoinParB).  out is private to the caller;
-// the budget and profile node are shared and atomic.
-func bindProbeRange(g rdf.Store, acc *RowSet, ts *tripleSlots, lo, hi int, out *RowSet, outer, distinct bool, b *Budget, node *obs.Node) error {
-	l := b.lease()
-	defer l.release()
-	// One probe buffer and one match callback serve every row.
-	var (
-		vals      [3]rdf.ID
-		probe     [3]*rdf.ID
-		row       []rdf.ID
-		rowMask   uint64
-		matched   bool
-		unmatched []int32
-		err       error
-	)
-	match := func(tr rdf.IDTriple) bool {
-		if err = l.step(); err != nil {
-			return false
-		}
-		dst := out.next()
-		copy(dst, row)
-		if mask, ok := ts.bindTriple(dst, tr, rowMask); ok {
-			matched = true
-			err = out.emit(mask, distinct, b)
-		}
-		return err == nil
-	}
-	for i := lo; i < hi; i++ {
-		row, rowMask = acc.RowIDs(i), acc.Mask(i)
-		ts.bindProbe(row, rowMask, &vals, &probe)
-		if err = l.step(); err != nil {
-			return err
-		}
-		node.AddRangeScans(1)
-		node.AddBindProbes(1)
-		matched = false
-		if g.MatchIDs(probe[0], probe[1], probe[2], match); err != nil {
-			return err
-		}
-		switch {
-		case !outer || matched:
-		case distinct:
-			if err = out.pushCharged(row, rowMask, b); err != nil {
-				return err
+			node.AddRangeScans(1)
+			node.AddBindProbes(1)
+			matched = false
+			if g.MatchIDs(probe[0], probe[1], probe[2], match); err != nil {
+				return nil, err
 			}
-		default:
-			unmatched = append(unmatched, int32(i))
+			switch {
+			case !outer || matched:
+			case distinct:
+				if err = out.pushCharged(row, rowMask, b); err != nil {
+					return nil, err
+				}
+			default:
+				unmatched = append(unmatched, int32(i))
+			}
 		}
-	}
-	for _, i := range unmatched {
-		if err = out.pushCharged(acc.RowIDs(int(i)), acc.Mask(int(i)), b); err != nil {
-			return err
+		for _, i := range unmatched {
+			if err = out.pushCharged(acc.RowIDs(int(i)), acc.Mask(int(i)), b); err != nil {
+				return nil, err
+			}
 		}
-	}
-	return nil
+		return out, nil
+	})
 }
 
 // bindProbe fills probe with t's index probe for one row of mask: a

@@ -36,16 +36,17 @@ import (
 //
 // # Memory-ordering contract
 //
-// One Budget governs every worker of a parallel evaluation, so the
-// accounting state is shared.  The contract is:
+// An evaluation charges its Budget from one goroutine, but a Budget may
+// be shared by several goroutines, so the accounting state is safe for
+// concurrent use.  The contract is:
 //
 //   - Configuration (NewBudget, WithMaxSteps, WithMaxRows, WithMaxBytes,
 //     WithStride, InjectFault) must complete before evaluation starts.
 //     The limits, the context, and the fault hook are plain fields read
-//     without synchronization by the hot path; publishing them to the
-//     workers happens-before the workers run because the pool spawns
-//     its goroutines after configuration (Go's go-statement ordering).
-//     Configuring a Budget concurrently with Step is a data race.
+//     without synchronization by the hot path; a goroutine that charges
+//     the budget must be started after configuration (Go's go-statement
+//     ordering).  Configuring a Budget concurrently with Step is a data
+//     race.
 //   - The counters (steps, rows, bytes) and the checkpoint are atomics.
 //     Charging is an atomic add; readers (Steps, the checkpoint
 //     comparison) see snapshots.  Counts are exact — no charge is
@@ -148,9 +149,8 @@ type budgetErr struct{ err error }
 // accounting (every method on a nil receiver returns nil), so legacy
 // entry points simply pass nil.
 //
-// A single Budget may be shared by all workers of one parallel
-// evaluation (see the memory-ordering contract above); sharing one
-// Budget across *different* queries is not supported.
+// A Budget governs one query (see the memory-ordering contract above);
+// sharing one Budget across *different* queries is not supported.
 type Budget struct {
 	ctx      context.Context // nil: never canceled
 	maxSteps int64           // 0: unlimited

@@ -188,7 +188,7 @@ func (bogusPattern) isPattern()     {}
 
 // TestUnknownPatternIsTypedError: an unsupported pattern node in a plan
 // must surface as ErrUnsupportedPattern through the row engine —
-// serial, parallel and capped — and the string algebra instead of
+// uncapped and capped — and the string algebra instead of
 // panicking (the old behavior crashed the caller, lock held and all).
 // The row engine is driven below EvalRows, whose schema is built from
 // var(P) and so panics on such a node first, like Eval.
@@ -202,9 +202,9 @@ func TestUnknownPatternIsTypedError(t *testing.T) {
 	var up ErrUnsupportedPattern
 	nested := And{L: TP(V("X"), I("p"), I("b")), R: bogusPattern{}}
 	for _, p := range []Pattern{bogusPattern{}, nested} {
-		for _, o := range []ParOptions{{Workers: 1}, {Workers: 4, MinPartition: 1}, {Workers: 1, Cap: 1}} {
-			if _, err := newEvaluator(g, sc, nil, o).evalCap(p, o.Cap, nil); !errors.As(err, &up) {
-				t.Fatalf("row engine (%s, %+v): %v, want ErrUnsupportedPattern", p, o, err)
+		for _, k := range []int{0, 1} {
+			if _, err := newEvaluator(g, sc, nil).evalCap(p, k, nil); !errors.As(err, &up) {
+				t.Fatalf("row engine (%s, cap %d): %v, want ErrUnsupportedPattern", p, k, err)
 			}
 		}
 		if _, err := EvalBudget(g, p, nil); !errors.As(err, &up) {

@@ -51,38 +51,28 @@ func randomChain(rng *rand.Rand) sparql.Pattern {
 }
 
 // TestNoOperatorOutputHoldsARowTwice: RandomPattern × RandomGraph over
-// the five fragments, plus random chains, 300 seeds each, on the six
-// execution paths — serial tree, serial tree bind-joining every triple
-// right operand, static parallel tree with every partitioned operator
-// forced, serial adaptive chain, staged chain, capped run —
-// with the duplicate check on every operator output and the answer
-// held to the reference evaluator.
+// the five fragments, plus random chains, 300 seeds each, on the four
+// execution paths — tree, tree bind-joining every triple right
+// operand, adaptive chain, capped run — with the duplicate check on
+// every operator output and the answer held to the reference
+// evaluator.
 func TestNoOperatorOutputHoldsARowTwice(t *testing.T) {
 	seen := watchOperators(t)
-	forcePar := plan.Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 1}
 	paths := []struct {
 		name string
 		eval func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error)
 	}{
-		{"serial tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rs, _, err := sparql.EvalRows(g, p, nil, serialOpts)
+		{"tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
+			rs, _, err := sparql.EvalRows(g, p, nil, sparql.EvalOptions{})
 			return rs.MappingSet(g.Dict()), err
 		}},
 		{"tree bind", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
 			defer sparql.SetBindAlways()()
-			rs, _, err := sparql.EvalRows(g, p, nil, serialOpts)
-			return rs.MappingSet(g.Dict()), err
-		}},
-		{"static parallel tree", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rs, _, err := sparql.EvalRows(g, p, nil, parTestOpts)
+			rs, _, err := sparql.EvalRows(g, p, nil, sparql.EvalOptions{})
 			return rs.MappingSet(g.Dict()), err
 		}},
 		{"adaptive chain", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rows, err := plan.Run(g, plan.Prepare(g, p), nil, plan.Options{Parallel: 1})
-			return rows.MappingSet(), err
-		}},
-		{"staged chain", func(g *rdf.Graph, p sparql.Pattern) (*sparql.MappingSet, error) {
-			rows, err := plan.Run(g, plan.Prepare(g, p), nil, forcePar)
+			rows, err := plan.Run(g, plan.Prepare(g, p), nil, plan.Options{})
 			return rows.MappingSet(), err
 		}},
 		// A cap no answer reaches: every morsel and window of the
@@ -194,8 +184,7 @@ func TestRowAlgebraOutputsAreSets(t *testing.T) {
 }
 
 // TestBindJoinOverMixedDomains: a random UNION/OPT prefix bind-joined
-// with a random triple pattern, serial and in morsels, is a set and
-// equals the hash join.
+// with a random triple pattern is a set and equals the hash join.
 func TestBindJoinOverMixedDomains(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -215,18 +204,16 @@ func TestBindJoinOverMixedDomains(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := acc.Join(scan)
-		for _, workers := range []int{1, 4} {
-			got, err := sparql.BindJoinScanPar(g, acc, probe, nil, workers, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dup, found := got.Duplicate(); found {
-				t.Fatalf("seed %d, %d workers: %s\nacc: %s\nprobe: %s", seed, workers, dup, accPat, probe)
-			}
-			if got.Len() != want.Len() || !got.MappingSet(g.Dict()).Equal(want.MappingSet(g.Dict())) {
-				t.Fatalf("seed %d, %d workers: bind join %v, hash join %v\nacc: %s\nprobe: %s",
-					seed, workers, got.MappingSet(g.Dict()), want.MappingSet(g.Dict()), accPat, probe)
-			}
+		got, err := sparql.BindJoinScan(g, acc, probe, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dup, found := got.Duplicate(); found {
+			t.Fatalf("seed %d: %s\nacc: %s\nprobe: %s", seed, dup, accPat, probe)
+		}
+		if got.Len() != want.Len() || !got.MappingSet(g.Dict()).Equal(want.MappingSet(g.Dict())) {
+			t.Fatalf("seed %d: bind join %v, hash join %v\nacc: %s\nprobe: %s",
+				seed, got.MappingSet(g.Dict()), want.MappingSet(g.Dict()), accPat, probe)
 		}
 	}
 }
@@ -288,14 +275,12 @@ func TestOperatorsThatMustStillDeduplicate(t *testing.T) {
 	g := rdf.FromTriples(rdf.T("a", "p", "b"), rdf.T("a", "p", "c"))
 	acc := rowsOf(t, g.Dict(), M{"x": "a"}, M{"x": "a", "y": "b"})
 	probe := sparql.TriplePattern{S: sparql.V("x"), P: sparql.I("p"), O: sparql.V("y")}
-	for _, workers := range []int{1, 4} {
-		bj, err := sparql.BindJoinScanPar(g, acc, probe, nil, workers, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dup, found := bj.Duplicate(); found || bj.Len() != 2 {
-			t.Errorf("heterogeneous bind join, %d workers: %d rows, %s", workers, bj.Len(), dup)
-		}
+	bj, err := sparql.BindJoinScan(g, acc, probe, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup, found := bj.Duplicate(); found || bj.Len() != 2 {
+		t.Errorf("heterogeneous bind join: %d rows, %s", bj.Len(), dup)
 	}
 
 	// UNION of overlapping masks: the shared row once.

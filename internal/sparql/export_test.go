@@ -7,20 +7,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// Test-only exports: the differential tests need to force the sharded
-// NS implementation on inputs far below DefaultMinPartition, the
-// distinctness suite needs to see every operator's output, and the
-// bind-join tests evaluate operands under a shared schema and force the
-// tree evaluator's bind paths.
-
-// MaximalParMin is MaximalParB with a tunable partition threshold.
-func (s *RowSet) MaximalParMin(bud *Budget, workers, minPart int) (*RowSet, error) {
-	return s.maximalParB(bud, newPool(workers-1), minPart, nil)
-}
+// Test-only exports: the distinctness suite needs to see every
+// operator's output, and the bind-join tests evaluate operands under a
+// shared schema and force the tree evaluator's bind paths.
 
 // SetRowCheck installs f as the hook the evaluators call with every
-// operator's output (on whichever goroutine produced it) and returns
-// the function that removes it.
+// operator's output and returns the function that removes it.
 func SetRowCheck(f func(*RowSet)) (restore func()) {
 	checkRows = f
 	return func() { checkRows = nil }
@@ -51,9 +43,9 @@ func (s *RowSet) Duplicate() (string, bool) {
 func (s *RowSet) TableBuilt() bool { return s.table != nil }
 
 // EvalPatternRows evaluates one sub-pattern under an existing
-// query-wide schema on the serial engine; sc must cover var(p).
+// query-wide schema; sc must cover var(p).
 func EvalPatternRows(g rdf.Store, p Pattern, sc *VarSchema) (*RowSet, error) {
-	return newEvaluator(g, sc, nil, ParOptions{Workers: 1}).eval(p, nil)
+	return newEvaluator(g, sc, nil).eval(p, nil)
 }
 
 // Push appends a row with no membership check, as the operators do
@@ -68,7 +60,7 @@ func SetBindAlways() (restore func()) {
 	return func() { bindAlways = false }
 }
 
-// BindLeftJoinScan is the bind left join acc ⟕ ⟦t⟧_G on one worker.
+// BindLeftJoinScan is the bind left join acc ⟕ ⟦t⟧_G.
 func BindLeftJoinScan(g rdf.Store, acc *RowSet, t TriplePattern, b *Budget) (*RowSet, error) {
-	return bindJoinScanPar(g, acc, t, true, b, nil, 0, nil)
+	return bindJoinScan(g, acc, t, true, b, nil)
 }

@@ -67,7 +67,7 @@ func checkCapped(t *testing.T, got, want *sparql.MappingSet, k int, what string)
 }
 
 // TestCappedEvalRowsFaultInjection is the harness property test for
-// capped runs (ParOptions.Cap, the row engine under ASK and LIMIT):
+// capped runs (EvalOptions.Cap, the row engine under ASK and LIMIT):
 // with no fault armed, a governed capped run returns min(k, |⟦P⟧|)
 // answers; with a fault armed at every reachable step count, it (a)
 // surfaces exactly the injected error, (b) returns no partial result,
@@ -80,7 +80,7 @@ func TestCappedEvalRowsFaultInjection(t *testing.T) {
 			for trial := 0; trial < 12; trial++ {
 				g := workload.RandomGraph(rng, 2+rng.Intn(20), nil)
 				p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3, Ops: fc.ops})
-				o := sparql.ParOptions{Workers: 1, Cap: 1 + rng.Intn(3)}
+				o := sparql.EvalOptions{Cap: 1 + rng.Intn(3)}
 				want := sparql.Eval(g, p)
 
 				// No fault: a governed capped run keeps the contract.
@@ -136,7 +136,7 @@ func TestEvalRowsFaultInjection(t *testing.T) {
 		want := sparql.Eval(g, p)
 
 		b := sparql.NewBudget(context.Background())
-		rs, ok, err := sparql.EvalRows(g, p, b, serialOpts)
+		rs, ok, err := sparql.EvalRows(g, p, b, sparql.EvalOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: governed eval failed without fault: %v", trial, err)
 		}
@@ -152,7 +152,7 @@ func TestEvalRowsFaultInjection(t *testing.T) {
 		for _, n := range injectionPoints(total, 24) {
 			b2 := sparql.NewBudget(nil)
 			b2.InjectFault(n, errInjected)
-			rs2, _, err := sparql.EvalRows(g, p, b2, serialOpts)
+			rs2, _, err := sparql.EvalRows(g, p, b2, sparql.EvalOptions{})
 			if err == nil {
 				// Step totals are only deterministic up to iteration
 				// order (DiffB stops probing early), so a run may come in
@@ -245,7 +245,7 @@ func TestDeadlineStopsSearch(t *testing.T) {
 	defer cancel()
 	b := sparql.NewBudget(ctx)
 	start := time.Now()
-	_, _, err := sparql.EvalRows(g, p, b, sparql.ParOptions{Workers: 1, Cap: 1})
+	_, _, err := sparql.EvalRows(g, p, b, sparql.EvalOptions{Cap: 1})
 	elapsed := time.Since(start)
 	if !errors.Is(err, sparql.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled/DeadlineExceeded", err)

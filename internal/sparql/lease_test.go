@@ -56,26 +56,20 @@ func leaseQueries() []sparql.Pattern {
 	}
 }
 
-// leasePaths are the evaluators the lease tests run on; all but the
-// last are serial, where every count is exact.
+// leasePaths are the evaluators the lease tests run on.
 var leasePaths = []struct {
-	name   string
-	serial bool
-	eval   func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error)
+	name string
+	eval func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error)
 }{
-	{"serial tree", true, func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
-		rs, _, err := sparql.EvalRows(g, p, b, serialOpts)
+	{"tree", func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
+		rs, _, err := sparql.EvalRows(g, p, b, sparql.EvalOptions{})
 		if err != nil {
 			return 0, err
 		}
 		return rs.Len(), nil
 	}},
-	{"planned, one worker", true, func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
-		rows, err := plan.Run(g, plan.Prepare(g, p), b, plan.Options{Parallel: 1})
-		return rows.Len(), err
-	}},
-	{"planned, four workers", false, func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
-		rows, err := plan.Run(g, plan.Prepare(g, p), b, plan.Options{Parallel: 4, MinParallelEstimate: -1, MinPartition: 64})
+	{"planned", func(g *rdf.Graph, p sparql.Pattern, b *sparql.Budget) (int, error) {
+		rows, err := plan.Run(g, plan.Prepare(g, p), b, plan.Options{})
 		return rows.Len(), err
 	}},
 }
@@ -84,9 +78,7 @@ var leasePaths = []struct {
 // are the steps the evaluation took, nothing stranded in a lease — the
 // totals under the default stride (leases of 64) equal the totals with
 // stride 1, where every step is its own checkpoint and no lease is
-// ever granted.  The parallel path takes the same steps on these
-// queries (single-domain joins: partitions are concatenated), so its
-// totals agree too.
+// ever granted.
 func TestLeasesAreReturned(t *testing.T) {
 	g := workload.University(workload.UniversityOpts{People: 600, OptionalPct: 50, FoundersPct: 10, Seed: 11})
 	for qi, p := range leaseQueries() {
@@ -114,12 +106,10 @@ func TestLeasesAreReturned(t *testing.T) {
 	}
 }
 
-// TestLeasedLimitsFireExactly: on the serial paths, a step limit m
-// stops the evaluation with the counter at exactly m+1 and an injected
-// fault at n with the counter at exactly n, at every point of a sweep
-// over the whole evaluation and under the default stride; on the
-// parallel path the right error surfaces (the counter then reads
-// whatever the unwinding workers' returned leases leave).
+// TestLeasedLimitsFireExactly: a step limit m stops the evaluation
+// with the counter at exactly m+1 and an injected fault at n with the
+// counter at exactly n, at every point of a sweep over the whole
+// evaluation and under the default stride.
 func TestLeasedLimitsFireExactly(t *testing.T) {
 	g := workload.University(workload.UniversityOpts{People: 150, OptionalPct: 50, FoundersPct: 10, Seed: 12})
 	for qi, p := range leaseQueries() {
@@ -136,7 +126,7 @@ func TestLeasedLimitsFireExactly(t *testing.T) {
 				if _, err := path.eval(g, p, b); !errors.Is(err, errInjected) {
 					t.Fatalf("query %d, %s, fault@%d/%d: err = %v", qi, path.name, n, total, err)
 				}
-				if got, want := b.Steps(), max(n, 1); got != want && path.serial {
+				if got, want := b.Steps(), max(n, 1); got != want {
 					t.Fatalf("query %d, %s, fault@%d/%d: fired with the counter at %d", qi, path.name, n, total, got)
 				}
 				if n == 0 || n == total {
@@ -148,13 +138,13 @@ func TestLeasedLimitsFireExactly(t *testing.T) {
 				if !errors.As(err, &be) || be.Kind != sparql.BudgetSteps {
 					t.Fatalf("query %d, %s, max-steps %d/%d: err = %v", qi, path.name, n, total, err)
 				}
-				if got := b.Steps(); got != n+1 && path.serial {
+				if got := b.Steps(); got != n+1 {
 					t.Fatalf("query %d, %s, max-steps %d/%d: stopped with the counter at %d", qi, path.name, n, total, got)
 				}
 			}
 			// One step more than the evaluation takes is enough.
 			b := sparql.NewBudget(context.Background()).WithMaxSteps(total)
-			if rows, err := path.eval(g, p, b); path.serial && (err != nil || rows != wantRows) {
+			if rows, err := path.eval(g, p, b); err != nil || rows != wantRows {
 				t.Fatalf("query %d, %s, max-steps = total %d: %d rows, %v", qi, path.name, total, rows, err)
 			}
 		}
@@ -180,8 +170,8 @@ func (c *flipContext) Deadline() (time.Time, bool) { return time.Time{}, false }
 
 // TestLeasedCancellationWithinOneStride: NewBudget polls the context
 // once and every checkpoint once more, so a context that dies after
-// its k-th poll is noticed at the (k+1)-th — on a serial path at
-// exactly k strides of work, leases or not.
+// its k-th poll is noticed at the (k+1)-th — at exactly k strides of
+// work, leases or not.
 func TestLeasedCancellationWithinOneStride(t *testing.T) {
 	g := workload.University(workload.UniversityOpts{People: 1200, OptionalPct: 50, FoundersPct: 10, Seed: 13})
 	const stride = 256
@@ -194,7 +184,7 @@ func TestLeasedCancellationWithinOneStride(t *testing.T) {
 				if !errors.Is(err, sparql.ErrCanceled) || !errors.Is(err, context.Canceled) {
 					t.Fatalf("query %d, %s: err = %v (%d steps)", qi, path.name, err, b.Steps())
 				}
-				if got := b.Steps(); got != k*stride && path.serial {
+				if got := b.Steps(); got != k*stride {
 					t.Fatalf("query %d, %s: canceled after poll %d, noticed with the counter at %d, want %d",
 						qi, path.name, k, got, k*stride)
 				}

@@ -176,7 +176,7 @@ func (e *evaluator) tryMergeScanJoin(lp, rp Pattern, node *obs.Node, outer bool)
 // appends the compatible pairs to out; with outer set, left rows with
 // no compatible partner are appended alone (the Diff half of ⟕).  Both
 // sides have one domain, so no two output rows are equal (see
-// joinParB and leftJoinParB).  Returns the number of aligned runs
+// JoinB and LeftJoinB).  Returns the number of aligned runs
 // (both sides non-empty at the key).
 func mergeJoinRuns(l, r *RowSet, lead int, outer bool, b *Budget, out *RowSet) (int64, error) {
 	w := l.Schema.Len()

@@ -25,7 +25,7 @@ func withMergeJoin(enabled bool, fn func()) {
 // TestMergeJoinAgreesWithHashJoinQuick: on random patterns × random
 // graphs per fragment, the row engine with the merge fast path enabled,
 // the row engine with it disabled (pure hash join), and the string
-// reference evaluator all produce the same answer set.
+// reference evaluator all produce the same answers, every row once.
 func TestMergeJoinAgreesWithHashJoinQuick(t *testing.T) {
 	for _, fc := range fragmentCases() {
 		fc := fc
@@ -38,27 +38,15 @@ func TestMergeJoinAgreesWithHashJoinQuick(t *testing.T) {
 					p = sparql.NS{P: p}
 				}
 				want := sparql.Eval(g, p)
-				var merged, hashed *sparql.MappingSet
-				withMergeJoin(true, func() { merged = rowEngine(t, g, p) })
-				withMergeJoin(false, func() { hashed = rowEngine(t, g, p) })
-				if !merged.Equal(want) {
-					t.Fatalf("trial %d: merge-enabled engine diverges from reference on\n%s\ngot: %v\nwant:%v",
-						trial, p, merged, want)
+				var merged, hashed *sparql.RowSet
+				withMergeJoin(true, func() { merged = evalRows(t, g, p) })
+				withMergeJoin(false, func() { hashed = evalRows(t, g, p) })
+				if d := sameRowMultiset(merged, g.Dict(), want); d != nil {
+					t.Fatalf("trial %d: merge-enabled engine diverges from reference on\n%s\n%s", trial, p, d)
 				}
-				if !hashed.Equal(want) {
-					t.Fatalf("trial %d: merge-disabled engine diverges from reference on\n%s",
-						trial, p)
+				if d := sameRowMultiset(hashed, g.Dict(), want); d != nil {
+					t.Fatalf("trial %d: merge-disabled engine diverges from reference on\n%s\n%s", trial, p, d)
 				}
-				// Parallel engine with the fast path enabled.
-				withMergeJoin(true, func() {
-					rs, ok, err := sparql.EvalRows(g, p, nil, sparql.ParOptions{Workers: 4})
-					if err != nil || !ok {
-						t.Fatalf("trial %d: parallel engine: ok=%t err=%v", trial, ok, err)
-					}
-					if got := rs.MappingSet(g.Dict()); !got.Equal(want) {
-						t.Fatalf("trial %d: parallel merge-enabled engine diverges on\n%s", trial, p)
-					}
-				})
 			}
 		})
 	}
@@ -96,7 +84,7 @@ func TestMergeJoinTakesFastPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sparql.Eval(g, tc.p)
 			prof := obs.NewNode("query", "")
-			rs, ok, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
+			rs, ok, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.EvalOptions{Prof: prof})
 			if err != nil || !ok {
 				t.Fatalf("eval: ok=%v err=%v", ok, err)
 			}
@@ -140,7 +128,7 @@ func TestMergeJoinIneligibleShapesFallBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sparql.Eval(g, tc.p)
 			prof := obs.NewNode("query", "")
-			rs, ok, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
+			rs, ok, err := sparql.EvalRows(g, tc.p, sparql.NewBudget(context.Background()), sparql.EvalOptions{Prof: prof})
 			if err != nil || !ok {
 				t.Fatalf("eval: ok=%v err=%v", ok, err)
 			}
@@ -210,7 +198,7 @@ func TestMergeJoinFaultInjection(t *testing.T) {
 	} {
 		want := sparql.Eval(g, p)
 		b := sparql.NewBudget(context.Background())
-		rs, ok, err := sparql.EvalRows(g, p, b, serialOpts)
+		rs, ok, err := sparql.EvalRows(g, p, b, sparql.EvalOptions{})
 		if err != nil || !ok {
 			t.Fatalf("governed merge eval failed without fault: ok=%v err=%v", ok, err)
 		}
@@ -221,7 +209,7 @@ func TestMergeJoinFaultInjection(t *testing.T) {
 		for _, n := range injectionPoints(total, 32) {
 			b2 := sparql.NewBudget(nil)
 			b2.InjectFault(n, errInjected)
-			rs2, ok2, err := sparql.EvalRows(g, p, b2, serialOpts)
+			rs2, ok2, err := sparql.EvalRows(g, p, b2, sparql.EvalOptions{})
 			if err == nil {
 				if !ok2 || !rs2.MappingSet(g.Dict()).Equal(want) {
 					t.Fatalf("fault@%d/%d: completed with wrong answers", n, total)

@@ -136,7 +136,7 @@ func TestProfileDifferentialSerial(t *testing.T) {
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
 				prof := obs.NewNode("query", "")
-				rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
+				rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.EvalOptions{Prof: prof})
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
@@ -159,11 +159,10 @@ func TestProfileDifferentialSerial(t *testing.T) {
 	}
 }
 
-// TestProfileDifferentialParallel is the same property under the
-// parallel engine with every fan-out path forced (four workers,
-// partition threshold one): the row counters must be schedule
-// independent, and the pre-created child nodes must keep the profile
-// tree congruent to the pattern tree.
+// TestProfileDifferentialParallel is the same property for evaluations
+// of one query running in parallel over one graph, each under its own
+// profile and budget: every profile must be exactly the one the query
+// gets alone, so no counter of one query lands on another's tree.
 func TestProfileDifferentialParallel(t *testing.T) {
 	for _, fc := range fragmentCases() {
 		fc := fc
@@ -172,23 +171,35 @@ func TestProfileDifferentialParallel(t *testing.T) {
 			binds := 0
 			for trial := 0; trial < 100; trial++ {
 				g, p := profileTrial(rng, fc.ops, fc.ns)
-				prof := obs.NewNode("query", "")
-				opts := sparql.ParOptions{Workers: 4, MinPartition: 1, Prof: prof}
-				rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), opts)
-				if err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
+				want := sparql.Eval(g, p)
+				profs := make([]*obs.Node, parallelRuns)
+				oks := make([]bool, parallelRuns)
+				diffs := make([]error, parallelRuns)
+				inParallel(parallelRuns, func(i int) {
+					profs[i] = obs.NewNode("query", "")
+					o := sparql.EvalOptions{Prof: profs[i]}
+					rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), o)
+					switch {
+					case err != nil:
+						diffs[i] = err
+					case ok:
+						oks[i] = true
+						diffs[i] = sameRowMultiset(rs, g.Dict(), want)
+					}
+				})
+				for i, prof := range profs {
+					if diffs[i] != nil {
+						t.Fatalf("trial %d, run %d: profiled eval diverges on\n%s\n%s", trial, i, p, diffs[i])
+					}
+					if !oks[i] {
+						continue // schema too wide for the row engine
+					}
+					snap := prof.Snapshot()
+					if len(snap.Children) != 1 {
+						t.Fatalf("trial %d, run %d: root has %d children, want 1", trial, i, len(snap.Children))
+					}
+					binds += checkProfileNode(t, g, p, snap.Children[0])
 				}
-				if !ok {
-					continue
-				}
-				if want := sparql.Eval(g, p); !rs.MappingSet(g.Dict()).Equal(want) {
-					t.Fatalf("trial %d: profiled parallel eval diverges on\n%s", trial, p)
-				}
-				snap := prof.Snapshot()
-				if len(snap.Children) != 1 {
-					t.Fatalf("trial %d: root has %d children, want 1", trial, len(snap.Children))
-				}
-				binds += checkProfileNode(t, g, p, snap.Children[0])
 			}
 			if binds == 0 {
 				t.Error("no trial bind-joined: the bind node went unchecked")
@@ -210,7 +221,7 @@ func TestProfileDedupHits(t *testing.T) {
 	tp := sparql.TriplePattern{S: sparql.V("x"), P: sparql.I("p"), O: sparql.V("y")}
 	p := sparql.Union{L: tp, R: tp}
 	prof := obs.NewNode("query", "")
-	rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.ParOptions{Workers: 1, Prof: prof})
+	rs, ok, err := sparql.EvalRows(g, p, sparql.NewBudget(context.Background()), sparql.EvalOptions{Prof: prof})
 	if err != nil || !ok {
 		t.Fatalf("eval: ok=%v err=%v", ok, err)
 	}

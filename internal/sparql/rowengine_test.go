@@ -68,28 +68,33 @@ func popcount64(m uint64) int {
 // Maximal agrees with both string NS algorithms (naive pairwise and
 // domain-bucketed) on random mapping sets with heterogeneous domains.
 func TestRowMaximalAgreesWithStringQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	vars := []sparql.Var{"A", "B", "C", "D"}
 	sc, _ := sparql.NewVarSchema(vars)
-	for trial := 0; trial < 300; trial++ {
-		ms := sparql.NewMappingSet()
-		for i, n := 0, rng.Intn(40); i < n; i++ {
-			ms.Add(randomMapping(rng, vars, workload.DefaultIRIs))
-		}
-		c := sparql.Codec{Schema: sc, Dict: rdf.NewDict()}
-		rs, ok := sparql.EncodeMappingSet(ms, c)
-		if !ok {
-			t.Fatal("encode failed")
-		}
-		want := ms.MaximalNaive()
-		if got := rs.Maximal().MappingSet(c.Dict); !got.Equal(want) {
-			t.Fatalf("row Maximal != string MaximalNaive\nin:  %v\ngot: %v\nwant:%v", ms, got, want)
-		}
-		if got := rs.MaximalNaive().MappingSet(c.Dict); !got.Equal(want) {
-			t.Fatalf("row MaximalNaive != string MaximalNaive on %v", ms)
-		}
-		if got := ms.MaximalBucketed(); !got.Equal(want) {
-			t.Fatalf("string MaximalBucketed != MaximalNaive on %v", ms)
+	for _, gen := range []struct {
+		seed    int64
+		maxRows int
+	}{{7, 40}, {31, 60}} {
+		rng := rand.New(rand.NewSource(gen.seed))
+		for trial := 0; trial < 300; trial++ {
+			ms := sparql.NewMappingSet()
+			for i, n := 0, rng.Intn(gen.maxRows); i < n; i++ {
+				ms.Add(randomMapping(rng, vars, workload.DefaultIRIs))
+			}
+			c := sparql.Codec{Schema: sc, Dict: rdf.NewDict()}
+			rs, ok := sparql.EncodeMappingSet(ms, c)
+			if !ok {
+				t.Fatal("encode failed")
+			}
+			want := ms.MaximalNaive()
+			if err := sameRowMultiset(rs.Maximal(), c.Dict, want); err != nil {
+				t.Fatalf("row Maximal != string MaximalNaive\nin:  %v\n%v", ms, err)
+			}
+			if got := rs.MaximalNaive().MappingSet(c.Dict); !got.Equal(want) {
+				t.Fatalf("row MaximalNaive != string MaximalNaive on %v", ms)
+			}
+			if got := ms.MaximalBucketed(); !got.Equal(want) {
+				t.Fatalf("string MaximalBucketed != MaximalNaive on %v", ms)
+			}
 		}
 	}
 }
@@ -154,22 +159,40 @@ func fragmentCases() []struct {
 	}
 }
 
-// serialOpts runs the row engine on one worker: the serial evaluator.
-var serialOpts = sparql.ParOptions{Workers: 1}
-
-// rowEngine evaluates p on the serial row engine and decodes the answer.
-func rowEngine(t testing.TB, g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
+// evalRows evaluates p on the row engine, failing the test when it
+// cannot.
+func evalRows(t testing.TB, g rdf.Store, p sparql.Pattern) *sparql.RowSet {
 	t.Helper()
-	rs, ok, err := sparql.EvalRows(g, p, nil, serialOpts)
+	rs, ok, err := sparql.EvalRows(g, p, nil, sparql.EvalOptions{})
 	if err != nil || !ok {
 		t.Fatalf("row engine on %s: ok=%t err=%v", p, ok, err)
 	}
-	return rs.MappingSet(g.Dict())
+	return rs
+}
+
+// rowEngine evaluates p on the row engine and decodes the answer.
+func rowEngine(t testing.TB, g rdf.Store, p sparql.Pattern) *sparql.MappingSet {
+	t.Helper()
+	return evalRows(t, g, p).MappingSet(g.Dict())
+}
+
+// fragmentPattern draws one random pattern of a fragment case: the
+// generator the differential suites share.
+func fragmentPattern(rng *rand.Rand, ops []sparql.Op, ns string) sparql.Pattern {
+	p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3, Ops: ops})
+	switch ns {
+	case "wrap": // SP: a single subsumption-maximal block
+		p = sparql.NS{P: p}
+	case "union": // USP: union of NS blocks
+		q := workload.RandomPattern(rng, workload.PatternOpts{Depth: 2, Ops: ops})
+		p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
+	}
+	return p
 }
 
 // TestEvalRowsAgreesWithEvalQuick is the differential property test of
-// the tentpole: on random patterns × random graphs, the row engine and
-// the string reference evaluator produce the same answer set, per
+// the row engine: on random patterns × random graphs, its rows are the
+// string reference evaluator's answers, each exactly once, per
 // fragment.
 func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 	for _, fc := range fragmentCases() {
@@ -178,19 +201,9 @@ func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 			rng := rand.New(rand.NewSource(1234))
 			for trial := 0; trial < 150; trial++ {
 				g := workload.RandomGraph(rng, 2+rng.Intn(30), nil)
-				p := workload.RandomPattern(rng, workload.PatternOpts{Depth: 3, Ops: fc.ops})
-				switch fc.ns {
-				case "wrap": // SP: a single subsumption-maximal block
-					p = sparql.NS{P: p}
-				case "union": // USP: union of NS blocks
-					q := workload.RandomPattern(rng, workload.PatternOpts{Depth: 2, Ops: fc.ops})
-					p = sparql.Union{L: sparql.NS{P: p}, R: sparql.NS{P: q}}
-				}
-				want := sparql.Eval(g, p)
-				got := rowEngine(t, g, p)
-				if !got.Equal(want) {
-					t.Fatalf("trial %d: row engine diverges on\n%s\ngot: %v\nwant:%v",
-						trial, p, got, want)
+				p := fragmentPattern(rng, fc.ops, fc.ns)
+				if d := sameRowMultiset(evalRows(t, g, p), g.Dict(), sparql.Eval(g, p)); d != nil {
+					t.Fatalf("trial %d: row engine diverges on\n%s\n%s", trial, p, d)
 				}
 			}
 		})
@@ -198,9 +211,8 @@ func TestEvalRowsAgreesWithEvalQuick(t *testing.T) {
 }
 
 // TestCappedEvalRowsAgreesWithEvalQuick checks capped runs
-// (ParOptions.Cap) against the reference evaluator, on the serial and
-// the parallel engine: k answers of Eval, or all of them when there are
-// fewer.
+// (EvalOptions.Cap) against the reference evaluator: k answers of
+// Eval, or all of them when there are fewer.
 func TestCappedEvalRowsAgreesWithEvalQuick(t *testing.T) {
 	for _, fc := range fragmentCases() {
 		fc := fc
@@ -213,16 +225,12 @@ func TestCappedEvalRowsAgreesWithEvalQuick(t *testing.T) {
 					p = sparql.NS{P: p}
 				}
 				want := sparql.Eval(g, p)
-				for _, o := range []sparql.ParOptions{
-					{Workers: 1, Cap: 1 + rng.Intn(4)},
-					{Workers: 4, MinPartition: 1, Cap: 1 + rng.Intn(4)},
-				} {
-					rs, ok, err := sparql.EvalRows(g, p, nil, o)
-					if err != nil || !ok {
-						t.Fatalf("trial %d: EvalRows(%+v) = %v, %v", trial, o, ok, err)
-					}
-					checkCapped(t, rs.MappingSet(g.Dict()), want, o.Cap, p.String())
+				o := sparql.EvalOptions{Cap: 1 + rng.Intn(4)}
+				rs, ok, err := sparql.EvalRows(g, p, nil, o)
+				if err != nil || !ok {
+					t.Fatalf("trial %d: EvalRows(%+v) = %v, %v", trial, o, ok, err)
 				}
+				checkCapped(t, rs.MappingSet(g.Dict()), want, o.Cap, p.String())
 			}
 		})
 	}
@@ -304,7 +312,7 @@ func TestSchemaWidthLimit(t *testing.T) {
 	for _, v := range wide[1:] {
 		p = sparql.And{L: p, R: sparql.TP(sparql.V(v), sparql.I("p"), sparql.V(v))}
 	}
-	if _, ok, err := sparql.EvalRows(g, p, nil, serialOpts); ok || err != nil {
+	if _, ok, err := sparql.EvalRows(g, p, nil, sparql.EvalOptions{}); ok || err != nil {
 		t.Fatalf("EvalRows accepted a pattern wider than MaxSchemaVars (err %v)", err)
 	}
 	want := sparql.Eval(g, p)

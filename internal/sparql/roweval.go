@@ -14,28 +14,25 @@ import (
 // MaxSchemaVars variables; nothing is evaluated and callers fall back
 // to the string algebra (EvalBudget).
 //
-// o.Workers picks the engine: 1 is the serial evaluator, more fan UNION
-// branches, AND/OPT operands, large joins and NS out across that many
-// goroutines sharing the one budget (see parallel.go).  The budget is
-// charged per triple-index probe, join candidate and materialized row,
-// and a nil budget disables accounting; the evaluation aborts with the
+// The evaluation runs on the calling goroutine.  The budget is charged
+// per triple-index probe, join candidate and materialized row, and a
+// nil budget disables accounting; the evaluation aborts with the
 // budget's typed error (ErrCanceled, ErrBudgetExceeded) as soon as the
-// governor trips, with the pool fully drained, and a malformed plan
-// surfaces as ErrUnsupportedPattern instead of panicking.  A non-nil
+// governor trips, and a malformed plan surfaces as
+// ErrUnsupportedPattern instead of panicking.  A non-nil
 // o.Prof gets one child node per operator (wall time, rows in/out,
 // dedup hits, NS pruning per mask bucket, budget consumption) at the
 // cost of one nil check per operator node when nil.  Each And and Opt
 // node picks its join with the one rule, BindPays.
 //
-// The result decodes to exactly Eval(g, p) on every engine
-// (differentially tested); Eval stays the reference implementation and
-// oracle.
-func EvalRows(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*RowSet, bool, error) {
+// The result decodes to exactly Eval(g, p) (differentially tested);
+// Eval stays the reference implementation and oracle.
+func EvalRows(g rdf.Store, p Pattern, b *Budget, o EvalOptions) (*RowSet, bool, error) {
 	sc, ok := SchemaFor(p)
 	if !ok {
 		return nil, false, nil
 	}
-	rs, err := newEvaluator(g, sc, b, o).evalCap(p, o.Cap, o.Prof)
+	rs, err := newEvaluator(g, sc, b).evalCap(p, o.Cap, o.Prof)
 	if err != nil {
 		return nil, true, err
 	}

@@ -2,9 +2,7 @@ package sparql
 
 import (
 	"strconv"
-	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -25,8 +23,8 @@ import (
 //
 // A RowSet is not safe for concurrent use: operators mutate scratch
 // state (the membership table, the cached chain index below) even on
-// the "read" side.  The parallel operators therefore build any shared
-// index before fanning out and their workers only read it.
+// the "read" side.  An evaluation runs on one goroutine, so it never
+// shares one.
 type RowSet struct {
 	Schema *VarSchema
 	masks  []uint64
@@ -58,8 +56,7 @@ type RowSet struct {
 
 	// dedup counts the rows the membership table rejected as
 	// duplicates.  Rows an operator appended without a lookup can never
-	// count here.  Plain (not atomic): a RowSet is single-writer by
-	// contract, and the partition merge folds partition counts in.
+	// count here.
 	dedup int64
 }
 
@@ -99,10 +96,9 @@ func (s *RowSet) Release() {
 // evaluator returns each intermediate set once its consumer is done —
 // so a deep plan cycles through a handful of array pairs instead of
 // allocating (and zeroing) a pair per operator.  All pairs of one list
-// have the same row width.  The mutex is taken once per operator and
-// worker, never per row.
+// have the same row width.  Like the evaluation, it belongs to one
+// goroutine.
 type freeList struct {
-	mu   sync.Mutex
 	sets []rowArrays
 }
 
@@ -115,7 +111,6 @@ type rowArrays struct {
 // smallest stocked pair that is large enough, or new ones.
 func (f *freeList) get(n, w int) ([]uint64, []rdf.ID) {
 	if f != nil {
-		f.mu.Lock()
 		best := -1
 		for i, a := range f.sets {
 			if cap(a.masks) >= n && (best < 0 || cap(a.masks) < cap(f.sets[best].masks)) {
@@ -127,10 +122,8 @@ func (f *freeList) get(n, w int) ([]uint64, []rdf.ID) {
 			last := len(f.sets) - 1
 			f.sets[best], f.sets[last] = f.sets[last], rowArrays{}
 			f.sets = f.sets[:last]
-			f.mu.Unlock()
 			return a.masks[:0], a.ids[:0]
 		}
-		f.mu.Unlock()
 	}
 	return make([]uint64, 0, n), make([]rdf.ID, 0, n*w)
 }
@@ -139,9 +132,7 @@ func (f *freeList) put(masks []uint64, ids []rdf.ID) {
 	if f == nil || cap(masks) == 0 {
 		return
 	}
-	f.mu.Lock()
 	f.sets = append(f.sets, rowArrays{masks, ids})
-	f.mu.Unlock()
 }
 
 // Len reports the number of rows.
@@ -358,22 +349,12 @@ func (s *RowSet) Join(t *RowSet) *RowSet {
 // JoinB is Join under a governor: every candidate pair charges one
 // budget step and every retained row charges the memory estimate, so a
 // runaway (e.g. cross-product) join stops at the deadline instead of
-// wedging the caller.
-func (s *RowSet) JoinB(t *RowSet, bud *Budget) (*RowSet, error) {
-	return s.joinParB(t, bud, nil, 0, nil)
-}
-
-// joinParB is the join operator, serial with a nil pool and with the
-// probe side split across the pool's workers otherwise.  The build
-// side's chain index is constructed once by the caller's goroutine;
-// each worker streams a contiguous chunk of probe rows against it into
-// a private RowSet.  Small joins stay serial.
+// wedging the caller.  The smaller side is the build side.
 //
 // When both sides have a single domain the output needs no membership
 // table: µ1 ∪ µ2 then determines µ1 (its restriction to the one left
-// domain) and µ2, so distinct pairs merge to distinct rows, and the
-// partitions — disjoint sets of probe rows — are concatenated.
-func (s *RowSet) joinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
+// domain) and µ2, so distinct pairs merge to distinct rows.
+func (s *RowSet) JoinB(t *RowSet, bud *Budget) (*RowSet, error) {
 	if s.Len() == 0 {
 		return s, nil
 	}
@@ -384,42 +365,33 @@ func (s *RowSet) joinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *o
 	if build.Len() > probe.Len() {
 		build, probe = probe, build
 	}
-	return build.probeJoin(probe, bud, po, minPart, node)
+	return build.probeJoin(probe, bud)
 }
 
 // probeJoin is the join with the build side fixed: s's chain index
 // (cached on s, see chainIndex) is probed with every row of probe.
-func (s *RowSet) probeJoin(probe *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
+func (s *RowSet) probeJoin(probe *RowSet, bud *Budget) (*RowSet, error) {
 	distinct := s.uniform() && probe.uniform()
 	key := s.alwaysBoundMask() & probe.alwaysBoundMask()
-	if probe.Len() < minPart {
-		po = nil
-	}
 	idx := s.chainIndex(key)
-	parts, err := parChunks(po, probe.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		out := s.like(hi - lo)
-		l := bud.lease()
-		defer l.release()
-		for j := lo; j < hi; j++ {
-			b, bm := probe.RowIDs(j), probe.masks[j]
+	out := s.like(probe.Len())
+	l := bud.lease()
+	defer l.release()
+	for j := 0; j < probe.Len(); j++ {
+		b, bm := probe.RowIDs(j), probe.masks[j]
+		if err := l.step(); err != nil {
+			return nil, err
+		}
+		for i := idx.first(rowHash(b, key)); i >= 0; i = idx.after(i) {
 			if err := l.step(); err != nil {
 				return nil, err
 			}
-			for i := idx.first(rowHash(b, key)); i >= 0; i = idx.after(i) {
-				if err := l.step(); err != nil {
-					return nil, err
-				}
-				if _, err := out.joinPair(s.RowIDs(int(i)), s.masks[i], b, bm, distinct, bud); err != nil {
-					return nil, err
-				}
+			if _, err := out.joinPair(s.RowIDs(int(i)), s.masks[i], b, bm, distinct, bud); err != nil {
+				return nil, err
 			}
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return mergeParts(parts, distinct, po, bud, node)
+	return out, nil
 }
 
 // chainIdx buckets rows by the hash of their key-slot restriction: a
@@ -535,52 +507,36 @@ func (s *RowSet) Diff(t *RowSet) *RowSet {
 }
 
 // DiffB is Diff under a governor: each compatibility probe charges a
-// step.
+// step.  The output is a subset of the left side in its order, so rows
+// are appended; Ω ∖ ∅ is Ω itself, returned as it is.
 func (s *RowSet) DiffB(t *RowSet, bud *Budget) (*RowSet, error) {
-	return s.diffParB(t, bud, nil, 0, nil)
-}
-
-// diffParB is the difference operator, with the left side partitioned
-// across the pool when there is one.  The output is a subset of the
-// left side in its order, so rows are appended and partitions
-// concatenated; Ω ∖ ∅ is Ω itself, returned as it is.
-func (s *RowSet) diffParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
 	if s.Len() == 0 || t.Len() == 0 {
 		return s, nil
 	}
-	if s.Len() < minPart {
-		po = nil
-	}
 	key := s.alwaysBoundMask() & t.alwaysBoundMask()
 	idx := t.chainIndex(key)
-	parts, err := parChunks(po, s.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		out := s.like(0)
-		l := bud.lease()
-		defer l.release()
-		for i := lo; i < hi; i++ {
-			a, am := s.RowIDs(i), s.masks[i]
+	out := s.like(0)
+	l := bud.lease()
+	defer l.release()
+	for i := 0; i < s.Len(); i++ {
+		a, am := s.RowIDs(i), s.masks[i]
+		if err := l.step(); err != nil {
+			return nil, err
+		}
+		compatible := false
+		for j := idx.first(rowHash(a, key)); j >= 0 && !compatible; j = idx.after(j) {
 			if err := l.step(); err != nil {
 				return nil, err
 			}
-			compatible := false
-			for j := idx.first(rowHash(a, key)); j >= 0 && !compatible; j = idx.after(j) {
-				if err := l.step(); err != nil {
-					return nil, err
-				}
-				compatible = rowsCompatible(a, am, t.RowIDs(int(j)), t.masks[j])
-			}
-			if !compatible {
-				if err := out.pushCharged(a, am, bud); err != nil {
-					return nil, err
-				}
+			compatible = rowsCompatible(a, am, t.RowIDs(int(j)), t.masks[j])
+		}
+		if !compatible {
+			if err := out.pushCharged(a, am, bud); err != nil {
+				return nil, err
 			}
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return mergeParts(parts, true, po, bud, node)
+	return out, nil
 }
 
 // LeftJoin returns Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2).
@@ -589,74 +545,60 @@ func (s *RowSet) LeftJoin(t *RowSet) *RowSet {
 	return out
 }
 
-// LeftJoinB is LeftJoin under a governor.
-func (s *RowSet) LeftJoinB(t *RowSet, bud *Budget) (*RowSet, error) {
-	return s.leftJoinParB(t, bud, nil, 0, nil)
-}
-
-// leftJoinParB is Ω1 ⟕ Ω2 in one pass over the left side, partitioned
-// across the pool when there is one: each left row probes the right
-// side's chain index, is merged with each compatible right row, and is
-// emitted as it is when there was none.
+// LeftJoinB is LeftJoin under a governor, in one pass over the left
+// side: each left row probes the right side's chain index, is merged
+// with each compatible right row, and is emitted as it is when there
+// was none.
 //
 // The two halves cannot share a row — a merged row µ1 ∪ µ2 extends µ2,
 // so it is compatible with µ2, and an unmatched row is compatible with
 // no right row — and the unmatched half is a subset of the left side,
 // so only merged rows can repeat, and only over mixed domains (see
-// joinParB).  Then the merged rows go through the membership table and
+// JoinB).  Then the merged rows go through the membership table and
 // the unmatched ones are appended after them, outside it.
-func (s *RowSet) leftJoinParB(t *RowSet, bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
+func (s *RowSet) LeftJoinB(t *RowSet, bud *Budget) (*RowSet, error) {
 	if s.Len() == 0 || t.Len() == 0 {
 		return s, nil
 	}
 	distinct := s.uniform() && t.uniform()
-	if s.Len() < minPart {
-		po = nil
-	}
 	key := s.alwaysBoundMask() & t.alwaysBoundMask()
 	idx := t.chainIndex(key)
-	parts, err := parChunks(po, s.Len(), chunkOf(minPart), node, func(lo, hi int) (*RowSet, error) {
-		out := s.like(hi - lo)
-		var unmatched []int32
-		l := bud.lease()
-		defer l.release()
-		for i := lo; i < hi; i++ {
-			a, am := s.RowIDs(i), s.masks[i]
+	out := s.like(s.Len())
+	var unmatched []int32
+	l := bud.lease()
+	defer l.release()
+	for i := 0; i < s.Len(); i++ {
+		a, am := s.RowIDs(i), s.masks[i]
+		if err := l.step(); err != nil {
+			return nil, err
+		}
+		matched := false
+		for j := idx.first(rowHash(a, key)); j >= 0; j = idx.after(j) {
 			if err := l.step(); err != nil {
 				return nil, err
 			}
-			matched := false
-			for j := idx.first(rowHash(a, key)); j >= 0; j = idx.after(j) {
-				if err := l.step(); err != nil {
-					return nil, err
-				}
-				ok, err := out.joinPair(a, am, t.RowIDs(int(j)), t.masks[j], distinct, bud)
-				if err != nil {
-					return nil, err
-				}
-				matched = matched || ok
-			}
-			switch {
-			case matched:
-			case distinct:
-				if err := out.pushCharged(a, am, bud); err != nil {
-					return nil, err
-				}
-			default:
-				unmatched = append(unmatched, int32(i))
-			}
-		}
-		for _, i := range unmatched {
-			if err := out.pushCharged(s.RowIDs(int(i)), s.masks[i], bud); err != nil {
+			ok, err := out.joinPair(a, am, t.RowIDs(int(j)), t.masks[j], distinct, bud)
+			if err != nil {
 				return nil, err
 			}
+			matched = matched || ok
 		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		switch {
+		case matched:
+		case distinct:
+			if err := out.pushCharged(a, am, bud); err != nil {
+				return nil, err
+			}
+		default:
+			unmatched = append(unmatched, int32(i))
+		}
 	}
-	return mergeParts(parts, distinct, po, bud, node)
+	for _, i := range unmatched {
+		if err := out.pushCharged(s.RowIDs(int(i)), s.masks[i], bud); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Project returns {µ|V | µ ∈ Ω} for V given as a slot mask.
@@ -724,9 +666,65 @@ func (s *RowSet) Maximal() *RowSet {
 
 // MaximalB is Maximal under a governor: hashing a superset bucket and
 // probing it both charge steps, so the quadratic-in-buckets worst case
-// respects deadlines.
+// respects deadlines.  Buckets are visited in first-seen order, inner
+// loop included, so the steps charged are the same run to run; the
+// subsumed rows are marked first and the survivors emitted after, in
+// row order.  The survivors are a subset of the set: appended; and a
+// set with one domain has no strict superset mask, so it is its own
+// maximum and is returned as it is.
 func (s *RowSet) MaximalB(bud *Budget) (*RowSet, error) {
-	return s.maximalParB(bud, nil, 0, nil)
+	if s.uniform() {
+		return s, nil
+	}
+	buckets := s.maskBuckets()
+	dead := make([]bool, s.Len())
+	gone := 0
+	l := bud.lease()
+	defer l.release()
+	for _, b := range buckets {
+		// Hash the m-restrictions of every strict-superset bucket; a
+		// bucket with none has nothing to hunt.
+		var superKeys *RowSet
+		for _, b2 := range buckets {
+			if b2.mask == b.mask || b.mask&^b2.mask != 0 {
+				continue
+			}
+			if superKeys == nil {
+				superKeys = s.like(len(b.rows))
+			}
+			for _, j := range b2.rows {
+				if err := l.step(); err != nil {
+					return nil, err
+				}
+				superKeys.Add(s.RowIDs(int(j)), b.mask)
+			}
+		}
+		if superKeys == nil {
+			continue
+		}
+		for _, i := range b.rows {
+			if err := l.step(); err != nil {
+				return nil, err
+			}
+			if superKeys.Contains(s.RowIDs(int(i)), b.mask) {
+				dead[i] = true
+				gone++
+			}
+		}
+		superKeys.Release()
+	}
+	out := s.like(s.Len() - gone)
+	for i := 0; i < s.Len(); i++ {
+		if err := l.step(); err != nil {
+			return nil, err
+		}
+		if !dead[i] {
+			if err := out.pushCharged(s.RowIDs(i), s.masks[i], bud); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // maskBucket is the rows of one presence mask, in row order.
@@ -749,96 +747,6 @@ func (s *RowSet) maskBuckets() []maskBucket {
 		buckets[k].rows = append(buckets[k].rows, int32(i))
 	}
 	return buckets
-}
-
-// maximalParB is the NS operator, with the buckets sharded across the
-// pool when there is one.  Each bucket's subsumption hunt — hash the
-// restrictions of every strict-superset bucket, probe the bucket's
-// rows — reads shared state only, so the buckets that have one spread
-// across workers and a final sweep in row order drops the subsumed rows.  Buckets are
-// visited in first-seen order, inner loop included, so the steps
-// charged are the same run to run.  The survivors are a subset of the
-// set: appended; and a set with one domain has no strict superset
-// mask, so it is its own maximum and is returned as it is.
-func (s *RowSet) maximalParB(bud *Budget, po *pool, minPart int, node *obs.Node) (*RowSet, error) {
-	if s.uniform() {
-		return s, nil
-	}
-	if s.Len() < minPart {
-		po = nil
-	}
-	buckets := s.maskBuckets()
-	// Only a bucket with a strict-superset bucket has a hunt to run;
-	// those are what the workers share.
-	var hunts []maskBucket
-	for _, b := range buckets {
-		for _, b2 := range buckets {
-			if b2.mask != b.mask && b.mask&^b2.mask == 0 {
-				hunts = append(hunts, b)
-				break
-			}
-		}
-	}
-	deadParts, err := parChunks(po, len(hunts), 1, node, func(lo, hi int) ([]int32, error) {
-		var dead []int32
-		l := bud.lease()
-		defer l.release()
-		for _, b := range hunts[lo:hi] {
-			superKeys := s.like(len(b.rows))
-			for _, b2 := range buckets {
-				if b2.mask == b.mask || b.mask&^b2.mask != 0 {
-					continue
-				}
-				// m ⊊ m2: hash the m-restrictions of the superset bucket.
-				for _, j := range b2.rows {
-					if err := l.step(); err != nil {
-						return nil, err
-					}
-					superKeys.Add(s.RowIDs(int(j)), b.mask)
-				}
-			}
-			for _, i := range b.rows {
-				if err := l.step(); err != nil {
-					return nil, err
-				}
-				if superKeys.Contains(s.RowIDs(int(i)), b.mask) {
-					dead = append(dead, i)
-				}
-			}
-			superKeys.Release()
-		}
-		return dead, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if po != nil {
-		node.AddPartitions(int64(len(deadParts)))
-	}
-	// Sweep: merge the shards' dead lists and emit the survivors in row
-	// order.
-	dead := make([]bool, s.Len())
-	gone := 0
-	for _, part := range deadParts {
-		for _, i := range part {
-			dead[i] = true
-		}
-		gone += len(part)
-	}
-	out := s.like(s.Len() - gone)
-	l := bud.lease()
-	defer l.release()
-	for i := 0; i < s.Len(); i++ {
-		if err := l.step(); err != nil {
-			return nil, err
-		}
-		if !dead[i] {
-			if err := out.pushCharged(s.RowIDs(i), s.masks[i], bud); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // MaximalNaive computes Ω_max by pairwise subsumption checks, O(n²);

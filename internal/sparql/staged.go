@@ -7,72 +7,64 @@ import (
 
 // StagedExec is the planner-facing handle on one evaluator for chain
 // execution (see internal/plan's chain driver): the driver evaluates a
-// DP-ordered AND chain one operand at a time — observing materialized
-// prefix cardinalities at drift checkpoints between stages — while
-// each stage's work (operand scans, partitioned hash joins, bind-join
-// probes) fans out across the pool in morsels, or runs inline when
-// there is one worker.  One StagedExec serves one query: it owns the
-// pool and the free list and shares the query's schema and budget with
-// every stage, so the whole chain is governed by a single
-// atomic budget exactly like the static tree.
+// DP-ordered AND chain one stage — one operand joined onto the prefix —
+// at a time, observing materialized prefix cardinalities at drift
+// checkpoints between stages.  One StagedExec serves one query: it owns
+// the free list and shares the query's schema and budget with every
+// stage, so the whole chain is governed by a single budget exactly like
+// the tree evaluator.
 type StagedExec struct {
 	e *evaluator
 }
 
 // NewStagedExec builds the handle for pattern p.  ok = false when p
 // exceeds MaxSchemaVars (the caller falls back like the other row
-// entry points).  Workers counts the calling goroutine; with 1 every
-// stage runs the serial operators (nil pool) — the serial adaptive
-// chain.
-func NewStagedExec(g rdf.Store, p Pattern, b *Budget, o ParOptions) (*StagedExec, bool) {
+// entry points).
+func NewStagedExec(g rdf.Store, p Pattern, b *Budget) (*StagedExec, bool) {
 	sc, ok := SchemaFor(p)
 	if !ok {
 		return nil, false
 	}
-	return &StagedExec{e: newEvaluator(g, sc, b, o)}, true
+	return &StagedExec{e: newEvaluator(g, sc, b)}, true
 }
 
 // Schema returns the query-wide schema the handle evaluates under.
 func (x *StagedExec) Schema() *VarSchema { return x.e.sc }
 
-// EvalOperand evaluates one chain operand on the parallel engine,
+// EvalOperand evaluates one chain operand on the tree evaluator,
 // attaching its operator profile under parent.  Operands are usually
-// single index scans, but composite operands (filter-wrapped scans,
-// nested unions) fan their own sub-operators out across the pool.
+// single index scans, but may be composite (filter-wrapped scans,
+// nested unions).
 func (x *StagedExec) EvalOperand(p Pattern, parent *obs.Node) (*RowSet, error) {
 	return x.e.eval(p, parent)
 }
 
 // JoinFirst joins a chain's first pair of triples as the tree evaluator
 // joins an And node (the join rule, then merge or hash), with the
-// operands' profile nodes under node, and names the strategy it ran.
-func (x *StagedExec) JoinFirst(l, r Pattern, node *obs.Node) (*RowSet, string, error) {
-	out, strategy, err := x.e.join(l, r, false, node)
-	if err == nil && checkRows != nil {
-		checkRows(out)
-	}
-	return out, strategy, err
-}
-
-// Join joins the accumulated prefix with one operand's rows through
-// the partitioned hash join: the probe side splits into contiguous
-// morsels across the pool, each probing the shared chain index into a
-// private RowSet, merged in morsel order.  Small joins stay serial.
-func (x *StagedExec) Join(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
-	node.AddRowsIn(int64(acc.Len() + r.Len()))
-	out, err := acc.joinParB(r, x.e.b, x.e.po, x.e.minPart, node)
+// operands' profile nodes under node.
+func (x *StagedExec) JoinFirst(l, r Pattern, node *obs.Node) (*RowSet, error) {
+	out, err := x.e.join(l, r, false, node)
 	if err == nil && checkRows != nil {
 		checkRows(out)
 	}
 	return out, err
 }
 
-// BindJoin is the parallel bind join: acc's rows split into morsels
-// across the pool, each worker probing the sorted indexes with
-// row-bound constants (see BindJoinScanPar).  It records into node
-// itself rather than into a child of it.
+// Join hash-joins the accumulated prefix with one operand's rows.
+func (x *StagedExec) Join(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
+	node.AddRowsIn(int64(acc.Len() + r.Len()))
+	out, err := acc.JoinB(r, x.e.b)
+	if err == nil && checkRows != nil {
+		checkRows(out)
+	}
+	return out, err
+}
+
+// BindJoin probes the sorted indexes with each of acc's rows' bindings
+// (see BindJoinScan).  It records into node itself rather than into a
+// child of it.
 func (x *StagedExec) BindJoin(acc *RowSet, t TriplePattern, node *obs.Node) (*RowSet, error) {
-	return bindJoinScanPar(x.e.g, acc, t, false, x.e.b, x.e.po, x.e.minPart, node)
+	return bindJoinScan(x.e.g, acc, t, false, x.e.b, node)
 }
 
 // Probe joins acc with an operand evaluated earlier, always building on
@@ -85,7 +77,7 @@ func (x *StagedExec) Probe(acc, r *RowSet, node *obs.Node) (*RowSet, error) {
 		if acc.Len() == 0 || r.Len() == 0 {
 			return acc.like(0), nil
 		}
-		return r.probeJoin(acc, x.e.b, x.e.po, x.e.minPart, node)
+		return r.probeJoin(acc, x.e.b)
 	})
 }
 

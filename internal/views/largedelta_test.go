@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/parser"
@@ -12,9 +11,8 @@ import (
 	"repro/internal/sparql"
 )
 
-// parViewDelta builds a delta large enough to push the probe loop past
-// parProbeMin, so the insert fans out across workers.
-func parViewDelta(people int) []rdf.Triple {
+// largeViewDelta builds a delta of one works_at triple per person.
+func largeViewDelta(people int) []rdf.Triple {
 	delta := make([]rdf.Triple, 0, people)
 	for i := 0; i < people; i++ {
 		delta = append(delta, rdf.T(
@@ -24,7 +22,7 @@ func parViewDelta(people int) []rdf.Triple {
 	return delta
 }
 
-func parViewBase() *rdf.Graph {
+func largeViewBase() *rdf.Graph {
 	g := rdf.NewGraph()
 	for u := 0; u < 10; u++ {
 		g.Add(rdf.IRI(fmt.Sprintf("uni_%d", u)), "located_in",
@@ -33,57 +31,49 @@ func parViewBase() *rdf.Graph {
 	return g
 }
 
-// TestInsertLargeDeltaParallelAgrees checks the parallel probe path
-// against the serial one: a single large insert (probes fanned out
-// across GOMAXPROCS workers) must produce exactly the view state that
-// one-triple-at-a-time serial inserts do.
-func TestInsertLargeDeltaParallelAgrees(t *testing.T) {
+// TestInsertLargeDeltaAgrees: a single large insert must produce
+// exactly the view state that one-triple-at-a-time inserts do.
+func TestInsertLargeDeltaAgrees(t *testing.T) {
 	q := parser.MustParseConstruct(
 		"CONSTRUCT {(?p works_in ?c)} WHERE (?p works_at ?u) AND (?u located_in ?c)")
-	delta := parViewDelta(4 * parProbeMin)
+	delta := largeViewDelta(256)
 
-	serial, err := New(q, parViewBase())
+	single, err := New(q, largeViewBase())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range delta {
-		serial.Insert(tr)
+		single.Insert(tr)
 	}
 
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	par, err := New(q, parViewBase())
+	bulk, err := New(q, largeViewBase())
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := par.InsertBudget(sparql.NewBudget(context.Background()), delta...)
+	added, err := bulk.InsertBudget(sparql.NewBudget(context.Background()), delta...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != len(delta) {
 		t.Fatalf("added %d of %d delta triples", added, len(delta))
 	}
-	if !par.Graph().Equal(serial.Graph()) {
-		t.Fatalf("parallel insert diverges from serial\nparallel:\n%s\nserial:\n%s",
-			par.Graph(), serial.Graph())
+	if !bulk.Graph().Equal(single.Graph()) {
+		t.Fatalf("one large insert diverges from one-at-a-time inserts\nlarge:\n%s\none at a time:\n%s",
+			bulk.Graph(), single.Graph())
 	}
-	if !par.Base().Equal(serial.Base()) {
+	if !bulk.Base().Equal(single.Base()) {
 		t.Fatal("bases diverge after identical inserts")
 	}
 }
 
-// TestInsertLargeDeltaParallelUnwind aborts a fanned-out insert at a
-// spread of injection points: every worker must drain, and the
-// rollback must restore base and output exactly, same as the serial
-// unwind property.
-func TestInsertLargeDeltaParallelUnwind(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestInsertLargeDeltaUnwind aborts a large insert at a spread of
+// injection points: the rollback must restore base and output exactly.
+func TestInsertLargeDeltaUnwind(t *testing.T) {
 	q := parser.MustParseConstruct(
 		"CONSTRUCT {(?p works_in ?c)} WHERE (?p works_at ?u) AND (?u located_in ?c)")
-	delta := parViewDelta(2 * parProbeMin)
+	delta := largeViewDelta(128)
 
-	control, err := New(q, parViewBase())
+	control, err := New(q, largeViewBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +88,7 @@ func TestInsertLargeDeltaParallelUnwind(t *testing.T) {
 		points = 1
 	}
 	for n := int64(0); n <= total; n += points {
-		v, err := New(q, parViewBase())
+		v, err := New(q, largeViewBase())
 		if err != nil {
 			t.Fatal(err)
 		}

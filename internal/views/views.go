@@ -32,7 +32,6 @@ package views
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -206,10 +205,9 @@ func (v *View) InsertObserved(b *sparql.Budget, prof *obs.Node, triples ...rdf.T
 // answer over the grown graph that is not new is already in the view,
 // and adding them all is exact.
 //
-// The probes may fan out across goroutines (see probe), all reading
-// the base graph; the read snapshot makes any concurrent mutation of
-// the base — which would corrupt an index under a worker — fail
-// loudly at the write site for the duration of the evaluation.
+// The probes read the base graph; the read snapshot makes any
+// mutation of the base during the evaluation — which would corrupt an
+// index under a probe — fail loudly at the write site.
 func (v *View) deltaAnswers(delta []rdf.Triple, b *sparql.Budget) (*sparql.MappingSet, error) {
 	release := v.base.AcquireRead()
 	defer release()
@@ -282,16 +280,10 @@ func (v *View) deltaRows(delta []rdf.IDTriple, p sparql.Pattern, b *sparql.Budge
 	}
 }
 
-// parProbeMin is the delta size (in rows) below which a bind join stays
-// on one goroutine: splitting the probes only pays off once there are
-// enough of them to share out.
-const parProbeMin = 64
-
 // probe computes small ⋈ ⟦p⟧_G by index nested loops, recursing over
 // the AUF algebra: a triple bind-joins small against the indexes,
-// AND composes (small ⋈ ⟦P1⟧ ⋈ ⟦P2⟧), UNION unions.  Large deltas fan
-// the bind joins out across GOMAXPROCS goroutines sharing b, whose
-// accounting is atomic, so one governor bounds the whole insert.
+// AND composes (small ⋈ ⟦P1⟧ ⋈ ⟦P2⟧), UNION unions; b bounds the whole
+// insert.
 //
 // A FILTER judges its pattern's own answers ν, not the merged rows
 // µ ∪ ν: a variable that µ binds and ν leaves unbound must read as
@@ -301,7 +293,7 @@ const parProbeMin = 64
 func (v *View) probe(small *sparql.RowSet, p sparql.Pattern, b *sparql.Budget) (*sparql.RowSet, error) {
 	switch q := p.(type) {
 	case sparql.TriplePattern:
-		return sparql.BindJoinScanPar(v.base, small, q, b, runtime.GOMAXPROCS(0), parProbeMin, nil)
+		return sparql.BindJoinScan(v.base, small, q, b, nil)
 	case sparql.And:
 		l, err := v.probe(small, q.L, b)
 		if err != nil {
