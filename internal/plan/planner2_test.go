@@ -197,15 +197,10 @@ var plannerConfigs = []struct {
 // once.
 func TestPlannerDifferential(t *testing.T) {
 	s := workload.NewSocial(workload.SocialOpts{People: 400})
+	rng := rand.New(rand.NewSource(3))
 	var queries []sparql.Pattern
-	for _, gen := range []struct {
-		seed int64
-		n    int
-	}{{3, 12}, {31, 8}} {
-		rng := rand.New(rand.NewSource(gen.seed))
-		for i := 0; i < gen.n; i++ {
-			queries = append(queries, s.MixedQueries(rng, 1, nil)...)
-		}
+	for i := 0; i < 12; i++ {
+		queries = append(queries, s.MixedQueries(rng, 1, nil)...)
 	}
 	for _, q := range []string{
 		// The non-AND fragments the chain executor must leave intact.

@@ -163,3 +163,30 @@ func TestEmptyPrefixBeforeCompositeOperand(t *testing.T) {
 		t.Fatalf("%d index scans after an empty first operand, want <= 1", n)
 	}
 }
+
+// TestStagedDifferentialNoStaged holds the chain executor to the
+// reference on the social workload with no staged fan-out behind it:
+// every planner configuration must return the reference answers, every
+// row once, the adaptive ones on the serial chain driver and the
+// NoReplan and Greedy ones on the tree evaluator.
+func TestStagedDifferentialNoStaged(t *testing.T) {
+	s := workload.NewSocial(workload.SocialOpts{People: 300})
+	rng := rand.New(rand.NewSource(31))
+	var queries []sparql.Pattern
+	for i := 0; i < 8; i++ {
+		queries = append(queries, s.MixedQueries(rng, 1, nil)...)
+	}
+	queries = append(queries,
+		parser.MustParsePattern("(?x0 follows ?x1) AND (?x1 mentors ?x2) AND (?x2 worksAt org_3)"),
+		parser.MustParsePattern("(?x livesIn city_1) AND (?x worksAt org_0) AND (?x knows ?y) AND (?y name ?n)"),
+		parser.MustParsePattern("((?x knows ?y) UNION (?x worksAt ?w)) AND (?x knows ?y) AND (?x worksAt ?w)"))
+	for qi, q := range queries {
+		want := sparql.Eval(s.G, q)
+		for _, cfg := range plannerConfigs {
+			if got := run(t, s.G, PrepareOpts(s.G, q, cfg.po), Options{}); !sameRows(got, want) {
+				t.Fatalf("q%d %s under %s: %d rows, reference %d",
+					qi, q, cfg.name, got.Len(), want.Len())
+			}
+		}
+	}
+}

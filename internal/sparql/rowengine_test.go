@@ -1,6 +1,7 @@
 package sparql_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -68,33 +69,56 @@ func popcount64(m uint64) int {
 // Maximal agrees with both string NS algorithms (naive pairwise and
 // domain-bucketed) on random mapping sets with heterogeneous domains.
 func TestRowMaximalAgreesWithStringQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	vars := []sparql.Var{"A", "B", "C", "D"}
 	sc, _ := sparql.NewVarSchema(vars)
-	for _, gen := range []struct {
-		seed    int64
-		maxRows int
-	}{{7, 40}, {31, 60}} {
-		rng := rand.New(rand.NewSource(gen.seed))
-		for trial := 0; trial < 300; trial++ {
-			ms := sparql.NewMappingSet()
-			for i, n := 0, rng.Intn(gen.maxRows); i < n; i++ {
-				ms.Add(randomMapping(rng, vars, workload.DefaultIRIs))
-			}
-			c := sparql.Codec{Schema: sc, Dict: rdf.NewDict()}
-			rs, ok := sparql.EncodeMappingSet(ms, c)
-			if !ok {
-				t.Fatal("encode failed")
-			}
-			want := ms.MaximalNaive()
-			if err := sameRowMultiset(rs.Maximal(), c.Dict, want); err != nil {
-				t.Fatalf("row Maximal != string MaximalNaive\nin:  %v\n%v", ms, err)
-			}
-			if got := rs.MaximalNaive().MappingSet(c.Dict); !got.Equal(want) {
-				t.Fatalf("row MaximalNaive != string MaximalNaive on %v", ms)
-			}
-			if got := ms.MaximalBucketed(); !got.Equal(want) {
-				t.Fatalf("string MaximalBucketed != MaximalNaive on %v", ms)
-			}
+	for trial := 0; trial < 300; trial++ {
+		ms := sparql.NewMappingSet()
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			ms.Add(randomMapping(rng, vars, workload.DefaultIRIs))
+		}
+		c := sparql.Codec{Schema: sc, Dict: rdf.NewDict()}
+		rs, ok := sparql.EncodeMappingSet(ms, c)
+		if !ok {
+			t.Fatal("encode failed")
+		}
+		want := ms.MaximalNaive()
+		if err := sameRowMultiset(rs.Maximal(), c.Dict, want); err != nil {
+			t.Fatalf("row Maximal != string MaximalNaive\nin:  %v\n%v", ms, err)
+		}
+		if got := rs.MaximalNaive().MappingSet(c.Dict); !got.Equal(want) {
+			t.Fatalf("row MaximalNaive != string MaximalNaive on %v", ms)
+		}
+		if got := ms.MaximalBucketed(); !got.Equal(want) {
+			t.Fatalf("string MaximalBucketed != MaximalNaive on %v", ms)
+		}
+	}
+}
+
+// TestMaximalBUnderBudgetAgreesQuick holds the governed NS (MaximalB:
+// the bucket hunt and the row-order sweep, charging steps through a
+// lease) to the naive pairwise NS on larger random sets than the
+// ungoverned suite draws, every survivor exactly once.
+func TestMaximalBUnderBudgetAgreesQuick(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vars := []sparql.Var{"A", "B", "C", "D"}
+	sc, _ := sparql.NewVarSchema(vars)
+	for trial := 0; trial < 300; trial++ {
+		ms := sparql.NewMappingSet()
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			ms.Add(randomMapping(rng, vars, workload.DefaultIRIs))
+		}
+		c := sparql.Codec{Schema: sc, Dict: rdf.NewDict()}
+		rs, ok := sparql.EncodeMappingSet(ms, c)
+		if !ok {
+			t.Fatal("encode failed")
+		}
+		got, err := rs.MaximalB(sparql.NewBudget(context.Background()).WithStride(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRowMultiset(got, c.Dict, ms.MaximalNaive()); err != nil {
+			t.Fatalf("governed Maximal != string MaximalNaive\nin:  %v\n%v", ms, err)
 		}
 	}
 }
